@@ -43,6 +43,7 @@ from .stats import balance, position_statistics
 from .twochain import (
     TwoChainPoset,
     bl2_hypothesis,
+    bl2_ratio_sides,
     make_two_chain,
     phi_event,
     psi_event,
@@ -818,41 +819,25 @@ def run_suite(
             for m in ms:
                 for n in ns:
                     t = make_two_chain(m, n)
-                    table = psi_table(t, budget)
-                    for (i, j), value in sorted(table.items()):
-                        if j == 0 or not bl2_hypothesis(m, n, i, j, cutoff):
-                            continue
-                        records.append(
-                            CheckRecord(
-                                check="bl2_tail",
-                                instance=_poset_digest(
-                                    t.poset, i=i, j=j, cutoff=cutoff
-                                ),
-                                holds=value < BL2_EPSILON[cutoff],
-                                kind="window",
-                                lhs=value,
-                                rhs=BL2_EPSILON[cutoff],
-                                note=f"K={cutoff}",
-                            )
-                        )
+                    for i, j in itertools.product(range(1, m + 1), range(1, n + 1)):
+                        if bl2_hypothesis(m, n, i, j, cutoff):
+                            records.append(check_bl2(t, i, j, cutoff, budget))
     elif name == "ratio":
-        from .twochain import bl2_ratio
-
         for _ in range(count):
             m = rng.randint(1, 8)
             n = rng.randint(1, 8)
             t = make_two_chain(m, n)
             i = rng.randint(1, m)
             ell = rng.randint(1, n)
-            value = bl2_ratio(t, i, ell, budget)
+            exact, closed = bl2_ratio_sides(t, i, ell, budget)
             records.append(
                 CheckRecord(
                     check="ratio_closed_form",
                     instance=_poset_digest(t.poset, i=i, ell=ell),
-                    holds=True,
+                    holds=exact == closed,
                     kind="identity",
-                    lhs=value,
-                    rhs=value,
+                    lhs=exact,
+                    rhs=closed,
                 )
             )
     elif name == "pibounds":

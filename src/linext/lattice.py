@@ -5,7 +5,8 @@ adds one minimal element of the complement.  Paths from the empty ideal to
 the full set are exactly the linear extensions, so dynamic programming
 along the lattice yields extension counts, per-element position marginals,
 event probabilities, and exact uniform samples without ever enumerating
-extensions one by one.
+extensions one by one.  An event "u before v" is counted on the poset's
+own ideals: one down pass in which v also waits for u.
 
 Ideals are encoded as Python integer bitmasks over the ground-set indices
 (arbitrary precision, so any desk-scale n works).  Construction is bounded
@@ -69,6 +70,43 @@ class PositionDistribution:
         return second - self.mean * self.mean
 
 
+def _down_pass(
+    n: int, pred: Sequence[int], budget: int | None
+) -> tuple[list[list[int]], dict[int, int], int]:
+    """Ideals reachable from the empty one, by size, with their path counts.
+
+    ``pred`` need not be closed: a cycle leaves the full set unreached.
+    Raises BudgetExceeded past ``budget`` nodes (None: the default budget).
+    """
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    full = (1 << n) - 1
+    down: dict[int, int] = {0: 1}
+    levels: list[list[int]] = [[0]]
+    nodes = 1
+    for _ in range(n):
+        grown: dict[int, int] = {}
+        for mask in levels[-1]:
+            d = down[mask]
+            free = full & ~mask
+            while free:
+                b = free & -free
+                free ^= b
+                if pred[b.bit_length() - 1] & ~mask:
+                    continue
+                new = mask | b
+                if new in grown:
+                    down[new] += d
+                else:
+                    grown[new] = None
+                    down[new] = d
+                    nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceeded(nodes, budget)
+        levels.append(list(grown))
+    return levels, down, nodes
+
+
 class DownsetLattice:
     """Ideals of a poset with path counts from both ends.
 
@@ -78,34 +116,10 @@ class DownsetLattice:
     """
 
     def __init__(self, poset: Poset, budget: int | None = None):
-        if budget is None:
-            budget = DEFAULT_NODE_BUDGET
         n = poset.n
         pred = poset._pred_masks
         full = (1 << n) - 1
-        down: dict[int, int] = {0: 1}
-        levels: list[list[int]] = [[0]]
-        nodes = 1
-        for _ in range(n):
-            grown: dict[int, int] = {}
-            for mask in levels[-1]:
-                d = down[mask]
-                free = full & ~mask
-                while free:
-                    b = free & -free
-                    free ^= b
-                    if pred[b.bit_length() - 1] & ~mask:
-                        continue
-                    new = mask | b
-                    if new in grown:
-                        down[new] += d
-                    else:
-                        grown[new] = None
-                        down[new] = d
-                        nodes += 1
-                        if nodes > budget:
-                            raise BudgetExceeded(nodes, budget)
-            levels.append(list(grown))
+        levels, down, nodes = _down_pass(n, pred, budget)
         up: dict[int, int] = {full: 1}
         for size in range(n - 1, -1, -1):
             for mask in levels[size]:
@@ -195,12 +209,19 @@ class DownsetLattice:
 
 
 def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
-    """Lattice of ``p``, cached on the poset instance."""
-    cached = p._cache.get("lattice")
-    if cached is not None:
-        return cached
-    lat = DownsetLattice(p, budget)
-    p._cache["lattice"] = lat
+    """Lattice of ``p``, cached on the poset instance.
+
+    The budget bounds the lattice whether it is built now or was cached
+    by an earlier call: a cached lattice larger than ``budget`` raises
+    BudgetExceeded just as building it would.
+    """
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    lat = p._cache.get("lattice")
+    if lat is None:
+        lat = p._cache["lattice"] = DownsetLattice(p, budget)
+    elif lat.node_count > budget:
+        raise BudgetExceeded(lat.node_count, budget)
     return lat
 
 
@@ -250,13 +271,18 @@ def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
     return Poset(p.labels, closed)
 
 
+def _event_count(p: Poset, pairs: Iterable[tuple[str, str]], budget: int | None) -> int:
+    """Extensions of ``p`` that put every ``u`` before its ``v``."""
+    pred = list(p._pred_masks)
+    for u, v in pairs:
+        pred[p.index(v)] |= 1 << p.index(u)
+    return _down_pass(p.n, pred, budget)[1].get((1 << p.n) - 1, 0)
+
+
 def event_probability(p: Poset, event, budget: int | None = None) -> Fraction:
     """Probability that a uniform extension satisfies every required pair."""
-    pairs = _required_pairs(event)
-    aug = augmented_poset(p, pairs)
-    if aug is None:
-        return Fraction(0)
-    return Fraction(count_extensions(aug, budget), count_extensions(p, budget))
+    hits = _event_count(p, _required_pairs(event), budget)
+    return Fraction(hits, count_extensions(p, budget)) if hits else Fraction(0)
 
 
 def conditional_probability(
@@ -264,13 +290,10 @@ def conditional_probability(
 ) -> Fraction:
     """P(event | given); raises ConditionNullEvent when P(given) = 0."""
     given_pairs = _required_pairs(given)
-    base = augmented_poset(p, given_pairs)
-    if base is None:
+    base = _event_count(p, given_pairs, budget)
+    if base == 0:
         raise ConditionNullEvent("conditioning event has probability zero")
-    joint = augmented_poset(base, _required_pairs(event))
-    if joint is None:
-        return Fraction(0)
-    return Fraction(count_extensions(joint, budget), count_extensions(base, budget))
+    return Fraction(_event_count(p, given_pairs + _required_pairs(event), budget), base)
 
 
 def sorting_probability(p: Poset, x: str, y: str, budget: int | None = None) -> Fraction:

@@ -73,8 +73,8 @@ def mc_step(state: ChainState) -> ChainState:
     if (state.poset._incomp_masks[u] >> v) & 1:
         order[i], order[i + 1] = v, u
         state.pos[u], state.pos[v] = i + 1, i
-        if state.validate:
-            assert _is_extension(state.poset, order), "swap broke the extension"
+        if state.validate and not _is_extension(state.poset, order):
+            raise RuntimeError("swap broke the extension")
     return state
 
 

@@ -332,7 +332,8 @@ def comparability_profile(p: Poset) -> ComparabilityProfile:
     antichain = tuple(
         p.labels[i] for i in range(n) if visited_left[i] and not visited_right[i]
     )
-    assert len(antichain) == width, "matching and antichain witness disagree"
+    if len(antichain) != width:
+        raise RuntimeError("matching and antichain witness disagree")
 
     incomp = {lab: p.incomparables(lab) for lab in p.labels}
     counts = {lab: len(v) for lab, v in incomp.items()}
@@ -444,7 +445,8 @@ def max_incomparable_pair(
             search(idx + 1, a_mask, n_a, cand)
 
         search(0, 0, 0, full)
-        assert best is not None  # non-chain ensures some incomparable pair
+        if best is None:  # a non-chain always has an incomparable pair
+            raise RuntimeError("no incomparable pair found in a non-chain")
         product = bin(best[0]).count("1") * bin(best[1]).count("1")
         mu = Fraction(1)
     else:

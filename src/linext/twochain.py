@@ -23,11 +23,7 @@ from .errors import (
     HypothesisNotSatisfied,
     IndexOutOfRange,
 )
-from .lattice import (
-    EventSpec,
-    build_lattice,
-    event_probability,
-)
+from .lattice import EventSpec, build_lattice
 from .poset import Poset
 
 
@@ -122,12 +118,15 @@ def phi_event(t: TwoChainPoset, j: int, i: int) -> EventSpec:
 
 
 def psi_probability(t: TwoChainPoset, i: int, j: int, budget: int | None = None) -> Fraction:
-    """P(y_j before x_i before y_{j+1}), through the event machinery."""
-    return event_probability(t.poset, psi_event(t, i, j), budget)
+    """P(y_j before x_i before y_{j+1}): x_i sits at overall position i + j."""
+    psi_event(t, i, j)  # same index checks as the event form
+    return build_lattice(t.poset, budget).marginals()[t.x_label(i)][i + j - 1]
 
 
 def phi_probability(t: TwoChainPoset, j: int, i: int, budget: int | None = None) -> Fraction:
-    return event_probability(t.poset, phi_event(t, j, i), budget)
+    """P(x_i before y_j before x_{i+1}): y_j sits at overall position i + j."""
+    phi_event(t, j, i)  # same index checks as the event form
+    return build_lattice(t.poset, budget).marginals()[t.y_label(j)][i + j - 1]
 
 
 def psi_table(t: TwoChainPoset, budget: int | None = None) -> dict[tuple[int, int], Fraction]:
@@ -266,14 +265,15 @@ def bl2_hypothesis(m: int, n: int, i: int, j: int, k: int) -> bool:
     return k * i * (n - j) < (k + 1) * j * (m - i)
 
 
-def bl2_ratio(t: TwoChainPoset, i: int, ell: int, budget: int | None = None) -> Fraction:
-    """Ratio P(psi(i, ell-1)) / P(psi(i, ell)) on a cross-free poset.
+def bl2_ratio_sides(
+    t: TwoChainPoset, i: int, ell: int, budget: int | None = None
+) -> tuple[Fraction, Fraction]:
+    """Engine quotient P(psi(i, ell-1)) / P(psi(i, ell)) and its closed form.
 
-    Evaluates both the closed form
-    (1 + (m - i)/(n - ell + 1)) / (1 + (i - 1)/ell)
-    and the exact quotient of sandwich probabilities, asserts they agree,
-    and returns the value.  DomainError on arguments outside the formula's
-    domain or on posets with cross relations.
+    The closed form on a cross-free poset is
+    (1 + (m - i)/(n - ell + 1)) / (1 + (i - 1)/ell).  DomainError on
+    arguments outside the formula's domain or on posets with cross
+    relations.
     """
     if not t.is_free:
         raise DomainError("the ratio closed form needs a cross-free poset")
@@ -284,8 +284,18 @@ def bl2_ratio(t: TwoChainPoset, i: int, ell: int, budget: int | None = None) -> 
     lo = psi_probability(t, i, ell, budget)
     if lo == 0:
         raise DomainError("denominator sandwich probability is zero")
-    exact = hi / lo
-    assert exact == closed, f"ratio mismatch: engine {exact} vs closed form {closed}"
+    return hi / lo, closed
+
+
+def bl2_ratio(t: TwoChainPoset, i: int, ell: int, budget: int | None = None) -> Fraction:
+    """Ratio P(psi(i, ell-1)) / P(psi(i, ell)) on a cross-free poset.
+
+    Raises RuntimeError unless the engine quotient equals the closed form
+    of :func:`bl2_ratio_sides`, and returns the value.
+    """
+    exact, closed = bl2_ratio_sides(t, i, ell, budget)
+    if exact != closed:
+        raise RuntimeError(f"ratio mismatch: engine {exact} vs closed form {closed}")
     return exact
 
 

@@ -24,3 +24,17 @@ def random_posets(count: int, nmax: int = 8, seed: int = 7):
         prob = r.choice([0.0, 0.1, 0.25, 0.4, 0.6, 0.8])
         out.append(random_poset(n, prob, seed=r.randrange(10**9)))
     return out
+
+
+def count_constructions(monkeypatch, *classes) -> list[str]:
+    """Names of the given classes, appended each time one is constructed."""
+    built: list[str] = []
+    for cls in classes:
+        init = cls.__init__
+
+        def counting_init(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built

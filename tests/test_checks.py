@@ -253,6 +253,20 @@ def test_bl2_suite_covers_both_cutoffs():
     assert all(r.kind == "window" for r in records)
 
 
+def test_ratio_suite_reports_a_perturbed_engine(monkeypatch):
+    import linext.twochain as twochain
+
+    records = run_suite("ratio", count=20, seed=3)
+    assert len(records) == 20 and all(r.holds for r in records)
+    exact = twochain.psi_probability
+    monkeypatch.setattr(
+        twochain, "psi_probability", lambda t, i, j, budget=None: exact(t, i, j) * (j + 1)
+    )
+    records = run_suite("ratio", count=20, seed=3)
+    assert len(records) == 20 and not any(r.holds for r in records)
+    assert all(r.lhs != r.rhs for r in records)
+
+
 def test_corpus_mode_sweeps_every_element():
     records = run_suite("logconcave", corpus="builtin")
     from linext.families import builtin_corpus

@@ -1,11 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from linext.errors import BudgetExceeded, ComparablePair, ConditionNullEvent
-from linext.families import antichain, chain, chain_plus_point, random_poset
+from linext.families import (
+    antichain,
+    builtin_corpus,
+    chain,
+    chain_plus_point,
+    random_poset,
+)
 from linext.lattice import (
+    DownsetLattice,
     EventSpec,
+    augmented_poset,
     build_lattice,
     conditional_probability,
     count_extensions,
@@ -24,7 +33,7 @@ from oracles import (
     brute_marginal,
     brute_sorting_probability,
 )
-from conftest import random_posets
+from conftest import count_constructions, random_posets
 
 
 def test_count_small_fixtures():
@@ -204,3 +213,108 @@ def test_budget_exceeded_reports_sizes():
 def test_budget_boundary_is_inclusive():
     p = antichain(3)
     assert count_extensions(p, budget=8) == 6
+
+
+def test_cached_lattice_is_held_to_the_budget():
+    p = antichain(10)
+    assert count_extensions(p) == 3628800
+    with pytest.raises(BudgetExceeded) as info:
+        count_extensions(p, budget=5)
+    assert (info.value.nodes, info.value.budget) == (1024, 5)
+    assert count_extensions(p, budget=1024) == 3628800
+    assert count_extensions(p) == 3628800
+
+
+# -- events on the poset's own ideals ---------------------------------------
+
+
+def _augmented_event(p, pairs):
+    """Reference: count the extensions of the poset with the pairs added."""
+    aug = augmented_poset(p, pairs)
+    if aug is None:
+        return Fraction(0)
+    return Fraction(count_extensions(aug), count_extensions(p))
+
+
+def _augmented_conditional(p, event, given):
+    base = augmented_poset(p, given)
+    if base is None:
+        raise ConditionNullEvent("reference: null condition")
+    return _augmented_event(base, event)
+
+
+def _random_pairs(rng, labels):
+    # u == v and pairs against the order are kept on purpose
+    return [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(1, 3))]
+
+
+def _assert_matches_augmented_route(p, rng):
+    event = _random_pairs(rng, p.labels)
+    given = _random_pairs(rng, p.labels)
+    assert event_probability(p, EventSpec.of(*event)) == _augmented_event(p, event)
+    try:
+        expected = _augmented_conditional(p, event, given)
+    except ConditionNullEvent:
+        with pytest.raises(ConditionNullEvent):
+            conditional_probability(p, event, given)
+        return "null"
+    assert conditional_probability(p, event, given) == expected
+    return "zero" if expected == 0 else "positive"
+
+
+def test_events_match_augmented_route_on_corpus():
+    rng = random.Random(21)
+    for _, p in builtin_corpus():
+        for _ in range(5):
+            _assert_matches_augmented_route(p, rng)
+
+
+def test_events_match_augmented_route_on_random_posets():
+    rng = random.Random(22)
+    seen = set()
+    for p in random_posets(2000, nmax=9, seed=23):
+        seen.add(_assert_matches_augmented_route(p, rng))
+    assert seen == {"null", "zero", "positive"}
+
+
+def test_budget_threshold_is_the_augmented_lattice_size():
+    p = antichain(6)
+    given = [("a1", "a2"), ("a2", "a3")]
+    event = [("a4", "a5")]
+    assert DownsetLattice(augmented_poset(p, given)).node_count == 32
+    with pytest.raises(BudgetExceeded):
+        conditional_probability(p, event, given, budget=31)
+    assert conditional_probability(p, event, given, budget=32) == Fraction(1, 2)
+    checked = 0
+    for q in random_posets(30, nmax=8, seed=24):
+        pairs = [(q.labels[0], q.labels[-1])]
+        aug = augmented_poset(q, pairs)
+        if aug is None:
+            continue
+        checked += 1
+        n_aug = DownsetLattice(aug).node_count
+        event = [(q.labels[1], q.labels[0])]
+        with pytest.raises(BudgetExceeded):
+            conditional_probability(q, event, pairs, budget=n_aug - 1)
+        got = conditional_probability(q, event, pairs, budget=n_aug)
+        assert got == _augmented_conditional(q, event, pairs)
+        # an unconditioned event also reads the poset's own lattice
+        need = max(n_aug, DownsetLattice(q).node_count)
+        with pytest.raises(BudgetExceeded):
+            event_probability(q, pairs, budget=need - 1)
+        assert event_probability(q, pairs, budget=need) == _augmented_event(q, pairs)
+    assert checked == 20
+
+
+def test_queries_share_one_lattice(monkeypatch):
+    p = random_poset(8, 0.2, seed=25)
+    built = count_constructions(monkeypatch, DownsetLattice, Poset)
+    rng = random.Random(26)
+    for _ in range(10):
+        event_probability(p, _random_pairs(rng, p.labels))
+    for _ in range(5):
+        try:
+            conditional_probability(p, _random_pairs(rng, p.labels), [rng.sample(p.labels, 2)])
+        except ConditionNullEvent:
+            pass
+    assert built == ["DownsetLattice"]

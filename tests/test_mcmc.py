@@ -12,6 +12,7 @@ from linext.mcmc import (
     mc_step,
     tv_distance_diagnostic,
 )
+from linext.poset import Poset
 
 
 def test_initial_state_is_an_extension():
@@ -25,10 +26,21 @@ def test_initial_state_is_an_extension():
 
 def test_steps_preserve_the_extension_property():
     p = random_poset(7, 0.35, seed=99)
-    state = initial_state(p, seed=1, validate=True)  # asserts inside on violation
+    state = initial_state(p, seed=1, validate=True)  # raises inside on violation
     for _ in range(4000):
         mc_step(state)
     assert state.steps == 4000
+
+
+def test_validate_raises_on_a_broken_extension():
+    p = Poset.from_covers("abcd", [("a", "b")])
+    state = initial_state(p, seed=3, validate=True)
+    state.order.reverse()  # b now precedes a
+    for k, x in enumerate(state.order):
+        state.pos[x] = k
+    with pytest.raises(RuntimeError, match="broke the extension"):
+        for _ in range(200):
+            mc_step(state)
 
 
 def test_pos_array_stays_inverse_of_order():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from linext.errors import DomainError, HypothesisNotSatisfied, IndexOutOfRange
-from linext.lattice import count_extensions, event_probability
+from linext.lattice import DownsetLattice, count_extensions, event_probability
+from linext.poset import Poset
 from linext.twochain import (
     bl1_margin,
     bl2_hypothesis,
@@ -16,6 +17,7 @@ from linext.twochain import (
     g_tails,
     make_two_chain,
     mirrored,
+    phi_event,
     phi_probability,
     phi_table,
     psi_event,
@@ -24,6 +26,7 @@ from linext.twochain import (
     random_two_chain,
 )
 from oracles import brute_event_probability
+from conftest import count_constructions
 
 
 def test_free_count_is_binomial():
@@ -66,6 +69,33 @@ def test_psi_probability_matches_event_form():
         i = rng.randint(1, t.m)
         j = rng.randint(0, t.n)
         assert psi_probability(t, i, j) == event_probability(t.poset, psi_event(t, i, j))
+        for jj in range(1, t.n + 1):
+            for ii in range(0, t.m + 1):
+                expected = event_probability(t.poset, phi_event(t, jj, ii))
+                assert phi_probability(t, jj, ii) == expected
+
+
+def test_sandwich_probabilities_read_one_lattice(monkeypatch):
+    t = make_two_chain(4, 5, cross=[(2, 3)])
+    built = count_constructions(monkeypatch, DownsetLattice, Poset)
+    for i in range(1, t.m + 1):
+        for j in range(0, t.n + 1):
+            psi_probability(t, i, j)
+    for j in range(1, t.n + 1):
+        for i in range(0, t.m + 1):
+            phi_probability(t, j, i)
+    assert built == ["DownsetLattice"]
+
+
+def test_bl2_ratio_raises_on_a_mismatch(monkeypatch):
+    import linext.twochain as twochain
+
+    exact = twochain.psi_probability
+    monkeypatch.setattr(
+        twochain, "psi_probability", lambda t, i, j, budget=None: exact(t, i, j) * (j + 1)
+    )
+    with pytest.raises(RuntimeError):
+        bl2_ratio(make_two_chain(2, 2), 1, 1)
 
 
 def test_psi_against_permutation_filter():
