@@ -19,7 +19,7 @@ from . import checks, families, mcmc
 from .errors import BudgetExceeded, LinextError
 from .lattice import all_position_distributions, count_extensions, sample_extensions
 from .poset import Poset, comparability_profile, grid_poset
-from .stats import balance, fraction_json, position_statistics
+from .stats import PositionStatistics, balance, fraction_json
 from .twochain import make_two_chain
 
 
@@ -66,7 +66,7 @@ def cmd_analyze(args) -> int:
     profile = comparability_profile(p)
     extensions = count_extensions(p, budget)
     dists = all_position_distributions(p, budget)
-    stats = {lab: position_statistics(p, lab, budget) for lab in p.labels}
+    stats = {lab: PositionStatistics.from_distribution(dists[lab]) for lab in p.labels}
     sigma_arg = max(p.labels, key=lambda lab: (stats[lab].variance, -p.index(lab)))
     pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)))
 

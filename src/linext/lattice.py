@@ -5,8 +5,18 @@ adds one minimal element of the complement.  Paths from the empty ideal to
 the full set are exactly the linear extensions, so dynamic programming
 along the lattice yields extension counts, per-element position marginals,
 event probabilities, and exact uniform samples without ever enumerating
-extensions one by one.  An event "u before v" is counted on the poset's
-own ideals: one down pass in which v also waits for u.
+extensions one by one.
+
+One successor kernel, :func:`_walk`, generates the lattice level by level.
+It carries each ideal's addable set (the minimal elements of the
+complement) and updates it from the upper covers of the element just
+added, so no pass tests elements that cannot come next.  The down pass
+is this walk with path counts; the up pass is the same walk over the dual
+order from the full set; ``marginals``, ``pair_counts``, ``edges`` and the
+exact sampler walk it again.  Addable sets are kept for two levels at a
+time, never for the whole lattice.  An event "u before v" is counted on
+the poset's own ideals: one down pass in which v also waits for u, and
+pairs the poset already orders are dropped.
 
 Ideals are encoded as Python integer bitmasks over the ground-set indices
 (arbitrary precision, so any desk-scale n works).  Construction is bounded
@@ -16,6 +26,7 @@ by a node budget and raises :class:`BudgetExceeded` past it.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -70,41 +81,114 @@ class PositionDistribution:
         return second - self.mean * self.mean
 
 
-def _down_pass(
-    n: int, pred: Sequence[int], budget: int | None
-) -> tuple[list[list[int]], dict[int, int], int]:
-    """Ideals reachable from the empty one, by size, with their path counts.
+def _grow(addable: int, b: int, unplaced: int, step) -> int:
+    """Addable set after placing x, from the addable set before it.
 
-    ``pred`` need not be closed: a cycle leaves the full set unreached.
-    Raises BudgetExceeded past ``budget`` nodes (None: the default budget).
+    ``b`` is x's bit, ``unplaced`` the elements still unplaced after x, and
+    ``step`` lists (bit, needed mask) of every element that may become
+    addable when x is placed: x leaves the set, and each such element with
+    nothing it needs left unplaced enters it.
     """
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    full = (1 << n) - 1
-    down: dict[int, int] = {0: 1}
-    levels: list[list[int]] = [[0]]
+    addable ^= b
+    for c, need in step:
+        if not need & unplaced:
+            addable |= c
+    return addable
+
+
+def _steps(pred: Sequence[int], cand: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Per element x, (bit, pred mask) of every candidate in ``cand[x]``."""
+    steps = []
+    for m in cand:
+        step = []
+        while m:
+            c = m & -m
+            m ^= c
+            step.append((c, pred[c.bit_length() - 1]))
+        steps.append(step)
+    return steps
+
+
+def _walk(
+    n: int,
+    pred: Sequence[int],
+    cand: Sequence[int],
+    budget: int,
+    counts: dict[int, int] | None = None,
+    flip: int = 0,
+    known: Sequence[list[int]] | None = None,
+):
+    """Yield the lattice level by level as (ideals, addable sets) sequences.
+
+    The one successor kernel.  Elements are placed one at a time, x once
+    everything in ``pred[x]`` is placed, and the addable set (the minimal
+    unplaced elements) is carried along: placing x drops x from it and
+    adds each element of ``cand[x]`` whose ``pred`` is then all placed.
+    So ``cand[x]`` must hold every c for which x can be the last element
+    of ``pred[c]`` to be placed: the upper covers of x, plus v for each
+    extra requirement x before v.  ``pred`` need not be closed: a cycle
+    leaves the full set unreached.  Addable sets are held for two levels
+    at a time, never for the whole lattice.
+
+    A level lists ``placed ^ flip`` for each ideal.  ``flip = 0`` walks
+    ideals; walking the dual order with ``flip`` = the full set keys each
+    of its ideals by its complement, an ideal of the poset, so that walk
+    runs down the poset's lattice from the top.  ``known`` (the levels of
+    an earlier walk of the same lattice) makes each level reuse those int
+    objects in that order; without it levels list ideals in order of
+    discovery.  With ``counts``, also sums path counts from the start at
+    the same keys: ``counts[flip]`` must hold the start count, and any
+    other key in it must map to None until the walk reaches it.  Raises
+    BudgetExceeded past ``budget`` ideals.
+    """
+    steps = _steps(pred, cand)
+    inv = ~flip
+    masks = [flip]
+    addables = [sum(1 << x for x in range(n) if not pred[x])]
     nodes = 1
-    for _ in range(n):
-        grown: dict[int, int] = {}
-        for mask in levels[-1]:
-            d = down[mask]
-            free = full & ~mask
-            while free:
-                b = free & -free
-                free ^= b
-                if pred[b.bit_length() - 1] & ~mask:
-                    continue
-                new = mask | b
-                if new in grown:
-                    down[new] += d
-                else:
-                    grown[new] = None
-                    down[new] = d
+    for k in range(n):
+        yield masks, addables
+        grown = {} if known is None else dict.fromkeys(known[k + 1])
+        # an ideal not yet reached on this level has no count (or no
+        # addable set) yet
+        seen = grown if counts is None else counts
+        for mask, addable in zip(masks, addables):
+            d = counts[mask] if counts is not None else 0
+            rest = addable
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                new = mask ^ b
+                hit = seen.get(new)
+                if hit is None:
+                    grown[new] = _grow(addable, b, new ^ inv, steps[b.bit_length() - 1])
                     nodes += 1
                     if nodes > budget:
                         raise BudgetExceeded(nodes, budget)
-        levels.append(list(grown))
-    return levels, down, nodes
+                    if counts is not None:
+                        counts[new] = d
+                elif counts is not None:
+                    counts[new] = hit + d
+        masks = list(grown) if known is None else known[k + 1]
+        # a finished level's addable sets in 8 bytes each where they fit
+        addables = array("Q", grown.values()) if n <= 64 else list(grown.values())
+        del grown, seen
+    yield masks, addables
+
+
+def _down_pass(
+    n: int, pred: Sequence[int], cand: Sequence[int], budget: int | None
+) -> tuple[list[list[int]], dict[int, int], int]:
+    """Ideals reachable from the empty one, by size, with their path counts.
+
+    ``pred`` and ``cand`` are as in :func:`_walk`.  Raises BudgetExceeded
+    past ``budget`` nodes (None: the default budget).
+    """
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    down: dict[int, int] = {0: 1}
+    levels = [masks for masks, _ in _walk(n, pred, cand, budget, down)]
+    return levels, down, len(down)
 
 
 class DownsetLattice:
@@ -117,21 +201,25 @@ class DownsetLattice:
 
     def __init__(self, poset: Poset, budget: int | None = None):
         n = poset.n
-        pred = poset._pred_masks
         full = (1 << n) - 1
-        levels, down, nodes = _down_pass(n, pred, budget)
-        up: dict[int, int] = {full: 1}
-        for size in range(n - 1, -1, -1):
-            for mask in levels[size]:
-                total = 0
-                free = full & ~mask
-                while free:
-                    b = free & -free
-                    free ^= b
-                    if pred[b.bit_length() - 1] & ~mask:
-                        continue
-                    total += up[mask | b]
-                up[mask] = total
+        levels, down, nodes = _down_pass(
+            n, poset._pred_masks, poset._upper_cover_masks, budget
+        )
+        # paths up from m are paths of the dual order from the complement
+        # of m; ``up`` and the walk reuse down's int objects
+        up = dict.fromkeys(down)
+        up[full] = 1
+        dual = _walk(
+            n,
+            poset._succ_masks,
+            poset._lower_cover_masks,
+            nodes,
+            counts=up,
+            flip=full,
+            known=levels[::-1],
+        )
+        for _ in dual:
+            pass
         self.poset = poset
         self.levels = levels
         self.down = down
@@ -144,20 +232,21 @@ class DownsetLattice:
     def extension_count(self) -> int:
         return self.up[0]
 
+    def _addable_levels(self):
+        """The lattice again, level by level, with each ideal's addable set."""
+        p = self.poset
+        return _walk(
+            p.n, p._pred_masks, p._upper_cover_masks, self.node_count, known=self.levels
+        )
+
     def edges(self):
         """Yield (ideal, added element index, extended ideal)."""
-        pred = self.poset._pred_masks
-        full = (1 << self.poset.n) - 1
-        for level in self.levels[:-1]:
-            for mask in level:
-                free = full & ~mask
-                while free:
-                    b = free & -free
-                    free ^= b
-                    x = b.bit_length() - 1
-                    if pred[x] & ~mask:
-                        continue
-                    yield mask, x, mask | b
+        for masks, addables in self._addable_levels():
+            for mask, addable in zip(masks, addables):
+                while addable:
+                    b = addable & -addable
+                    addable ^= b
+                    yield mask, b.bit_length() - 1, mask | b
 
     def marginals(self) -> dict[str, tuple[Fraction, ...]]:
         """Position law for every element, from one pass over the edges."""
@@ -165,20 +254,15 @@ class DownsetLattice:
             n = self.poset.n
             total = self.extension_count
             acc = [[0] * n for _ in range(n)]
-            pred = self.poset._pred_masks
-            full = (1 << n) - 1
+            down, up = self.down, self.up
             # accumulate down * up along every edge, keyed by added element
-            for size, level in enumerate(self.levels[:-1]):
-                for mask in level:
-                    d = self.down[mask]
-                    free = full & ~mask
-                    while free:
-                        b = free & -free
-                        free ^= b
-                        x = b.bit_length() - 1
-                        if pred[x] & ~mask:
-                            continue
-                        acc[x][size] += d * self.up[mask | b]
+            for size, (masks, addables) in enumerate(self._addable_levels()):
+                for mask, addable in zip(masks, addables):
+                    d = down[mask]
+                    while addable:
+                        b = addable & -addable
+                        addable ^= b
+                        acc[b.bit_length() - 1][size] += d * up[mask | b]
             self._marginals = {
                 self.poset.labels[x]: tuple(Fraction(c, total) for c in acc[x])
                 for x in range(n)
@@ -189,21 +273,42 @@ class DownsetLattice:
         """``counts[x][y]`` = number of extensions placing x before y.
 
         Every edge that adds x while y is still outside the ideal
-        contributes ``down * up`` to (x, y); comparable pairs come out as
-        all-or-nothing, incomparable rows satisfy
-        ``counts[x][y] + counts[y][x] == extension_count``.
+        contributes ``down * up`` to (x, y).  Only incomparable pairs with
+        x below y in index order are summed that way; comparable pairs are
+        all-or-nothing, and ``counts[y][x] = extension_count -
+        counts[x][y]`` fills the rest exactly.
         """
         if self._pair_counts is None:
-            n = self.poset.n
+            p = self.poset
+            n = p.n
+            total = self.extension_count
             counts = [[0] * n for _ in range(n)]
-            for mask, x, new in self.edges():
-                w = self.down[mask] * self.up[new]
-                row = counts[x]
-                rest = ((1 << n) - 1) & ~new
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    row[b.bit_length() - 1] += w
+            later = [m >> (x + 1) << (x + 1) for x, m in enumerate(p._incomp_masks)]
+            down, up = self.down, self.up
+            for masks, addables in self._addable_levels():
+                for mask, addable in zip(masks, addables):
+                    d = down[mask]
+                    while addable:
+                        b = addable & -addable
+                        addable ^= b
+                        x = b.bit_length() - 1
+                        new = mask | b
+                        w = d * up[new]
+                        row = counts[x]
+                        rest = later[x] & ~new
+                        while rest:
+                            c = rest & -rest
+                            rest ^= c
+                            row[c.bit_length() - 1] += w
+            succ = p._succ_masks
+            for x in range(n):
+                for y in range(x + 1, n):
+                    if (succ[x] >> y) & 1:
+                        counts[x][y] = total
+                    elif (succ[y] >> x) & 1:
+                        counts[y][x] = total
+                    else:
+                        counts[y][x] = total - counts[x][y]
             self._pair_counts = counts
         return self._pair_counts
 
@@ -274,9 +379,17 @@ def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
 def _event_count(p: Poset, pairs: Iterable[tuple[str, str]], budget: int | None) -> int:
     """Extensions of ``p`` that put every ``u`` before its ``v``."""
     pred = list(p._pred_masks)
+    cand = list(p._upper_cover_masks)
+    extra = False
     for u, v in pairs:
-        pred[p.index(v)] |= 1 << p.index(u)
-    return _down_pass(p.n, pred, budget)[1].get((1 << p.n) - 1, 0)
+        u, v = p.index(u), p.index(v)
+        if not (pred[v] >> u) & 1:  # a pair already in the order adds nothing
+            pred[v] |= 1 << u
+            cand[u] |= 1 << v
+            extra = True
+    if not extra:
+        return count_extensions(p, budget)
+    return _down_pass(p.n, pred, cand, budget)[1].get((1 << p.n) - 1, 0)
 
 
 def event_probability(p: Poset, event, budget: int | None = None) -> Fraction:
@@ -321,32 +434,32 @@ def sample_extensions(
     """
     lat = build_lattice(p, budget)
     rng = random.Random(seed)
-    n = p.n
     pred = p._pred_masks
-    full = (1 << n) - 1
+    steps = _steps(pred, p._upper_cover_masks)
+    start = sum(1 << x for x in range(p.n) if not pred[x])
+    up = lat.up
     out = []
     for _ in range(count):
         mask = 0
+        addable = start
         order = []
-        while mask != full:
+        while addable:
             choices = []
             weights = []
-            free = full & ~mask
-            while free:
-                b = free & -free
-                free ^= b
-                x = b.bit_length() - 1
-                if pred[x] & ~mask:
-                    continue
-                choices.append((x, b))
-                weights.append(lat.up[mask | b])
-            total = sum(weights)
-            r = rng.randrange(total)
-            for (x, b), w in zip(choices, weights):
+            rest = addable
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                choices.append(b)
+                weights.append(up[mask | b])
+            r = rng.randrange(sum(weights))
+            for b, w in zip(choices, weights):
                 if r < w:
-                    order.append(p.labels[x])
-                    mask |= b
                     break
                 r -= w
+            x = b.bit_length() - 1
+            order.append(p.labels[x])
+            mask |= b
+            addable = _grow(addable, b, ~mask, steps[x])
         out.append(tuple(order))
     return out

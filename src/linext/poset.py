@@ -150,8 +150,7 @@ class Poset:
 
     @cached_property
     def covers(self) -> tuple[tuple[Label, Label], ...]:
-        red = transitive_reduction(self.lt)
-        pairs = np.argwhere(red)
+        pairs = np.argwhere(self._cover_matrix)
         return tuple(
             (self.labels[i], self.labels[j]) for i, j in pairs.tolist()
         )
@@ -159,36 +158,32 @@ class Poset:
     @cached_property
     def _pred_masks(self) -> tuple[int, ...]:
         """Bitmask of strict predecessors per element, for lattice sweeps."""
-        masks = []
-        for j in range(self.n):
-            m = 0
-            for i in np.flatnonzero(self.lt[:, j]).tolist():
-                m |= 1 << i
-            masks.append(m)
-        return tuple(masks)
+        return _row_masks(self.lt.T)
 
     @cached_property
     def _succ_masks(self) -> tuple[int, ...]:
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in np.flatnonzero(self.lt[i]).tolist():
-                m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+        return _row_masks(self.lt)
 
     @cached_property
     def _incomp_masks(self) -> tuple[int, ...]:
         """Bitmask of elements incomparable to each element (self excluded)."""
-        comp = self.lt | self.lt.T
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if j != i and not comp[i, j]:
-                    m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+        incomp = ~(self.lt | self.lt.T)
+        np.fill_diagonal(incomp, False)
+        return _row_masks(incomp)
+
+    @cached_property
+    def _upper_cover_masks(self) -> tuple[int, ...]:
+        """Bitmask of the elements covering each element."""
+        return _row_masks(self._cover_matrix)
+
+    @cached_property
+    def _lower_cover_masks(self) -> tuple[int, ...]:
+        """Bitmask of the elements each element covers."""
+        return _row_masks(self._cover_matrix.T)
+
+    @cached_property
+    def _cover_matrix(self) -> np.ndarray:
+        return transitive_reduction(self.lt)
 
     def is_chain(self) -> bool:
         """True when every pair of elements is comparable."""
@@ -254,6 +249,17 @@ def disjoint_sum(p: Poset, q: Poset) -> Poset:
     lt[:n1, :n1] = p.lt
     lt[n1:, n1:] = q.lt
     return Poset(list(p.labels) + right, lt)
+
+
+def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
+    """Row i of a boolean matrix as a bitmask with bit j set when rel[i, j]."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return tuple(
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width or 1)  # width 0: no rows either
+    )
 
 
 def _bits(mask: int):
@@ -392,7 +398,9 @@ def max_incomparable_pair(
             b_mask = cand & ~a_mask
             best_gain = None
             current = bin(a_mask).count("1") * bin(b_mask).count("1")
-            for z in _bits(full & ~a_mask):
+            for z in range(n):
+                if (a_mask >> z) & 1:
+                    continue
                 nc = cand & inc[z]
                 na = a_mask | (1 << z)
                 prod = bin(na).count("1") * bin(nc & ~na).count("1")

@@ -69,6 +69,15 @@ def brute_sorting_probability(p: Poset, x: str, y: str) -> Fraction:
     return Fraction(int(before.sum()), int(mask.sum()))
 
 
+def brute_pair_counts(p: Poset) -> list[list[int]]:
+    """counts[x][y] = extensions placing x before y (0 on the diagonal)."""
+    _, pos = _tables(p.n)
+    at = pos[_extension_mask(p)]
+    return [
+        [int((at[:, x] < at[:, y]).sum()) for y in range(p.n)] for x in range(p.n)
+    ]
+
+
 def brute_event_probability(p: Poset, pairs) -> Fraction:
     """P(all of x before y for (x, y) in pairs), by enumeration."""
     _, pos = _tables(p.n)

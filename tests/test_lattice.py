@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from linext import lattice
 from linext.errors import BudgetExceeded, ComparablePair, ConditionNullEvent
 from linext.families import (
     antichain,
@@ -10,6 +11,7 @@ from linext.families import (
     chain,
     chain_plus_point,
     random_poset,
+    young_diagram,
 )
 from linext.lattice import (
     DownsetLattice,
@@ -31,6 +33,7 @@ from oracles import (
     brute_event_probability,
     brute_extensions,
     brute_marginal,
+    brute_pair_counts,
     brute_sorting_probability,
 )
 from conftest import count_constructions, random_posets
@@ -318,3 +321,133 @@ def test_queries_share_one_lattice(monkeypatch):
         except ConditionNullEvent:
             pass
     assert built == ["DownsetLattice"]
+
+
+# -- the successor kernel against a scan of every unplaced element ----------
+
+
+def _scan_lattice(p):
+    """Reference lattice: test every unplaced element at every ideal.
+
+    Returns levels (in order of discovery), down and up counts, the edges
+    in sweep order, and the pair counts summed over every later element.
+    """
+    n, pred = p.n, p._pred_masks
+    full = (1 << n) - 1
+
+    def addable(mask):
+        return [x for x in range(n) if not (mask >> x) & 1 and not pred[x] & ~mask]
+
+    levels, down = [[0]], {0: 1}
+    for _ in range(n):
+        grown = {}
+        for mask in levels[-1]:
+            for x in addable(mask):
+                new = mask | 1 << x
+                grown[new] = None
+                down[new] = down.get(new, 0) + down[mask]
+        levels.append(list(grown))
+    up = {full: 1}
+    for level in reversed(levels[:-1]):
+        for mask in level:
+            up[mask] = sum(up[mask | 1 << x] for x in addable(mask))
+    edges = [(m, x, m | 1 << x) for level in levels for m in level for x in addable(m)]
+    pairs = [[0] * n for _ in range(n)]
+    for mask, x, new in edges:
+        for y in range(n):
+            if not (new >> y) & 1:
+                pairs[x][y] += down[mask] * up[new]
+    return levels, down, up, edges, pairs
+
+
+def _assert_matches_scan(p):
+    lat = build_lattice(p)
+    levels, down, up, edges, pairs = _scan_lattice(p)
+    # random_cwsig_instance draws from this order, so it is pinned too
+    assert lat.levels == levels
+    assert lat.down == down
+    assert lat.up == up
+    assert list(lat.edges()) == edges
+    assert lat.pair_counts() == pairs
+    assert lat.node_count == len(down)
+
+
+def test_kernel_matches_scan_on_corpus():
+    for _, p in builtin_corpus():
+        _assert_matches_scan(p)
+
+
+def test_kernel_matches_scan_on_random_posets():
+    for p in random_posets(2000, nmax=9, seed=23):
+        _assert_matches_scan(p)
+
+
+def test_kernel_matches_scan_past_64_elements():
+    p = young_diagram((13,) * 5).poset
+    assert p.n == 65
+    _assert_matches_scan(p)
+
+
+def test_up_counts_extensions_of_the_complement():
+    posets = [p for _, p in builtin_corpus()] + random_posets(150, nmax=7, seed=27)
+    for p in posets:
+        lat = build_lattice(p)
+        for mask, count in lat.up.items():
+            rest = [lab for i, lab in enumerate(p.labels) if not (mask >> i) & 1]
+            assert count == brute_count(p.subposet(rest))
+
+
+def test_pair_counts_match_brute_force():
+    posets = [antichain(0), antichain(1), chain(4)]
+    posets += [p for _, p in builtin_corpus()] + random_posets(150, nmax=8, seed=28)
+    for p in posets:
+        assert build_lattice(p).pair_counts() == brute_pair_counts(p)
+
+
+def test_samples_pinned():
+    # outputs of the free-bit-scan sampler this kernel replaced
+    assert sample_extensions(random_poset(8, 0.25, seed=31), 3, seed=5) == [
+        ("v5", "v6", "v7", "v3", "v2", "v4", "v1", "v8"),
+        ("v5", "v6", "v3", "v7", "v2", "v4", "v1", "v8"),
+        ("v5", "v6", "v3", "v2", "v4", "v7", "v1", "v8"),
+    ]
+    assert sample_extensions(young_diagram((3, 3, 2)).poset, 3, seed=9) == [
+        ("1,1", "2,1", "1,2", "2,2", "1,3", "2,3", "3,1", "3,2"),
+        ("1,1", "2,1", "3,1", "1,2", "2,2", "3,2", "1,3", "2,3"),
+        ("1,1", "2,1", "1,2", "2,2", "1,3", "2,3", "3,1", "3,2"),
+    ]
+    assert sample_extensions(antichain(4), 4, seed=0) == [
+        ("a3", "a2", "a1", "a4"),
+        ("a3", "a2", "a4", "a1"),
+        ("a3", "a2", "a1", "a4"),
+        ("a2", "a1", "a3", "a4"),
+    ]
+
+
+def test_implied_pairs_read_the_cached_lattice(monkeypatch):
+    p = chain_plus_point(4)  # c1 < c2 < c3, z free
+    lat = build_lattice(p)
+    calls = []
+    down_pass = lattice._down_pass
+
+    def counting(n, pred, cand, budget):
+        calls.append(pred)
+        return down_pass(n, pred, cand, budget)
+
+    monkeypatch.setattr(lattice, "_down_pass", counting)
+    assert event_probability(p, EventSpec(())) == 1
+    assert event_probability(p, [("c1", "c3"), ("c2", "c3")]) == 1
+    assert conditional_probability(p, [("c1", "c2")], [("c1", "c3")]) == 1
+    assert calls == []
+    assert event_probability(p, [("c1", "c3"), ("z", "c2")]) == Fraction(1, 2)
+    assert len(calls) == 1
+    c2 = p.index("c2")
+    assert calls[0][c2] == p._pred_masks[c2] | 1 << p.index("z")
+    # contradictory and u == v pairs still walk and count 0
+    assert event_probability(p, [("c3", "c1")]) == 0
+    assert event_probability(p, [("z", "z")]) == 0
+    assert len(calls) == 3
+    # the budget still bounds the lattice the answer comes from
+    with pytest.raises(BudgetExceeded):
+        event_probability(p, [("c1", "c2")], budget=lat.node_count - 1)
+    assert event_probability(p, [("c1", "c2")], budget=lat.node_count) == 1

@@ -13,6 +13,7 @@ from linext.poset import (
     max_incomparable_pair,
     transitive_closure,
 )
+from linext.families import random_poset
 from oracles import brute_width
 from conftest import random_posets
 
@@ -66,6 +67,32 @@ def test_subposet_keeps_induced_relations():
     assert q.less("a", "c")  # via the removed b
     assert q.less("a", "d")
     assert not q.comparable("c", "d")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 130])
+def test_mask_tables_match_their_definition(n):
+    # one packbits per table must give the per-element masks bit for bit,
+    # including across byte and 64-bit boundaries
+    p = random_poset(n, min(0.3, 4 / max(n, 1)), seed=n)
+    lt = p.lt
+
+    def covers(i, j):
+        return lt[i, j] and not (lt[i] & lt[:, j]).any()
+
+    def mask(test):
+        return tuple(sum(1 << j for j in range(n) if test(i, j)) for i in range(n))
+
+    assert p._pred_masks == mask(lambda i, j: lt[j, i])
+    assert p._succ_masks == mask(lambda i, j: lt[i, j])
+    assert p._incomp_masks == mask(
+        lambda i, j: i != j and not lt[i, j] and not lt[j, i]
+    )
+    assert p._upper_cover_masks == mask(covers)
+    assert p._lower_cover_masks == mask(lambda i, j: covers(j, i))
+    assert all(type(m) is int for m in p._incomp_masks)
+    if n >= 64:  # the top byte of every table is in use
+        for table in (p._pred_masks, p._incomp_masks, p._lower_cover_masks):
+            assert max(table).bit_length() == n
 
 
 def test_chain_and_antichain_predicates():
