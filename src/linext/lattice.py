@@ -13,8 +13,9 @@ complement) and updates it from the upper covers of the element just
 added, so no pass tests elements that cannot come next.  The down pass
 is this walk with path counts; the up pass is the same walk over the dual
 order from the full set; ``marginals``, ``pair_counts``, ``edges`` and the
-exact sampler walk it again.  Addable sets are kept for two levels at a
-time, never for the whole lattice.  An event "u before v" is counted on
+exact sampler walk it again.  Addable sets are kept for the level being
+expanded, never for the whole lattice; the next level's ride in the low
+bits of its path counts.  An event "u before v" is counted on
 the poset's own ideals: one down pass in which v also waits for u, and
 pairs the poset already orders are dropped.
 
@@ -26,7 +27,6 @@ by a node budget and raises :class:`BudgetExceeded` past it.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -127,8 +127,11 @@ def _walk(
     So ``cand[x]`` must hold every c for which x can be the last element
     of ``pred[c]`` to be placed: the upper covers of x, plus v for each
     extra requirement x before v.  ``pred`` need not be closed: a cycle
-    leaves the full set unreached.  Addable sets are held for two levels
-    at a time, never for the whole lattice.
+    leaves the full set unreached.  Only the level being expanded keeps
+    its addable sets in a list, one list object refilled in place for
+    each level, so a consumer must be done with a level before asking for
+    the next.  The next level's sets ride in the low bits of its path
+    counts, or without ``counts`` in a table of that level alone.
 
     A level lists ``placed ^ flip`` for each ideal.  ``flip = 0`` walks
     ideals; walking the dual order with ``flip`` = the full set keys each
@@ -143,36 +146,45 @@ def _walk(
     """
     steps = _steps(pred, cand)
     inv = ~flip
+    low = (1 << n) - 1
     masks = [flip]
     addables = [sum(1 << x for x in range(n) if not pred[x])]
     nodes = 1
     for k in range(n):
         yield masks, addables
-        grown = {} if known is None else dict.fromkeys(known[k + 1])
-        # an ideal not yet reached on this level has no count (or no
-        # addable set) yet
-        seen = grown if counts is None else counts
+        # while a level is built, ``held`` maps each of its ideals to its
+        # path count shifted above the low n bits and its addable set in
+        # them (without ``counts``, a table of that level alone holds just
+        # the sets); an ideal not yet reached maps to None
+        held = {} if counts is None else counts
+        found = []
         for mask, addable in zip(masks, addables):
-            d = counts[mask] if counts is not None else 0
+            d = counts[mask] << n if counts is not None else 0
             rest = addable
             while rest:
                 b = rest & -rest
                 rest ^= b
                 new = mask ^ b
-                hit = seen.get(new)
+                hit = held.get(new)
                 if hit is None:
-                    grown[new] = _grow(addable, b, new ^ inv, steps[b.bit_length() - 1])
+                    held[new] = d | _grow(addable, b, new ^ inv, steps[b.bit_length() - 1])
                     nodes += 1
                     if nodes > budget:
                         raise BudgetExceeded(nodes, budget)
-                    if counts is not None:
-                        counts[new] = d
+                    if known is None:
+                        found.append(new)
                 elif counts is not None:
-                    counts[new] = hit + d
-        masks = list(grown) if known is None else known[k + 1]
-        # a finished level's addable sets in 8 bytes each where they fit
-        addables = array("Q", grown.values()) if n <= 64 else list(grown.values())
-        del grown, seen
+                    held[new] = hit + d
+        masks = found if known is None else known[k + 1]
+        # one list object carries every level's addable sets, refilled in
+        # place so that two levels' sets are never held at once
+        addables.clear()
+        for m in masks:
+            v = held[m]
+            addables.append(v & low)
+            if counts is not None:
+                counts[m] = v >> n
+        del held
     yield masks, addables
 
 

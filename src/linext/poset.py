@@ -398,9 +398,7 @@ def max_incomparable_pair(
             b_mask = cand & ~a_mask
             best_gain = None
             current = bin(a_mask).count("1") * bin(b_mask).count("1")
-            for z in range(n):
-                if (a_mask >> z) & 1:
-                    continue
+            for z in _bits(full & ~a_mask):
                 nc = cand & inc[z]
                 na = a_mask | (1 << z)
                 prod = bin(na).count("1") * bin(nc & ~na).count("1")
