@@ -288,11 +288,9 @@ def cmd_sample(args) -> int:
             f"# approximate: adjacent-transposition chain, "
             f"burn-in {burn}, spacing {spacing}"
         )
-        for _ in range(burn):
-            mcmc.mc_step(state)
+        mcmc._advance(state, burn, 0)
         for _ in range(count):
-            for _ in range(spacing):
-                mcmc.mc_step(state)
+            mcmc._advance(state, spacing, 0)
             print(" ".join(p.labels[i] for i in state.order))
         return 0
     for ext in sample_extensions(p, count, args.seed, args.budget_nodes):

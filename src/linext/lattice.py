@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, ComparablePair, ConditionNullEvent
+from .errors import BudgetExceeded, ComparablePair, ConditionNullEvent, CycleDetected
 from .poset import Poset, transitive_closure
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -382,10 +382,11 @@ def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
     rel = p.lt.copy()
     for u, v in pairs:
         rel[p.index(u), p.index(v)] = True
-    closed = transitive_closure(rel)
-    if closed.diagonal().any():
+    try:
+        closed = transitive_closure(rel)
+    except CycleDetected:
         return None
-    return Poset(p.labels, closed)
+    return Poset._closed(p.labels, closed)
 
 
 def _event_count(p: Poset, pairs: Iterable[tuple[str, str]], budget: int | None) -> int:

@@ -5,14 +5,25 @@ otherwise draws one of the n adjacent slots uniformly (the last slot has
 no right neighbor and acts as a self-loop) and swaps the two neighbors
 when they are incomparable.  The stationary law is uniform over all
 linear extensions; estimators below are deterministic given their seed.
+
+Every run of the chain goes through one step kernel, :func:`_advance`.
+It draws ``random()`` for the coin and ``randrange(n)`` for the slot only
+when the coin says move, and it records nothing per step: it returns
+just the swaps that move the elements a caller watches.  The estimators
+replay the watched positions from those swaps (:func:`_runs`) and sum
+their indicators over each run of unmoved steps in integers, so an
+estimate of a million steps keeps no per-step list.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ComparablePair
 from .lattice import build_lattice
@@ -37,15 +48,16 @@ def default_burn_in(p: Poset) -> int:
 
 def initial_state(p: Poset, seed: int | None = None, validate: bool = False) -> ChainState:
     """Deterministic start: smallest-index topological order."""
-    pred = p._pred_masks
-    placed = 0
+    waiting = p.lt.sum(axis=0)  # predecessors not yet placed
+    ready = np.flatnonzero(waiting == 0).tolist()  # sorted, so a heap
     order: list[int] = []
-    remaining = set(range(p.n))
-    while remaining:
-        x = min(i for i in remaining if not (pred[i] & ~placed))
+    while ready:
+        x = heapq.heappop(ready)
         order.append(x)
-        placed |= 1 << x
-        remaining.remove(x)
+        above = np.flatnonzero(p.lt[x])
+        waiting[above] -= 1
+        for y in above[waiting[above] == 0].tolist():
+            heapq.heappush(ready, y)
     pos = [0] * p.n
     for k, x in enumerate(order):
         pos[x] = k
@@ -59,22 +71,55 @@ def _is_extension(p: Poset, order: list[int]) -> bool:
     return all(pos[p.index(u)] < pos[p.index(v)] for u, v in p.covers)
 
 
+def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]:
+    """Run ``steps`` lazy steps; the one step loop of the chain.
+
+    Returns the (step offset, slot) of each swap that moves an element of
+    the bitmask ``watch``, in step order; the offset counts from 0 at the
+    first step of this call.  Nothing else is recorded per step.
+    """
+    p = state.poset
+    n, incomp = p.n, p._incomp_masks
+    order, pos, validate = state.order, state.pos, state.validate
+    coin, slot = state.rng.random, state.rng.randrange
+    state.steps += steps
+    swaps: list[tuple[int, int]] = []
+    for t in range(steps):
+        if coin() < 0.5:
+            continue
+        i = slot(n)
+        if i + 1 < n:
+            u, v = order[i], order[i + 1]
+            if (incomp[u] >> v) & 1:
+                order[i], order[i + 1] = v, u
+                pos[u], pos[v] = i + 1, i
+                if ((watch >> u) | (watch >> v)) & 1:
+                    swaps.append((t, i))
+                if validate and not _is_extension(p, order):
+                    raise RuntimeError("swap broke the extension")
+    return swaps
+
+
+def _runs(starts: tuple[int, ...], steps: int, swaps: list[tuple[int, int]]):
+    """Positions of the watched elements after each of ``steps`` steps.
+
+    Yields (positions, run length) for each run of steps between moves,
+    given the positions ``starts`` before the first step and the swaps
+    :func:`_advance` reported for them.
+    """
+    at, since = list(starts), 0
+    for t, i in swaps:
+        yield tuple(at), t - since
+        since = t
+        for k, a in enumerate(at):
+            if a == i or a == i + 1:
+                at[k] = 2 * i + 1 - a
+    yield tuple(at), steps - since
+
+
 def mc_step(state: ChainState) -> ChainState:
     """One lazy step; mutates and returns the state."""
-    rng = state.rng
-    state.steps += 1
-    if rng.random() < 0.5:
-        return state
-    i = rng.randrange(state.poset.n)
-    if i + 1 >= state.poset.n:
-        return state
-    order = state.order
-    u, v = order[i], order[i + 1]
-    if (state.poset._incomp_masks[u] >> v) & 1:
-        order[i], order[i + 1] = v, u
-        state.pos[u], state.pos[v] = i + 1, i
-        if state.validate and not _is_extension(state.poset, order):
-            raise RuntimeError("swap broke the extension")
+    _advance(state, 1, 0)
     return state
 
 
@@ -86,24 +131,26 @@ class MCEstimate:
     burn_in: int
 
 
-def _batch_stderr(indicators: list[int]) -> float:
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+
+
+def _batch_stderr(batch_hits: list[int], size: int, hits: int, samples: int) -> float:
     """Standard error of the mean via batch means.
 
     Post-burn-in draws are autocorrelated, so the naive binomial formula
     understates the error; averaging over sqrt(n) batches whose length
-    dwarfs the mixing time restores an honest estimate.  Falls back to the
-    binomial formula when there are too few draws to form batches.
+    dwarfs the mixing time restores an honest estimate.  ``batch_hits``
+    holds the hit count of each batch of ``size`` draws.  With fewer than
+    two batches this falls back to the binomial formula on ``hits`` of
+    ``samples`` draws.
     """
-    n = len(indicators)
-    b = math.isqrt(n)
+    b = len(batch_hits)
     if b < 2:
-        p = sum(indicators) / max(n, 1)
-        return math.sqrt(p * (1 - p) / max(n, 1))
-    size = n // b
-    means = []
-    for k in range(b):
-        chunk = indicators[k * size : (k + 1) * size]
-        means.append(sum(chunk) / size)
+        p = hits / max(samples, 1)
+        return math.sqrt(p * (1 - p) / max(samples, 1))
+    means = [h / size for h in batch_hits]
     grand = sum(means) / b
     var = sum((m - grand) ** 2 for m in means) / (b - 1)
     return math.sqrt(var / b)
@@ -119,31 +166,30 @@ def estimate_pair_probability(
 ) -> MCEstimate:
     """Monte Carlo estimate of P(x before y) with a standard error.
 
-    Records the indicator at every post-burn-in step (no thinning).
+    Counts the indicator at every post-burn-in step (no thinning), one
+    batch at a time, from the swaps that move x or y.
     Raises ComparablePair when the answer is forced by the order.
     """
     xi, yi = p.index(x), p.index(y)
     if xi == yi or p.lt[xi, yi] or p.lt[yi, xi]:
         raise ComparablePair(f"{x!r} and {y!r} are comparable")
+    _check_samples(samples)
     if burn_in is None:
         burn_in = default_burn_in(p)
     state = initial_state(p, seed)
-    rng = state.rng
-    n = p.n
-    order, pos, incomp = state.order, state.pos, p._incomp_masks
-    hits: list[int] = []
-    for step in range(burn_in + samples):
-        if rng.random() >= 0.5:
-            i = rng.randrange(n)
-            if i + 1 < n:
-                u, v = order[i], order[i + 1]
-                if (incomp[u] >> v) & 1:
-                    order[i], order[i + 1] = v, u
-                    pos[u], pos[v] = i + 1, i
-        if step >= burn_in:
-            hits.append(1 if pos[xi] < pos[yi] else 0)
-    estimate = sum(hits) / samples
-    return MCEstimate(estimate, _batch_stderr(hits), samples, burn_in)
+    _advance(state, burn_in, 0)
+    b = math.isqrt(samples)
+    size = samples // max(b, 1)
+    batches = [size] * b + [samples - b * size]  # the tail counts in the mean only
+    pos, watch = state.pos, (1 << xi) | (1 << yi)
+    counts = []
+    for steps in batches:
+        starts = (pos[xi], pos[yi])
+        swaps = _advance(state, steps, watch)
+        counts.append(sum(run for (a, c), run in _runs(starts, steps, swaps) if a < c))
+    hits = sum(counts)
+    stderr = _batch_stderr(counts[:b], size, hits, samples)
+    return MCEstimate(hits / samples, stderr, samples, burn_in)
 
 
 def tv_distance_diagnostic(
@@ -160,23 +206,16 @@ def tv_distance_diagnostic(
     requested sample size; the comparison itself is exact rational.
     """
     xi = p.index(x)
+    _check_samples(samples)
     if burn_in is None:
         burn_in = default_burn_in(p)
     exact = build_lattice(p, budget).marginals()[x]
     state = initial_state(p, seed)
-    rng = state.rng
-    n = p.n
-    order, pos, incomp = state.order, state.pos, p._incomp_masks
-    counts = [0] * n
-    for step in range(burn_in + samples):
-        if rng.random() >= 0.5:
-            i = rng.randrange(n)
-            if i + 1 < n:
-                u, v = order[i], order[i + 1]
-                if (incomp[u] >> v) & 1:
-                    order[i], order[i + 1] = v, u
-                    pos[u], pos[v] = i + 1, i
-        if step >= burn_in:
-            counts[pos[xi]] += 1
+    _advance(state, burn_in, 0)
+    counts = [0] * p.n
+    start = state.pos[xi]
+    swaps = _advance(state, samples, 1 << xi)
+    for (at,), run in _runs((start,), samples, swaps):
+        counts[at] += run
     tv = sum(abs(Fraction(c, samples) - q) for c, q in zip(counts, exact)) / 2
     return float(tv)

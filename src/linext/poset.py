@@ -34,14 +34,34 @@ EXACT_PAIR_SEARCH_LIMIT = 20
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Smallest transitive relation containing ``rel`` (boolean matrix)."""
-    closed = np.asarray(rel, dtype=bool).copy()
-    while True:
-        reach = (closed.astype(np.int32) @ closed.astype(np.int32)) > 0
-        grown = closed | reach
-        if np.array_equal(grown, closed):
-            return closed
-        closed = grown
+    """Smallest transitive relation containing ``rel`` (boolean matrix).
+
+    Orders the elements by Kahn's algorithm, then sets each element's
+    successor bitset to the OR of ``succ[j] | 1 << j`` over its generators
+    j, in reverse topological order.  Raises CycleDetected when ``rel`` has
+    a cycle, a self-loop included.
+    """
+    rel = np.asarray(rel, dtype=bool)
+    n = len(rel)
+    gen = _row_masks(rel)
+    indegree = rel.sum(axis=0).tolist()
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is read: Kahn's queue
+        for j in _bits(gen[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        raise CycleDetected("relation contains a cycle")
+    succ = [0] * n
+    for i in reversed(order):
+        closed, rest = 0, gen[i]
+        while rest:
+            low = rest & -rest
+            closed |= succ[low.bit_length() - 1] | low
+            rest &= ~closed  # a reached j brings its closed successors along
+        succ[i] = closed
+    return _unpack_masks(succ, n)
 
 
 def transitive_reduction(lt: np.ndarray) -> np.ndarray:
@@ -78,6 +98,20 @@ class Poset:
         composite = (lt.astype(np.int32) @ lt.astype(np.int32)) > 0
         if (composite & ~lt).any():
             raise ValueError("relation is not transitively closed")
+        self._setup(labels, lt)
+
+    @classmethod
+    def _closed(cls, labels: tuple[Label, ...], lt: np.ndarray) -> "Poset":
+        """Wrap a strict order that is closed and acyclic by construction.
+
+        Skips the checks of ``__init__``; the caller vouches for unique
+        labels and a closed, acyclic ``lt`` it no longer writes to.
+        """
+        poset = cls.__new__(cls)
+        poset._setup(labels, lt)
+        return poset
+
+    def _setup(self, labels: tuple[Label, ...], lt: np.ndarray) -> None:
         lt.flags.writeable = False
         self.labels = labels
         self.lt = lt
@@ -111,10 +145,11 @@ class Poset:
             if hi not in index:
                 raise UnknownElement(f"unknown element {hi!r} in cover")
             rel[index[lo], index[hi]] = True
-        closed = transitive_closure(rel)
-        if closed.diagonal().any():
-            raise CycleDetected("cover relation generates a cycle")
-        return cls(labels, closed)
+        try:
+            closed = transitive_closure(rel)
+        except CycleDetected:
+            raise CycleDetected("cover relation generates a cycle") from None
+        return cls._closed(labels, closed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Poset":
@@ -198,14 +233,14 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same elements with all relations reversed."""
-        return Poset(self.labels, self.lt.T)
+        return Poset._closed(self.labels, np.ascontiguousarray(self.lt.T))
 
     def subposet(self, keep: Iterable[Label]) -> "Poset":
         """Induced subposet; element order follows the parent poset."""
         want = {self.index(x) for x in keep}
         idx = [i for i in range(self.n) if i in want]
         sub = self.lt[np.ix_(idx, idx)]
-        return Poset([self.labels[i] for i in idx], sub)
+        return Poset._closed(tuple(self.labels[i] for i in idx), sub)
 
     def incomparables(self, x: Label) -> tuple[Label, ...]:
         """All elements incomparable to x, in ground-set order."""
@@ -260,6 +295,14 @@ def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
         int.from_bytes(data[i : i + width], "little")
         for i in range(0, len(data), width or 1)  # width 0: no rows either
     )
+
+
+def _unpack_masks(masks: Sequence[int], n: int) -> np.ndarray:
+    """Inverse of :func:`_row_masks`: an n-by-n boolean matrix."""
+    width = (n + 7) // 8
+    data = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _bits(mask: int):

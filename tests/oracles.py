@@ -124,3 +124,11 @@ def hook_length_count(shape: tuple[int, ...]) -> int:
     for r, c in cells:
         product *= (shape[r] - c) + (conj[c] - r) - 1
     return math.factorial(len(cells)) // product
+
+
+def warshall_closure(rel) -> np.ndarray:
+    """Transitive closure by Warshall's algorithm: route through k, for every k."""
+    closed = np.array(rel, dtype=bool)
+    for k in range(len(closed)):
+        closed |= closed[:, k : k + 1] & closed[k : k + 1, :]
+    return closed

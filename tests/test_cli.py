@@ -204,6 +204,36 @@ def test_sample_mc_is_labeled(capsys, vee_file):
     assert len(lines) == 5
 
 
+# Output recorded from the per-step loop the chain kernel replaced.
+PINNED_MC_SAMPLES = [
+    (
+        ["--samples", "4", "--seed", "2"],
+        "# approximate: adjacent-transposition chain, burn-in 2160, spacing 36\n"
+        "v3 v1 v5 v6 v4 v2\nv5 v3 v1 v4 v2 v6\nv1 v3 v4 v2 v5 v6\nv3 v1 v4 v2 v6 v5\n",
+    ),
+    (
+        ["--samples", "3", "--seed", "5", "--burn-in", "7"],
+        "# approximate: adjacent-transposition chain, burn-in 7, spacing 36\n"
+        "v3 v5 v1 v4 v6 v2\nv1 v3 v5 v4 v2 v6\nv5 v1 v3 v6 v4 v2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_MC_SAMPLES)
+def test_sample_mc_is_pinned_per_seed(capsys, tmp_path, argv, expected):
+    path = write_poset(
+        tmp_path,
+        "p.json",
+        {
+            "labels": ["v1", "v2", "v3", "v4", "v5", "v6"],
+            "covers": [["v1", "v4"], ["v1", "v6"], ["v3", "v4"], ["v4", "v2"]],
+        },
+    )
+    code, out, _ = run(capsys, "sample", path, "--mc", *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_no_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

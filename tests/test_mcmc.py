@@ -6,10 +6,12 @@ from linext.errors import ComparablePair
 from linext.families import antichain, chain, chain_plus_point, random_poset
 from linext.lattice import sorting_probability
 from linext.mcmc import (
+    _advance,
     default_burn_in,
     estimate_pair_probability,
     initial_state,
     mc_step,
+    MCEstimate,
     tv_distance_diagnostic,
 )
 from linext.poset import Poset
@@ -99,5 +101,80 @@ def test_tv_distance_shrinks_with_samples():
     assert fine <= rough + 0.02  # allow noise, forbid regression
 
 
+def test_negative_sample_counts_are_rejected():
+    p = chain_plus_point(3)
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_pair_probability(p, "z", "c1", samples=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        tv_distance_diagnostic(p, "z", samples=-1)
+
+
 def test_tv_distance_zero_on_chain():
     assert tv_distance_diagnostic(chain(4), "c2", samples=100, seed=0) == 0.0
+
+
+# Values recorded from the per-step loops the kernel replaced, which kept one
+# indicator per step; the replayed swaps must give the same floats.
+# (samples, burn_in, seed, estimate, stderr, burn_in used).  Fewer than four
+# samples form no batches; 10, 17, 26 and 999 leave a tail past the batches.
+PINNED_ESTIMATES = [
+    (1, 5, 0, 1.0, 0.0, 5),
+    (2, 5, 5, 0.5, 0.3535533905932738, 5),
+    (3, 5, 2, 0.0, 0.0, 5),
+    (3, 5, 5, 0.6666666666666666, 0.2721655269759087, 5),
+    (10, 5, 5, 0.9, 0.11111111111111113, 5),
+    (17, 5, 3, 0.5294117647058824, 0.2576941016011038, 5),
+    (26, 5, 2, 0.07692307692307693, 0.08, 5),
+    (999, None, 2, 0.5165165165165165, 0.0581761825738784, 3430),
+    (5000, 100, 3, 0.5568, 0.03560441378799935, 100),
+]
+
+# (samples, burn_in, seed, total variation) for the first element of
+# random_poset(6, 0.3, seed=77).
+PINNED_TV = [
+    (1, 3, 5, 0.5),
+    (3, None, 1, 0.5),
+    (500, None, 1, 0.196),
+    (1001, 20, 4, 0.0014985014985014985),
+]
+
+
+@pytest.mark.parametrize("samples,burn_in,seed,estimate,stderr,used", PINNED_ESTIMATES)
+def test_estimate_is_pinned_per_seed(samples, burn_in, seed, estimate, stderr, used):
+    p = random_poset(7, 0.3, seed=4)
+    est = estimate_pair_probability(p, "v1", "v2", samples, burn_in=burn_in, seed=seed)
+    assert est == MCEstimate(estimate, stderr, samples, used)
+
+
+@pytest.mark.parametrize("samples,burn_in,seed,tv", PINNED_TV)
+def test_tv_distance_is_pinned_per_seed(samples, burn_in, seed, tv):
+    p = random_poset(6, 0.3, seed=77)
+    assert tv_distance_diagnostic(p, p.labels[0], samples, burn_in=burn_in, seed=seed) == tv
+
+
+def test_kernel_reports_only_watched_swaps():
+    p = antichain(5)
+    watched = initial_state(p, seed=8)
+    plain = initial_state(p, seed=8)
+    swaps = _advance(watched, 3000, 1 << 2)
+    for _ in range(3000):
+        mc_step(plain)
+    assert watched.order == plain.order and watched.steps == plain.steps == 3000
+    assert swaps and all(0 <= t < 3000 for t, _ in swaps)
+    assert [t for t, _ in swaps] == sorted(t for t, _ in swaps)
+    # replaying the reported slots lands element 2 where the walk left it
+    at = 2
+    for _, i in swaps:
+        assert at in (i, i + 1)
+        at = 2 * i + 1 - at
+    assert at == watched.pos[2]
+
+
+def test_validate_raises_through_the_kernel():
+    p = Poset.from_covers("abcd", [("a", "b")])
+    state = initial_state(p, seed=3, validate=True)
+    state.order.reverse()  # b now precedes a
+    for k, x in enumerate(state.order):
+        state.pos[x] = k
+    with pytest.raises(RuntimeError, match="broke the extension"):
+        _advance(state, 200, 0)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from linext.poset import (
     transitive_closure,
 )
 from linext.families import random_poset
-from oracles import brute_width
+from linext.lattice import augmented_poset
+from oracles import brute_width, warshall_closure
 from conftest import random_posets
 
 
@@ -147,6 +150,80 @@ def test_closure_is_idempotent(n, data):
                 rel[i, j] = True
     closed = transitive_closure(rel)
     assert (transitive_closure(closed) == closed).all()
+
+
+def _acyclic_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Random pairs that climb a hidden random order: acyclic, often redundant."""
+    rank = rng.sample(range(n), n)
+    pairs = []
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        pairs.append((i, j) if rank[i] < rank[j] else (j, i))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 64, 65, 400])
+def test_closure_matches_warshall(n):
+    rng = random.Random(n)
+    labels = [f"e{i}" for i in range(n)]
+    for _ in range(3):
+        pairs = _acyclic_pairs(n, rng)
+        rel = np.zeros((n, n), dtype=bool)
+        for i, j in pairs:
+            rel[i, j] = True
+        expected = warshall_closure(rel)
+        closed = transitive_closure(rel)
+        assert closed.dtype == bool and np.array_equal(closed, expected)
+        # pairs the closure already implies, and repeats, change nothing
+        implied = [tuple(ij) for ij in np.argwhere(expected & ~rel).tolist()]
+        generators = pairs + rng.sample(implied, min(n, len(implied))) + pairs[: n // 2]
+        rng.shuffle(generators)
+        p = Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in generators])
+        assert np.array_equal(p.lt, expected)
+        assert p == Poset(labels, expected)  # passes the checked constructor too
+
+
+def test_closure_rejects_cycles_and_self_loops():
+    rels = [[[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+    for rel in rels:
+        with pytest.raises(CycleDetected, match="relation contains a cycle"):
+            transitive_closure(np.array(rel, dtype=bool))
+    ring = [(f"e{i}", f"e{(i + 1) % 400}") for i in range(400)]
+    cases = [("a", [("a", "a")]), ("abc", [("a", "b"), ("b", "c"), ("c", "a")])]
+    for labels, covers in cases + [([f"e{i}" for i in range(400)], ring)]:
+        with pytest.raises(CycleDetected, match="cover relation generates a cycle"):
+            Poset.from_covers(labels, covers)
+
+
+def test_guard_messages_are_unchanged():
+    with pytest.raises(DuplicateLabel, match="label 'x' appears twice"):
+        Poset.from_covers(["x", "y", "x"], [])
+    with pytest.raises(UnknownElement, match="unknown element 'z' in cover"):
+        Poset.from_covers("ab", [("a", "b"), ("z", "a")])
+
+
+def test_augmented_poset_is_none_on_contradictions():
+    p = Poset.from_covers("abcd", [("a", "b"), ("b", "c")])
+    assert augmented_poset(p, [("c", "a")]) is None
+    assert augmented_poset(p, [("d", "a"), ("c", "d")]) is None
+    assert augmented_poset(p, [("b", "b")]) is None
+    q = augmented_poset(p, [("c", "d")])
+    assert q == Poset.from_covers("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+def test_long_chain_builds_closed():
+    n = 3000
+    labels = [f"c{i}" for i in range(n)]
+    p = Poset.from_covers(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    assert np.array_equal(p.lt, np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+def test_derived_posets_match_the_checked_constructor():
+    for p in random_posets(40, nmax=9, seed=3):
+        assert p.dual() == Poset(p.labels, p.lt.T)
+        keep = p.labels[::2]
+        idx = [p.index(x) for x in keep]
+        assert p.subposet(keep) == Poset(keep, p.lt[np.ix_(idx, idx)])
 
 
 # -- max incomparable pairs ------------------------------------------------

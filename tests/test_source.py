@@ -53,3 +53,67 @@ def test_free_bit_scan_check_sees_the_pattern():
     tree = ast.parse("full & ~mask\n~ideal & full\nlater & ~new\nfull & mask")
     found = [_is_free_bit_scan(stmt.value) for stmt in tree.body]
     assert found == [True, True, False, False]
+
+
+def _name_of(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _randrange_sites(tree) -> list[int]:
+    """Lines that call or bind ``randrange``: each one draws a chain slot."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) == "randrange"
+    ]
+
+
+#: Calls that take one chain step, or draw for one.
+STEP_CALLS = {"mc_step", "randrange", "random"}
+
+
+def _step_loops(tree) -> list[int]:
+    """Lines of loops that step the chain themselves instead of calling the kernel."""
+    return [
+        loop.lineno
+        for loop in ast.walk(tree)
+        if isinstance(loop, (ast.For, ast.While))
+        and any(
+            isinstance(node, ast.Call) and _name_of(node.func) in STEP_CALLS
+            for node in ast.walk(loop)
+        )
+    ]
+
+
+def _tree(name: str):
+    (path,) = [path for path in SOURCES if path.name == name]
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_one_mc_step_kernel():
+    # every chain run draws its slots in mcmc._advance and nowhere else
+    tree = _tree("mcmc.py")
+    sites = _randrange_sites(tree)
+    assert len(sites) == 1
+    (kernel,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_advance"
+    ]
+    assert kernel.lineno <= sites[0] <= kernel.end_lineno
+    assert _step_loops(_tree("cli.py")) == []
+
+
+def test_mc_kernel_checks_see_the_pattern():
+    tree = ast.parse(
+        "i = rng.randrange(n)\n"
+        "draw = state.rng.randrange\n"
+        "for _ in range(k):\n    mcmc.mc_step(state)\n"
+        "while True:\n    if rng.random() < 0.5:\n        break\n"
+        "for _ in range(k):\n    mcmc._advance(state, s, 0)\n"
+    )
+    assert sorted(_randrange_sites(tree)) == [1, 2]
+    assert sorted(_step_loops(tree)) == [3, 5]
