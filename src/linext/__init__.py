@@ -38,11 +38,13 @@ from .lattice import (
     DownsetLattice,
     EventSpec,
     PositionDistribution,
+    SplitLattice,
     all_position_distributions,
     build_lattice,
     conditional_probability,
     count_extensions,
     event_probability,
+    ideal_lattice,
     position_distribution,
     sample_extension,
     sample_extensions,

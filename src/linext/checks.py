@@ -28,6 +28,7 @@ from .families import (
     _random_poset,
 )
 from .lattice import (
+    DownsetLattice,
     EventSpec,
     build_lattice,
     conditional_probability,
@@ -595,7 +596,7 @@ def random_cwsig_instance(rng: random.Random, nmax: int = 7):
     while True:
         k = rng.randint(2, nmax - 1)
         base = _random_poset(rng, k, rng.choice([0.2, 0.3, 0.5]))
-        lat = build_lattice(base)
+        lat = DownsetLattice(base)
         ideals = [m for level in lat.levels for m in level]
         mask = rng.choice(ideals)
         lower = [base.labels[i] for i in range(k) if (mask >> i) & 1]

@@ -35,19 +35,16 @@ def chain(n: int, prefix: str = "c") -> Poset:
     """Total order c1 < c2 < ... < cn."""
     if n < 0:
         raise DomainError("size must be nonnegative")
-    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
-    lt = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        lt[i, i + 1 :] = True
-    return Poset(labels, lt)
+    labels = tuple(f"{prefix}{i}" for i in range(1, n + 1))
+    return Poset._closed(labels, np.triu(np.ones((n, n), dtype=bool), k=1))
 
 
 def antichain(n: int, prefix: str = "a") -> Poset:
     """n pairwise incomparable elements."""
     if n < 0:
         raise DomainError("size must be nonnegative")
-    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
-    return Poset(labels, np.zeros((n, n), dtype=bool))
+    labels = tuple(f"{prefix}{i}" for i in range(1, n + 1))
+    return Poset._closed(labels, np.zeros((n, n), dtype=bool))
 
 
 def chain_plus_point(n: int) -> Poset:

@@ -19,20 +19,41 @@ bits of its path counts.  An event "u before v" is counted on
 the poset's own ideals: one down pass in which v also waits for u, and
 pairs the poset already orders are dropped.
 
+The lattice of a poset whose comparability graph falls into several
+connected parts is the product of the parts' lattices, so
+:func:`build_lattice` decomposes first.  It builds one
+:class:`DownsetLattice` per part, on the part's subposet, and a
+:class:`SplitLattice` folds their exact integers together: in a uniform
+extension the parts' orders are independent and uniformly interleaved.
+The extension count is the multinomial C(n; |P1|, ..., |Pk|) times the
+parts' counts.  Slot i of a part of size p sits at position k in
+C(k-1, i-1) C(n-k, p-i) of the C(n, p) placements of its slots.  A pair
+across two parts is counted from both parts' position counts and the
+number of interleavings that put one slot before the other.  Only a
+split poset whose whole lattice could be small (fewer than
+``_SPLIT_MIN_IDEALS`` ideals by a bound from its parts) is built whole,
+because there a lattice per part costs more than it saves.  Readers of
+ideals (``levels``, ``down``, ``up``, ``edges``) use
+:class:`DownsetLattice` on the whole poset, or :func:`ideal_lattice`.
+
 Ideals are encoded as Python integer bitmasks over the ground-set indices
 (arbitrary precision, so any desk-scale n works).  Construction is bounded
-by a node budget and raises :class:`BudgetExceeded` past it.
+by a node budget and raises :class:`BudgetExceeded` past it.  The budget
+bounds the nodes really built: for a split poset, the sum over its parts,
+each part built against what the earlier ones left.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, ComparablePair, ConditionNullEvent, CycleDetected
-from .poset import Poset, transitive_closure
+from .poset import Poset, _bits, transitive_closure
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -238,6 +259,7 @@ class DownsetLattice:
         self.up = up
         self.node_count = nodes
         self._marginals: dict[str, tuple[Fraction, ...]] | None = None
+        self._position_counts: list[list[int]] | None = None
         self._pair_counts: list[list[int]] | None = None
 
     @property
@@ -263,8 +285,13 @@ class DownsetLattice:
     def marginals(self) -> dict[str, tuple[Fraction, ...]]:
         """Position law for every element, from one pass over the edges."""
         if self._marginals is None:
+            self._marginals = _laws(self)
+        return self._marginals
+
+    def position_counts(self) -> list[list[int]]:
+        """``counts[x][k]`` = number of extensions placing x at position k + 1."""
+        if self._position_counts is None:
             n = self.poset.n
-            total = self.extension_count
             acc = [[0] * n for _ in range(n)]
             down, up = self.down, self.up
             # accumulate down * up along every edge, keyed by added element
@@ -275,11 +302,8 @@ class DownsetLattice:
                         b = addable & -addable
                         addable ^= b
                         acc[b.bit_length() - 1][size] += d * up[mask | b]
-            self._marginals = {
-                self.poset.labels[x]: tuple(Fraction(c, total) for c in acc[x])
-                for x in range(n)
-            }
-        return self._marginals
+            self._position_counts = acc
+        return self._position_counts
 
     def pair_counts(self) -> list[list[int]]:
         """``counts[x][y]`` = number of extensions placing x before y.
@@ -325,21 +349,307 @@ class DownsetLattice:
         return self._pair_counts
 
 
-def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
-    """Lattice of ``p``, cached on the poset instance.
+    def sampler(self) -> Callable[[random.Random], list[int]]:
+        """Draw one uniform extension from ``rng``, as a list of indices.
 
-    The budget bounds the lattice whether it is built now or was cached
-    by an earlier call: a cached lattice larger than ``budget`` raises
+        At each step the next element is drawn among the minimal elements
+        of the complement with probability proportional to the number of
+        completions, which makes every full path equally likely.
+        """
+        pred = self.poset._pred_masks
+        steps = _steps(pred, self.poset._upper_cover_masks)
+        start = sum(1 << x for x in range(self.poset.n) if not pred[x])
+        up = self.up
+
+        def draw(rng: random.Random) -> list[int]:
+            mask = 0
+            addable = start
+            order = []
+            while addable:
+                choices = []
+                weights = []
+                rest = addable
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    choices.append(b)
+                    weights.append(up[mask | b])
+                r = rng.randrange(sum(weights))
+                for b, w in zip(choices, weights):
+                    if r < w:
+                        break
+                    r -= w
+                x = b.bit_length() - 1
+                order.append(x)
+                mask |= b
+                addable = _grow(addable, b, ~mask, steps[x])
+            return order
+
+        return draw
+
+
+def _laws(lat) -> dict[str, tuple[Fraction, ...]]:
+    """Position laws from a lattice's integer position counts, in label order."""
+    total = lat.extension_count
+    return {
+        lab: tuple(Fraction(c, total) for c in row)
+        for lab, row in zip(lat.poset.labels, lat.position_counts())
+    }
+
+
+def _components(p: Poset) -> list[list[int]]:
+    """Connected parts of the comparability graph, as ascending index lists.
+
+    Parts come in the order of their lowest element.
+    """
+    near = [s | q for s, q in zip(p._succ_masks, p._pred_masks)]
+    left = (1 << p.n) - 1
+    parts = []
+    while left:
+        part = grow = left & -left
+        while grow:
+            reach = 0
+            for x in _bits(grow):
+                reach |= near[x]
+            grow = reach & ~part
+            part |= grow
+        left ^= part
+        parts.append(list(_bits(part)))
+    return parts
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_spread(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per slot i of a p-part, (k, ways) for each position k it can land at.
+
+    0-based: slot i + 1 of p sits at position k + 1 of n in C(k, i)
+    C(n-1-k, p-1-i) of the C(n, p) placements of the part's slots.
+    """
+    return tuple(
+        tuple(
+            (k, math.comb(k, i) * math.comb(n - 1 - k, p - 1 - i))
+            for k in range(i, n - p + i + 1)
+        )
+        for i in range(p)
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_ahead(a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """``H[i][j]``: interleavings of an a-part and a b-part that put slot
+    i + 1 of the first before slot j + 1 of the second (0-based i, j).
+
+    That happens when the first i + j + 1 places hold at least i + 1 of
+    the first part's slots: the sum over t of C(i+j+1, t) C(a+b-i-j-1, a-t).
+    """
+    return tuple(
+        tuple(
+            sum(
+                math.comb(i + j + 1, t) * math.comb(a + b - i - j - 1, a - t)
+                for t in range(i + 1, min(a, i + j + 1) + 1)
+            )
+            for j in range(b)
+        )
+        for i in range(a)
+    )
+
+
+class SplitLattice:
+    """Lattice of a poset whose comparability graph has several parts.
+
+    The ideals of a disjoint sum are the products of its parts' ideals, so
+    that product is never built.  Each part is a subposet with its own
+    :class:`DownsetLattice`, cached on the part, and every answer is
+    folded from the parts' exact integers: in a uniform extension the
+    parts' orders are independent and uniformly interleaved.  It answers
+    what :class:`DownsetLattice` answers without reading ideals:
+    ``extension_count``, ``node_count`` (the nodes built, summed over the
+    parts), ``position_counts``, ``marginals``, ``pair_counts`` and
+    ``sampler``.
+    """
+
+    def __init__(self, poset: Poset, parts: list[list[int]], budget: int):
+        built = []
+        nodes = 0
+        for idx in parts:
+            part = poset.subposet(poset.labels[i] for i in idx)
+            # each part gets what the earlier ones left of the budget
+            try:
+                lat = DownsetLattice(part, budget - nodes)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(nodes + exc.nodes, budget) from None
+            part._cache["lattice"] = lat
+            nodes += lat.node_count
+            built.append((idx, lat))
+        total = math.factorial(poset.n)
+        for idx, lat in built:
+            total = total // math.factorial(len(idx)) * lat.extension_count
+        self.poset = poset
+        self.parts = built
+        self.node_count = nodes
+        self.extension_count = total
+        self._marginals: dict[str, tuple[Fraction, ...]] | None = None
+        self._position_counts: list[list[int]] | None = None
+        self._pair_counts: list[list[int]] | None = None
+
+    def marginals(self) -> dict[str, tuple[Fraction, ...]]:
+        """Position law for every element, folded from the parts' counts."""
+        if self._marginals is None:
+            self._marginals = _laws(self)
+        return self._marginals
+
+    def position_counts(self) -> list[list[int]]:
+        """``counts[x][k]`` = number of extensions placing x at position k + 1.
+
+        A part of size p holding x at its slot i + 1 puts x at position
+        k + 1 in C(k, i) C(n-1-k, p-1-i) of the C(n, p) ways to place the
+        part's slots, each completed by every extension of the rest.
+        """
+        if self._position_counts is None:
+            n = self.poset.n
+            counts: list[list[int]] = [[] for _ in range(n)]
+            for idx, lat in self.parts:
+                p = len(idx)
+                rest = self.extension_count // (math.comb(n, p) * lat.extension_count)
+                spread = _slot_spread(n, p)
+                for x, row in zip(idx, lat.position_counts()):
+                    out = [0] * n
+                    for i, c in enumerate(row):
+                        if c:
+                            c *= rest
+                            for k, w in spread[i]:
+                                out[k] += c * w
+                    counts[x] = out
+            self._position_counts = counts
+        return self._position_counts
+
+    def pair_counts(self) -> list[list[int]]:
+        """``counts[x][y]`` = number of extensions placing x before y.
+
+        A pair inside a part scales its part's count by the completions of
+        the rest.  For x in part A and y in part B, the sum over slots i, j
+        of N_A(x, i) N_B(y, j) H(i, j) (:func:`_slot_ahead`) counts the
+        extensions of A and B and their interleavings with x ahead, scaled
+        to the whole poset by the completions of the other parts.
+        """
+        if self._pair_counts is None:
+            n = self.poset.n
+            total = self.extension_count
+            counts = [[0] * n for _ in range(n)]
+            for idx, lat in self.parts:
+                scale = total // lat.extension_count
+                for x, row in zip(idx, lat.pair_counts()):
+                    out = counts[x]
+                    for y, c in zip(idx, row):
+                        out[y] = c * scale
+            laws = [lat.position_counts() for _, lat in self.parts]
+            for pa, (ia, lat_a) in enumerate(self.parts):
+                a = len(ia)
+                for pb in range(pa + 1, len(self.parts)):
+                    ib, lat_b = self.parts[pb]
+                    b = len(ib)
+                    scale = total // (
+                        math.comb(a + b, a) * lat_a.extension_count * lat_b.extension_count
+                    )
+                    ahead = _slot_ahead(a, b)
+                    for x, nx in zip(ia, laws[pa]):
+                        # reach[j]: A's extensions and interleavings with x
+                        # ahead of B's slot j + 1
+                        reach = [0] * b
+                        for i, c in enumerate(nx):
+                            if c:
+                                for j, h in enumerate(ahead[i]):
+                                    reach[j] += c * h
+                        for y, ny in zip(ib, laws[pb]):
+                            c = scale * sum(reach[j] * m for j, m in enumerate(ny) if m)
+                            counts[x][y] = c
+                            counts[y][x] = total - c
+            self._pair_counts = counts
+        return self._pair_counts
+
+    def sampler(self) -> Callable[[random.Random], list[int]]:
+        """Draw every part from its own lattice, then a uniform interleaving."""
+        draws = [(idx, lat.sampler()) for idx, lat in self.parts]
+        tags = [k for k, (idx, _) in enumerate(self.parts) for _ in idx]
+
+        def draw(rng: random.Random) -> list[int]:
+            orders = [iter([idx[x] for x in part(rng)]) for idx, part in draws]
+            rng.shuffle(tags)
+            return [next(orders[k]) for k in tags]
+
+        return draw
+
+
+def _cached(p: Poset, key: str, budget: int | None, make):
+    """``p._cache[key]``, made by ``make(p, budget)`` on first use.
+
+    The budget bounds the lattice whether it is built now or was cached by
+    an earlier call: a cached lattice larger than ``budget`` raises
     BudgetExceeded just as building it would.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    lat = p._cache.get("lattice")
+    lat = p._cache.get(key)
     if lat is None:
-        lat = p._cache["lattice"] = DownsetLattice(p, budget)
+        lat = p._cache[key] = make(p, budget)
     elif lat.node_count > budget:
         raise BudgetExceeded(lat.node_count, budget)
     return lat
+
+
+#: Least lower bound on the whole lattice's size at which a poset that
+#: splits is built part by part.  Below it, setting up a subposet and a
+#: lattice per part costs more than the nodes the split saves (measured on
+#: antichains, chains plus a point and two free chains).
+_SPLIT_MIN_IDEALS = 64
+
+
+def _split(p: Poset) -> list[list[int]] | None:
+    """``p``'s parts when its lattice is built part by part, else None.
+
+    A part of s elements, m of them minimal, has at least 2^m + s - m
+    ideals: every set of minimal elements, and one ideal of each larger
+    size.  The whole lattice has at least the product of these.
+    """
+    parts = _components(p)
+    if len(parts) < 2:
+        return None
+    pred = p._pred_masks
+    bound = 1
+    for idx in parts:
+        m = sum(1 for x in idx if not pred[x])
+        bound *= (1 << m) + len(idx) - m
+    return parts if bound >= _SPLIT_MIN_IDEALS else None
+
+
+def _split_or_whole(p: Poset, budget: int):
+    parts = _split(p)
+    if parts is None:
+        return DownsetLattice(p, budget)
+    return SplitLattice(p, parts, budget)
+
+
+def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | SplitLattice:
+    """Lattice of ``p`` for counts, laws, pair counts and samples, cached on ``p``.
+
+    A connected poset gets its :class:`DownsetLattice`.  A poset whose
+    comparability graph splits gets a :class:`SplitLattice` over its parts,
+    and the budget bounds the nodes built summed over them; a small one
+    (whole lattice of fewer than :data:`_SPLIT_MIN_IDEALS` ideals by the
+    bound of :func:`_split`) is built whole.
+    """
+    return _cached(p, "lattice", budget, _split_or_whole)
+
+
+def ideal_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
+    """The :class:`DownsetLattice` of all of ``p``'s ideals, cached on ``p``.
+
+    For code that reads ideals, split poset or not; when :func:`build_lattice`
+    builds ``p`` whole, both return the same lattice.
+    """
+    if _split(p) is None:
+        return build_lattice(p, budget)
+    return _cached(p, "ideals", budget, DownsetLattice)
 
 
 def count_extensions(p: Poset, budget: int | None = None) -> int:
@@ -441,38 +751,11 @@ def sample_extensions(
 ) -> list[tuple[str, ...]]:
     """Independent exact uniform extensions from one seeded generator.
 
-    At each step the next element is drawn among the minimal elements of
-    the complement with probability proportional to the number of
-    completions, which makes every full path equally likely.
+    A connected poset is drawn step by step from its lattice
+    (:meth:`DownsetLattice.sampler`); a split poset draws each part, then
+    a uniform interleaving of the parts.
     """
-    lat = build_lattice(p, budget)
+    draw = build_lattice(p, budget).sampler()
     rng = random.Random(seed)
-    pred = p._pred_masks
-    steps = _steps(pred, p._upper_cover_masks)
-    start = sum(1 << x for x in range(p.n) if not pred[x])
-    up = lat.up
-    out = []
-    for _ in range(count):
-        mask = 0
-        addable = start
-        order = []
-        while addable:
-            choices = []
-            weights = []
-            rest = addable
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                choices.append(b)
-                weights.append(up[mask | b])
-            r = rng.randrange(sum(weights))
-            for b, w in zip(choices, weights):
-                if r < w:
-                    break
-                r -= w
-            x = b.bit_length() - 1
-            order.append(p.labels[x])
-            mask |= b
-            addable = _grow(addable, b, ~mask, steps[x])
-        out.append(tuple(order))
-    return out
+    labels = p.labels
+    return [tuple(labels[x] for x in draw(rng)) for _ in range(count)]

@@ -67,8 +67,39 @@ def transitive_closure(rel: np.ndarray) -> np.ndarray:
 def transitive_reduction(lt: np.ndarray) -> np.ndarray:
     """Cover relation of a transitively closed strict order."""
     lt = np.asarray(lt, dtype=bool)
-    composite = (lt.astype(np.int32) @ lt.astype(np.int32)) > 0
-    return lt & ~composite
+    return _unpack_masks(_cover_masks(lt, _row_masks(lt)), len(lt))
+
+
+def _cover_masks(lt: np.ndarray, succ: Sequence[int]) -> list[int]:
+    """Upper covers per element of a closed order, from its successor masks.
+
+    cover[x] = succ[x] & ~(union of succ[y] over y in succ[x]).  The union
+    skips every y it already holds, whose successors it holds too, so it
+    takes one step per y that no earlier step reached.  Past 64 elements
+    the elements are first renumbered by their number of predecessors (a
+    linear extension): then the lowest y left is minimal, so it is a
+    cover, and the union takes one step per cover whatever the order of
+    the labels.  Up to 64 a mask is one machine word and the renumbering
+    costs more than it saves.
+    """
+    n = len(succ)
+    order = None
+    if n > 64:
+        order = np.argsort(lt.sum(axis=0), kind="stable")
+        succ = _row_masks(lt[np.ix_(order, order)])
+    covers = []
+    for s in succ:
+        beyond, rest = 0, s
+        while rest:
+            low = rest & -rest
+            beyond |= succ[low.bit_length() - 1]
+            rest &= ~(beyond | low)
+        covers.append(s & ~beyond)
+    if order is None:
+        return covers
+    out = np.empty((n, n), dtype=bool)
+    out[np.ix_(order, order)] = _unpack_masks(covers, n)
+    return list(_row_masks(out))
 
 
 class Poset:
@@ -95,8 +126,15 @@ class Poset:
             raise CycleDetected("relation contains a cycle")
         if (lt & lt.T).any():
             raise CycleDetected("relation contains a 2-cycle")
-        composite = (lt.astype(np.int32) @ lt.astype(np.int32)) > 0
-        if (composite & ~lt).any():
+        # the closure of the covers is lt exactly when lt is closed (the
+        # covers of a closed order generate it, and a closure is closed);
+        # closing the covers, not lt, keeps the check linear in the covers.
+        # A longer cycle without its closure is just not closed.
+        try:
+            closed = transitive_closure(transitive_reduction(lt))
+        except CycleDetected:
+            closed = None
+        if closed is None or not np.array_equal(closed, lt):
             raise ValueError("relation is not transitively closed")
         self._setup(labels, lt)
 
@@ -202,23 +240,29 @@ class Poset:
     @cached_property
     def _incomp_masks(self) -> tuple[int, ...]:
         """Bitmask of elements incomparable to each element (self excluded)."""
-        incomp = ~(self.lt | self.lt.T)
-        np.fill_diagonal(incomp, False)
-        return _row_masks(incomp)
+        full = (1 << self.n) - 1
+        return tuple(
+            full & ~(s | q | 1 << x)
+            for x, (s, q) in enumerate(zip(self._succ_masks, self._pred_masks))
+        )
 
     @cached_property
     def _upper_cover_masks(self) -> tuple[int, ...]:
         """Bitmask of the elements covering each element."""
-        return _row_masks(self._cover_matrix)
+        return tuple(_cover_masks(self.lt, self._succ_masks))
 
     @cached_property
     def _lower_cover_masks(self) -> tuple[int, ...]:
         """Bitmask of the elements each element covers."""
-        return _row_masks(self._cover_matrix.T)
+        lower = [0] * self.n
+        for x, m in enumerate(self._upper_cover_masks):
+            for y in _bits(m):
+                lower[y] |= 1 << x
+        return tuple(lower)
 
     @cached_property
     def _cover_matrix(self) -> np.ndarray:
-        return transitive_reduction(self.lt)
+        return _unpack_masks(self._upper_cover_masks, self.n)
 
     def is_chain(self) -> bool:
         """True when every pair of elements is comparable."""
@@ -259,7 +303,10 @@ class Poset:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
     def lattice(self, budget: int | None = None):
-        """Ideal lattice of this poset (cached). See :mod:`linext.lattice`."""
+        """Lattice of this poset, split into its parts when it has several (cached).
+
+        See :func:`linext.lattice.build_lattice`.
+        """
         from .lattice import build_lattice
 
         return build_lattice(self, budget)
@@ -283,7 +330,7 @@ def disjoint_sum(p: Poset, q: Poset) -> Poset:
     lt = np.zeros((n1 + n2, n1 + n2), dtype=bool)
     lt[:n1, :n1] = p.lt
     lt[n1:, n1:] = q.lt
-    return Poset(list(p.labels) + right, lt)
+    return Poset._closed(p.labels + tuple(right), lt)
 
 
 def _row_masks(rel: np.ndarray) -> tuple[int, ...]:

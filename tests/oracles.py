@@ -132,3 +132,12 @@ def warshall_closure(rel) -> np.ndarray:
     for k in range(len(closed)):
         closed |= closed[:, k : k + 1] & closed[k : k + 1, :]
     return closed
+
+
+def matmul_reduction(lt) -> np.ndarray:
+    """Transitive reduction of a closed order: drop every pair x < z < y.
+
+    The dense product form: (lt @ lt)[x, y] counts the z between x and y.
+    """
+    lt = np.asarray(lt, dtype=bool)
+    return lt & ~((lt.astype(np.int32) @ lt.astype(np.int32)) > 0)

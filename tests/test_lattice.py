@@ -16,17 +16,19 @@ from linext.families import (
 from linext.lattice import (
     DownsetLattice,
     EventSpec,
+    SplitLattice,
     augmented_poset,
     build_lattice,
     conditional_probability,
     count_extensions,
     event_probability,
+    ideal_lattice,
     position_distribution,
     sample_extension,
     sample_extensions,
     sorting_probability,
 )
-from linext.poset import Poset
+from linext.poset import Poset, disjoint_sum
 from oracles import (
     brute_conditional_probability,
     brute_count,
@@ -52,7 +54,7 @@ def test_count_matches_brute_force(poset):
 
 def test_lattice_levels_partition_by_size():
     p = chain_plus_point(4)
-    lat = build_lattice(p)
+    lat = DownsetLattice(p)
     for size, level in enumerate(lat.levels):
         for mask in level:
             assert bin(mask).count("1") == size
@@ -63,7 +65,7 @@ def test_lattice_levels_partition_by_size():
 def test_down_counts_sum_along_levels():
     # down * up over each level's ideals totals the extension count
     p = random_poset(7, 0.3, seed=42)
-    lat = build_lattice(p)
+    lat = DownsetLattice(p)
     for level in lat.levels:
         assert sum(lat.down[m] * lat.up[m] for m in level) == lat.extension_count
 
@@ -206,11 +208,11 @@ def test_sample_matches_brute_support():
 
 
 def test_budget_exceeded_reports_sizes():
-    p = antichain(12)  # 2^12 ideals
+    p = antichain(12)  # 12 one-element parts, 2 nodes each
     with pytest.raises(BudgetExceeded) as info:
-        count_extensions(p, budget=100)
-    assert info.value.budget == 100
-    assert info.value.nodes > 100
+        count_extensions(p, budget=20)
+    assert info.value.budget == 20
+    assert info.value.nodes > 20
 
 
 def test_budget_boundary_is_inclusive():
@@ -223,8 +225,9 @@ def test_cached_lattice_is_held_to_the_budget():
     assert count_extensions(p) == 3628800
     with pytest.raises(BudgetExceeded) as info:
         count_extensions(p, budget=5)
-    assert (info.value.nodes, info.value.budget) == (1024, 5)
-    assert count_extensions(p, budget=1024) == 3628800
+    # ten one-element parts: 20 nodes built, not the product's 1024
+    assert (info.value.nodes, info.value.budget) == (20, 5)
+    assert count_extensions(p, budget=20) == 3628800
     assert count_extensions(p) == 3628800
 
 
@@ -297,12 +300,21 @@ def test_budget_threshold_is_the_augmented_lattice_size():
         checked += 1
         n_aug = DownsetLattice(aug).node_count
         event = [(q.labels[1], q.labels[0])]
+        own = build_lattice(q).node_count  # the nodes built, summed over q's parts
+        implied = q.less(*pairs[0])
+        n_cond = n_aug
+        if implied:
+            # the condition adds nothing and reads q's own lattice; the
+            # event walks its own augmented ideals (a contradictory one
+            # stops early, inside that bound here)
+            with_event = augmented_poset(q, event)
+            n_cond = max(own, 0 if with_event is None else DownsetLattice(with_event).node_count)
         with pytest.raises(BudgetExceeded):
-            conditional_probability(q, event, pairs, budget=n_aug - 1)
-        got = conditional_probability(q, event, pairs, budget=n_aug)
+            conditional_probability(q, event, pairs, budget=n_cond - 1)
+        got = conditional_probability(q, event, pairs, budget=n_cond)
         assert got == _augmented_conditional(q, event, pairs)
         # an unconditioned event also reads the poset's own lattice
-        need = max(n_aug, DownsetLattice(q).node_count)
+        need = own if implied else max(n_aug, own)
         with pytest.raises(BudgetExceeded):
             event_probability(q, pairs, budget=need - 1)
         assert event_probability(q, pairs, budget=need) == _augmented_event(q, pairs)
@@ -361,7 +373,7 @@ def _scan_lattice(p):
 
 
 def _assert_matches_scan(p):
-    lat = build_lattice(p)
+    lat = DownsetLattice(p)
     levels, down, up, edges, pairs = _scan_lattice(p)
     # random_cwsig_instance draws from this order, so it is pinned too
     assert lat.levels == levels
@@ -391,7 +403,7 @@ def test_kernel_matches_scan_past_64_elements():
 def test_up_counts_extensions_of_the_complement():
     posets = [p for _, p in builtin_corpus()] + random_posets(150, nmax=7, seed=27)
     for p in posets:
-        lat = build_lattice(p)
+        lat = DownsetLattice(p)
         for mask, count in lat.up.items():
             rest = [lab for i, lab in enumerate(p.labels) if not (mask >> i) & 1]
             assert count == brute_count(p.subposet(rest))
@@ -405,7 +417,8 @@ def test_pair_counts_match_brute_force():
 
 
 def test_samples_pinned():
-    # outputs of the free-bit-scan sampler this kernel replaced
+    # outputs of the free-bit-scan sampler this kernel replaced; the first
+    # and last posets split but are small enough to be built whole
     assert sample_extensions(random_poset(8, 0.25, seed=31), 3, seed=5) == [
         ("v5", "v6", "v7", "v3", "v2", "v4", "v1", "v8"),
         ("v5", "v6", "v3", "v7", "v2", "v4", "v1", "v8"),
@@ -451,3 +464,147 @@ def test_implied_pairs_read_the_cached_lattice(monkeypatch):
     with pytest.raises(BudgetExceeded):
         event_probability(p, [("c1", "c2")], budget=lat.node_count - 1)
     assert event_probability(p, [("c1", "c2")], budget=lat.node_count) == 1
+
+
+# -- posets that split into parts -------------------------------------------
+
+
+def _three_parts():
+    """Three connected parts of three elements each."""
+    vee = Poset.from_covers("xyz", [("x", "y"), ("x", "z")])
+    return disjoint_sum(disjoint_sum(chain(3), young_diagram((2, 1)).poset), vee)
+
+
+def _folded(p):
+    """The part-by-part lattice of ``p``, whatever its size."""
+    return SplitLattice(p, lattice._components(p), lattice.DEFAULT_NODE_BUDGET)
+
+
+def _assert_split_matches_whole(p):
+    """Both entry paths against the whole lattice; True when p splits."""
+    whole = DownsetLattice(p)
+    parts = lattice._components(p)
+    built = build_lattice(p)
+    assert isinstance(built, SplitLattice) == (lattice._split(p) is not None)
+    for lat in [built] + ([_folded(p)] if len(parts) > 1 else []):
+        assert lat.extension_count == whole.extension_count
+        assert lat.marginals() == whole.marginals()
+        assert list(lat.marginals()) == list(p.labels)
+        assert lat.pair_counts() == whole.pair_counts()
+    return len(parts) > 1
+
+
+def test_split_matches_whole_on_corpus():
+    assert sum(_assert_split_matches_whole(p) for _, p in builtin_corpus()) > 0
+
+
+def test_split_matches_whole_on_random_posets():
+    posets = random_posets(2000, nmax=9, seed=23)
+    assert sum(_assert_split_matches_whole(p) for p in posets) == 1127
+    # 303 of them have at least lattice._SPLIT_MIN_IDEALS ideals by the parts' bound
+    assert sum(isinstance(build_lattice(p), SplitLattice) for p in posets) == 303
+
+
+def test_split_matches_whole_on_wide_inputs():
+    antichain14 = antichain(14)
+    random30 = random_poset(30, 0.12, seed=20)
+    three = _three_parts()
+    for p in (antichain14, random30, three):
+        assert _assert_split_matches_whole(p)
+    assert [len(idx) for idx, _ in build_lattice(random30).parts] == [29, 1]
+    assert build_lattice(antichain14).node_count == 28
+    assert [len(idx) for idx, _ in build_lattice(three).parts] == [3, 3, 3]
+
+
+def test_split_matches_brute_force():
+    posets = [_three_parts(), antichain(5), chain_plus_point(5)]
+    posets += [p for p in random_posets(150, nmax=8, seed=28) if len(lattice._components(p)) > 1]
+    for p in posets:
+        lat = _folded(p)
+        assert lat.extension_count == brute_count(p)
+        assert lat.pair_counts() == brute_pair_counts(p)
+        for x in p.labels:
+            assert list(lat.marginals()[x]) == brute_marginal(p, x)
+
+
+def test_split_parts_are_cached_on_the_part_posets():
+    lat = build_lattice(_three_parts())
+    for idx, part in lat.parts:
+        assert build_lattice(part.poset) is part
+        assert part.poset.labels == tuple(lat.poset.labels[i] for i in idx)
+
+
+def test_split_budget_is_the_sum_of_the_parts():
+    parts = [DownsetLattice(part.poset).node_count for _, part in build_lattice(_three_parts()).parts]
+    nodes = sum(parts)
+    assert nodes < DownsetLattice(_three_parts()).node_count
+    with pytest.raises(BudgetExceeded) as info:
+        count_extensions(_three_parts(), budget=nodes - 1)
+    assert (info.value.nodes, info.value.budget) == (nodes, nodes - 1)
+    # an earlier part past the budget raises before a later part is built
+    with pytest.raises(BudgetExceeded) as info:
+        count_extensions(_three_parts(), budget=parts[0] - 1)
+    assert (info.value.nodes, info.value.budget) == (parts[0], parts[0] - 1)
+    p = _three_parts()
+    assert count_extensions(p, budget=nodes) == brute_count(p)
+    assert build_lattice(p).node_count == nodes
+
+
+def test_ideal_lattice_reads_the_whole_poset():
+    split, connected = _three_parts(), young_diagram((3, 2)).poset
+    whole = ideal_lattice(split)
+    assert isinstance(whole, DownsetLattice)
+    assert whole.levels == DownsetLattice(split).levels
+    assert ideal_lattice(split) is whole
+    with pytest.raises(BudgetExceeded):
+        ideal_lattice(split, budget=whole.node_count - 1)
+    assert ideal_lattice(connected) is build_lattice(connected)
+
+
+def _chi_square(observed, expected):
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected) if e)
+
+
+def test_split_samples_follow_the_exact_law():
+    # chi-square of each element's sampled position against its exact law;
+    # the bound is the 0.999 quantile for the cells with positive mass
+    from scipy.stats import chi2
+
+    p = _three_parts()
+    count = 6000
+    samples = sample_extensions(p, count, seed=41)
+    allowed = set(brute_extensions(p))
+    assert all(s in allowed for s in samples)
+    for x in p.labels:
+        law = position_distribution(p, x).probs
+        seen = [0] * p.n
+        for s in samples:
+            seen[s.index(x)] += 1
+        cells = sum(1 for q in law if q)
+        assert all(seen[k] == 0 for k, q in enumerate(law) if not q)
+        expected = [float(q) * count for q in law]
+        assert _chi_square(seen, expected) < chi2.ppf(0.999, cells - 1), x
+
+
+def test_split_samples_pinned():
+    # each part drawn from its lattice, then a uniform interleaving
+    assert sample_extensions(antichain(7), 2, seed=0) == [
+        ("a7", "a1", "a6", "a2", "a5", "a3", "a4"),
+        ("a1", "a4", "a5", "a2", "a6", "a7", "a3"),
+    ]
+    assert sample_extensions(_three_parts(), 2, seed=4) == [
+        ("1,1", "2,1", "x", "c1", "c2", "c3", "y", "1,2", "z"),
+        ("1,1", "x", "2,1", "c1", "y", "z", "1,2", "c2", "c3"),
+    ]
+
+
+def test_split_sampler_draws_parts_then_an_interleaving():
+    p = _three_parts()
+    lat = build_lattice(p)
+    rng = random.Random(3)
+    got = lat.sampler()(rng)
+    replay = random.Random(3)
+    orders = [[idx[x] for x in part.sampler()(replay)] for idx, part in lat.parts]
+    tags = [0] * 3 + [1] * 3 + [2] * 3
+    replay.shuffle(tags)
+    assert got == [orders[k].pop(0) for k in tags]

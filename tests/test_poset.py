@@ -14,10 +14,11 @@ from linext.poset import (
     is_convex_in_grid,
     max_incomparable_pair,
     transitive_closure,
+    transitive_reduction,
 )
-from linext.families import random_poset
+from linext.families import antichain, chain, random_poset
 from linext.lattice import augmented_poset
-from oracles import brute_width, warshall_closure
+from oracles import brute_width, matmul_reduction, warshall_closure
 from conftest import random_posets
 
 
@@ -216,6 +217,49 @@ def test_long_chain_builds_closed():
     labels = [f"c{i}" for i in range(n)]
     p = Poset.from_covers(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
     assert np.array_equal(p.lt, np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 64, 65, 400])
+def test_reduction_matches_matmul(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        rel = np.zeros((n, n), dtype=bool)
+        for i, j in _acyclic_pairs(n, rng):
+            rel[i, j] = True
+        lt = transitive_closure(rel)
+        expected = matmul_reduction(lt)
+        assert np.array_equal(transitive_reduction(lt), expected)
+        p = Poset._closed(tuple(f"e{i}" for i in range(n)), lt)
+        assert np.array_equal(p._cover_matrix, expected)
+    # a chain numbered top down is the worst order for the unrenumbered union
+    top_down = np.tril(np.ones((n, n), dtype=bool), -1)
+    assert np.array_equal(transitive_reduction(top_down), matmul_reduction(top_down))
+
+
+def test_unclosed_and_cyclic_matrices_keep_their_errors():
+    cases = [
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], ValueError, "relation is not transitively closed"),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], ValueError, "relation is not transitively closed"),
+        ([[1, 0], [0, 0]], CycleDetected, "relation contains a cycle"),
+        ([[0, 1], [1, 0]], CycleDetected, "relation contains a 2-cycle"),
+    ]
+    for rel, error, message in cases:
+        with pytest.raises(error, match=message):
+            Poset("abc"[: len(rel)], np.array(rel, dtype=bool))
+    n = 70  # past one machine word, with one pair of a 70-chain missing
+    lt = np.triu(np.ones((n, n), dtype=bool), 1)
+    lt[3, 50] = False
+    with pytest.raises(ValueError, match="relation is not transitively closed"):
+        Poset([f"e{i}" for i in range(n)], lt)
+
+
+def test_families_build_closed_matrices():
+    for n in (0, 1, 5, 70):
+        for p in (chain(n), antichain(n)):
+            assert p == Poset(p.labels, p.lt)
+    left, right = chain(3), vee()
+    both = disjoint_sum(left, right)
+    assert both == Poset(both.labels, both.lt)
 
 
 def test_derived_posets_match_the_checked_constructor():

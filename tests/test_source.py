@@ -117,3 +117,23 @@ def test_mc_kernel_checks_see_the_pattern():
     )
     assert sorted(_randrange_sites(tree)) == [1, 2]
     assert sorted(_step_loops(tree)) == [3, 5]
+
+
+def _matmul_sites(tree) -> list[int]:
+    """Lines with a ``@`` product or a ``matmul`` name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) == "matmul")
+    ]
+
+
+def test_no_dense_products_in_poset():
+    # closure checks and reductions run on bitsets, never a cubic product
+    assert _matmul_sites(_tree("poset.py")) == []
+
+
+def test_dense_product_check_sees_the_pattern():
+    tree = ast.parse("c = a @ b\nnp.matmul(a, b)\nf = matmul\nd = a * b\n")
+    assert sorted(_matmul_sites(tree)) == [1, 2, 3]
