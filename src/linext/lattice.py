@@ -348,7 +348,6 @@ class DownsetLattice:
             self._pair_counts = counts
         return self._pair_counts
 
-
     def sampler(self) -> Callable[[random.Random], list[int]]:
         """Draw one uniform extension from ``rng``, as a list of indices.
 
