@@ -44,7 +44,6 @@ from .lattice import (
     conditional_probability,
     count_extensions,
     event_probability,
-    ideal_lattice,
     position_distribution,
     sample_extension,
     sample_extensions,

@@ -29,12 +29,9 @@ The extension count is the multinomial C(n; |P1|, ..., |Pk|) times the
 parts' counts.  Slot i of a part of size p sits at position k in
 C(k-1, i-1) C(n-k, p-i) of the C(n, p) placements of its slots.  A pair
 across two parts is counted from both parts' position counts and the
-number of interleavings that put one slot before the other.  Only a
-split poset whose whole lattice could be small (fewer than
-``_SPLIT_MIN_IDEALS`` ideals by a bound from its parts) is built whole,
-because there a lattice per part costs more than it saves.  Readers of
+number of interleavings that put one slot before the other.  Readers of
 ideals (``levels``, ``down``, ``up``, ``edges``) use
-:class:`DownsetLattice` on the whole poset, or :func:`ideal_lattice`.
+:class:`DownsetLattice` on the whole poset.
 
 Ideals are encoded as Python integer bitmasks over the ground-set indices
 (arbitrary precision, so any desk-scale n works).  Construction is bounded
@@ -471,7 +468,7 @@ class SplitLattice:
         built = []
         nodes = 0
         for idx in parts:
-            part = poset.subposet(poset.labels[i] for i in idx)
+            part = poset._component(idx)
             # each part gets what the earlier ones left of the budget
             try:
                 lat = DownsetLattice(part, budget - nodes)
@@ -596,34 +593,9 @@ def _cached(p: Poset, key: str, budget: int | None, make):
     return lat
 
 
-#: Least lower bound on the whole lattice's size at which a poset that
-#: splits is built part by part.  Below it, setting up a subposet and a
-#: lattice per part costs more than the nodes the split saves (measured on
-#: antichains, chains plus a point and two free chains).
-_SPLIT_MIN_IDEALS = 64
-
-
-def _split(p: Poset) -> list[list[int]] | None:
-    """``p``'s parts when its lattice is built part by part, else None.
-
-    A part of s elements, m of them minimal, has at least 2^m + s - m
-    ideals: every set of minimal elements, and one ideal of each larger
-    size.  The whole lattice has at least the product of these.
-    """
+def _split_or_whole(p: Poset, budget: int):
     parts = _components(p)
     if len(parts) < 2:
-        return None
-    pred = p._pred_masks
-    bound = 1
-    for idx in parts:
-        m = sum(1 for x in idx if not pred[x])
-        bound *= (1 << m) + len(idx) - m
-    return parts if bound >= _SPLIT_MIN_IDEALS else None
-
-
-def _split_or_whole(p: Poset, budget: int):
-    parts = _split(p)
-    if parts is None:
         return DownsetLattice(p, budget)
     return SplitLattice(p, parts, budget)
 
@@ -633,21 +605,21 @@ def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | Split
 
     A connected poset gets its :class:`DownsetLattice`.  A poset whose
     comparability graph splits gets a :class:`SplitLattice` over its parts,
-    and the budget bounds the nodes built summed over them; a small one
-    (whole lattice of fewer than :data:`_SPLIT_MIN_IDEALS` ideals by the
-    bound of :func:`_split`) is built whole.
+    and the budget bounds the nodes built summed over them.
     """
     return _cached(p, "lattice", budget, _split_or_whole)
 
 
-def ideal_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
+def _whole_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
     """The :class:`DownsetLattice` of all of ``p``'s ideals, cached on ``p``.
 
-    For code that reads ideals, split poset or not; when :func:`build_lattice`
-    builds ``p`` whole, both return the same lattice.
+    For code that reads ideals, split poset or not; a connected poset's is
+    the lattice :func:`build_lattice` returns.
     """
-    if _split(p) is None:
-        return build_lattice(p, budget)
+    if "ideals" not in p._cache:
+        lat = p._cache.get("lattice")
+        if isinstance(lat, DownsetLattice) or (lat is None and len(_components(p)) < 2):
+            return build_lattice(p, budget)
     return _cached(p, "ideals", budget, DownsetLattice)
 
 

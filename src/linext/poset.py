@@ -67,39 +67,32 @@ def transitive_closure(rel: np.ndarray) -> np.ndarray:
 def transitive_reduction(lt: np.ndarray) -> np.ndarray:
     """Cover relation of a transitively closed strict order."""
     lt = np.asarray(lt, dtype=bool)
-    return _unpack_masks(_cover_masks(lt, _row_masks(lt)), len(lt))
+    return _unpack_masks(_cover_masks(lt), len(lt))
 
 
-def _cover_masks(lt: np.ndarray, succ: Sequence[int]) -> list[int]:
-    """Upper covers per element of a closed order, from its successor masks.
+def _cover_masks(lt: np.ndarray) -> list[int]:
+    """Upper covers per element of a closed order, as bitmasks.
 
-    cover[x] = succ[x] & ~(union of succ[y] over y in succ[x]).  The union
-    skips every y it already holds, whose successors it holds too, so it
-    takes one step per y that no earlier step reached.  Past 64 elements
-    the elements are first renumbered by their number of predecessors (a
-    linear extension): then the lowest y left is minimal, so it is a
-    cover, and the union takes one step per cover whatever the order of
-    the labels.  Up to 64 a mask is one machine word and the renumbering
-    costs more than it saves.
+    cover[x] = succ[x] & ~(union of succ[y] over y in succ[x]).  The
+    elements are first renumbered by their number of predecessors, a
+    linear extension, so the lowest y left in succ[x] is minimal there and
+    hence a cover.  The union skips every y it already holds, whose
+    successors it holds too, so it takes one step per cover of x.
     """
-    n = len(succ)
-    order = None
-    if n > 64:
-        order = np.argsort(lt.sum(axis=0), kind="stable")
-        succ = _row_masks(lt[np.ix_(order, order)])
-    covers = []
-    for s in succ:
-        beyond, rest = 0, s
+    order = np.argsort(lt.sum(axis=0), kind="stable")
+    succ = _row_masks(lt.take(order, 0).take(order, 1))
+    order = order.tolist()
+    covers = [0] * len(order)
+    for x, s in zip(order, succ):
+        beyond, rest, cover = 0, s, 0
         while rest:
             low = rest & -rest
-            beyond |= succ[low.bit_length() - 1]
+            y = low.bit_length() - 1
+            cover |= 1 << order[y]
+            beyond |= succ[y]
             rest &= ~(beyond | low)
-        covers.append(s & ~beyond)
-    if order is None:
-        return covers
-    out = np.empty((n, n), dtype=bool)
-    out[np.ix_(order, order)] = _unpack_masks(covers, n)
-    return list(_row_masks(out))
+        covers[x] = cover
+    return covers
 
 
 class Poset:
@@ -249,7 +242,7 @@ class Poset:
     @cached_property
     def _upper_cover_masks(self) -> tuple[int, ...]:
         """Bitmask of the elements covering each element."""
-        return tuple(_cover_masks(self.lt, self._succ_masks))
+        return tuple(_cover_masks(self.lt))
 
     @cached_property
     def _lower_cover_masks(self) -> tuple[int, ...]:
@@ -285,6 +278,23 @@ class Poset:
         idx = [i for i in range(self.n) if i in want]
         sub = self.lt[np.ix_(idx, idx)]
         return Poset._closed(tuple(self.labels[i] for i in idx), sub)
+
+    def _component(self, idx: Sequence[int]) -> "Poset":
+        """Induced subposet on ascending indices ``idx``, no relation leaving it.
+
+        Nothing in ``idx`` is comparable to anything outside, so the
+        subposet's covers are this poset's covers, renumbered: they are
+        carried over instead of reduced again.
+        """
+        sub = Poset._closed(
+            tuple(self.labels[i] for i in idx), self.lt.take(idx, 0).take(idx, 1)
+        )
+        at = {i: k for k, i in enumerate(idx)}
+        up = self._upper_cover_masks
+        sub.__dict__["_upper_cover_masks"] = tuple(
+            sum(1 << at[j] for j in _bits(up[i])) for i in idx
+        )
+        return sub
 
     def incomparables(self, x: Label) -> tuple[Label, ...]:
         """All elements incomparable to x, in ground-set order."""

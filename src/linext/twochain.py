@@ -23,7 +23,7 @@ from .errors import (
     HypothesisNotSatisfied,
     IndexOutOfRange,
 )
-from .lattice import EventSpec, build_lattice, ideal_lattice
+from .lattice import EventSpec, _whole_lattice, build_lattice
 from .poset import Poset
 
 
@@ -206,7 +206,7 @@ def conditioned_psi(t: TwoChainPoset, i: int, j: int, budget: int | None = None)
         raise IndexOutOfRange(f"x index {i} outside [1, {t.m}]")
     if not 0 <= j <= t.n:
         raise IndexOutOfRange(f"y cut {j} outside [0, {t.n}]")
-    lat = ideal_lattice(t.poset, budget)
+    lat = _whole_lattice(t.poset, budget)
     denom = lat.down.get(t.prefix_mask(i, j), 0)
     if denom == 0:
         raise ConditionNullEvent("the conditioning prefix is not reachable")
