@@ -29,7 +29,10 @@ The extension count is the multinomial C(n; |P1|, ..., |Pk|) times the
 parts' counts.  Slot i of a part of size p sits at position k in
 C(k-1, i-1) C(n-k, p-i) of the C(n, p) placements of its slots.  A pair
 across two parts is counted from both parts' position counts and the
-number of interleavings that put one slot before the other.  Readers of
+number of interleavings that put one slot before the other.  Only a
+split poset whose whole lattice could be small (fewer than
+``_SPLIT_MIN_IDEALS`` ideals by a bound from its parts) is built whole,
+because there a lattice per part costs more than it saves.  Readers of
 ideals (``levels``, ``down``, ``up``, ``edges``) use
 :class:`DownsetLattice` on the whole poset.
 
@@ -468,7 +471,7 @@ class SplitLattice:
         built = []
         nodes = 0
         for idx in parts:
-            part = poset._component(idx)
+            part = poset.subposet(poset.labels[i] for i in idx)
             # each part gets what the earlier ones left of the budget
             try:
                 lat = DownsetLattice(part, budget - nodes)
@@ -593,9 +596,36 @@ def _cached(p: Poset, key: str, budget: int | None, make):
     return lat
 
 
-def _split_or_whole(p: Poset, budget: int):
+#: Least lower bound on the whole lattice's size at which a poset that
+#: splits is built part by part.  Below it, setting up a subposet and a
+#: lattice per part costs more than the nodes the split saves (measured on
+#: antichains, chains plus a point and two free chains; on verify_sweep,
+#: whose posets have at most 10 elements, splitting these too costs about
+#: 4% of its ops/s).
+_SPLIT_MIN_IDEALS = 64
+
+
+def _split(p: Poset) -> list[list[int]] | None:
+    """``p``'s parts when its lattice is built part by part, else None.
+
+    A part of s elements, m of them minimal, has at least 2^m + s - m
+    ideals: every set of minimal elements, and one ideal of each larger
+    size.  The whole lattice has at least the product of these.
+    """
     parts = _components(p)
     if len(parts) < 2:
+        return None
+    pred = p._pred_masks
+    bound = 1
+    for idx in parts:
+        m = sum(1 for x in idx if not pred[x])
+        bound *= (1 << m) + len(idx) - m
+    return parts if bound >= _SPLIT_MIN_IDEALS else None
+
+
+def _split_or_whole(p: Poset, budget: int):
+    parts = _split(p)
+    if parts is None:
         return DownsetLattice(p, budget)
     return SplitLattice(p, parts, budget)
 
@@ -605,7 +635,9 @@ def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | Split
 
     A connected poset gets its :class:`DownsetLattice`.  A poset whose
     comparability graph splits gets a :class:`SplitLattice` over its parts,
-    and the budget bounds the nodes built summed over them.
+    and the budget bounds the nodes built summed over them; a small one
+    (whole lattice of fewer than :data:`_SPLIT_MIN_IDEALS` ideals by the
+    bound of :func:`_split`) is built whole.
     """
     return _cached(p, "lattice", budget, _split_or_whole)
 
@@ -613,12 +645,12 @@ def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | Split
 def _whole_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
     """The :class:`DownsetLattice` of all of ``p``'s ideals, cached on ``p``.
 
-    For code that reads ideals, split poset or not; a connected poset's is
-    the lattice :func:`build_lattice` returns.
+    For code that reads ideals, split poset or not; when :func:`build_lattice`
+    builds ``p`` whole, both return the same lattice.
     """
     if "ideals" not in p._cache:
         lat = p._cache.get("lattice")
-        if isinstance(lat, DownsetLattice) or (lat is None and len(_components(p)) < 2):
+        if isinstance(lat, DownsetLattice) or (lat is None and _split(p) is None):
             return build_lattice(p, budget)
     return _cached(p, "ideals", budget, DownsetLattice)
 

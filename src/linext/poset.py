@@ -279,23 +279,6 @@ class Poset:
         sub = self.lt[np.ix_(idx, idx)]
         return Poset._closed(tuple(self.labels[i] for i in idx), sub)
 
-    def _component(self, idx: Sequence[int]) -> "Poset":
-        """Induced subposet on ascending indices ``idx``, no relation leaving it.
-
-        Nothing in ``idx`` is comparable to anything outside, so the
-        subposet's covers are this poset's covers, renumbered: they are
-        carried over instead of reduced again.
-        """
-        sub = Poset._closed(
-            tuple(self.labels[i] for i in idx), self.lt.take(idx, 0).take(idx, 1)
-        )
-        at = {i: k for k, i in enumerate(idx)}
-        up = self._upper_cover_masks
-        sub.__dict__["_upper_cover_masks"] = tuple(
-            sum(1 << at[j] for j in _bits(up[i])) for i in idx
-        )
-        return sub
-
     def incomparables(self, x: Label) -> tuple[Label, ...]:
         """All elements incomparable to x, in ground-set order."""
         m = self._incomp_masks[self.index(x)]

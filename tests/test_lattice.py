@@ -331,9 +331,7 @@ def test_queries_share_one_lattice(monkeypatch):
             conditional_probability(p, _random_pairs(rng, p.labels), [rng.sample(p.labels, 2)])
         except ConditionNullEvent:
             pass
-    # p has two comparability parts: one lattice each, built once
-    assert len(lattice._components(p)) == 2
-    assert built == ["DownsetLattice"] * 2
+    assert built == ["DownsetLattice"]
 
 
 # -- the successor kernel against a scan of every unplaced element ----------
@@ -418,13 +416,12 @@ def test_pair_counts_match_brute_force():
 
 
 def test_samples_pinned():
-    # the connected Young diagram keeps the outputs of the free-bit-scan
-    # sampler this kernel replaced; the first and last posets split, so
-    # each part is drawn from its own lattice and then interleaved
+    # outputs of the free-bit-scan sampler this kernel replaced; the first
+    # and last posets split but are small enough to be built whole
     assert sample_extensions(random_poset(8, 0.25, seed=31), 3, seed=5) == [
-        ("v5", "v6", "v3", "v2", "v7", "v4", "v1", "v8"),
-        ("v7", "v5", "v6", "v3", "v2", "v4", "v8", "v1"),
-        ("v5", "v7", "v6", "v3", "v2", "v4", "v1", "v8"),
+        ("v5", "v6", "v7", "v3", "v2", "v4", "v1", "v8"),
+        ("v5", "v6", "v3", "v7", "v2", "v4", "v1", "v8"),
+        ("v5", "v6", "v3", "v2", "v4", "v7", "v1", "v8"),
     ]
     assert sample_extensions(young_diagram((3, 3, 2)).poset, 3, seed=9) == [
         ("1,1", "2,1", "1,2", "2,2", "1,3", "2,3", "3,1", "3,2"),
@@ -432,10 +429,10 @@ def test_samples_pinned():
         ("1,1", "2,1", "1,2", "2,2", "1,3", "2,3", "3,1", "3,2"),
     ]
     assert sample_extensions(antichain(4), 4, seed=0) == [
-        ("a1", "a3", "a2", "a4"),
-        ("a3", "a4", "a1", "a2"),
-        ("a2", "a4", "a1", "a3"),
-        ("a4", "a2", "a3", "a1"),
+        ("a3", "a2", "a1", "a4"),
+        ("a3", "a2", "a4", "a1"),
+        ("a3", "a2", "a1", "a4"),
+        ("a2", "a1", "a3", "a4"),
     ]
 
 
@@ -477,16 +474,22 @@ def _three_parts():
     return disjoint_sum(disjoint_sum(chain(3), young_diagram((2, 1)).poset), vee)
 
 
+def _folded(p):
+    """The part-by-part lattice of ``p``, whatever its size."""
+    return SplitLattice(p, lattice._components(p), lattice.DEFAULT_NODE_BUDGET)
+
+
 def _assert_split_matches_whole(p):
     """Both entry paths against the whole lattice; True when p splits."""
     whole = DownsetLattice(p)
     parts = lattice._components(p)
-    lat = build_lattice(p)
-    assert isinstance(lat, SplitLattice) == (len(parts) > 1)
-    assert lat.extension_count == whole.extension_count
-    assert lat.marginals() == whole.marginals()
-    assert list(lat.marginals()) == list(p.labels)
-    assert lat.pair_counts() == whole.pair_counts()
+    built = build_lattice(p)
+    assert isinstance(built, SplitLattice) == (lattice._split(p) is not None)
+    for lat in [built] + ([_folded(p)] if len(parts) > 1 else []):
+        assert lat.extension_count == whole.extension_count
+        assert lat.marginals() == whole.marginals()
+        assert list(lat.marginals()) == list(p.labels)
+        assert lat.pair_counts() == whole.pair_counts()
     return len(parts) > 1
 
 
@@ -497,6 +500,8 @@ def test_split_matches_whole_on_corpus():
 def test_split_matches_whole_on_random_posets():
     posets = random_posets(2000, nmax=9, seed=23)
     assert sum(_assert_split_matches_whole(p) for p in posets) == 1127
+    # 303 of them have at least lattice._SPLIT_MIN_IDEALS ideals by the parts' bound
+    assert sum(isinstance(build_lattice(p), SplitLattice) for p in posets) == 303
 
 
 def test_split_matches_whole_on_wide_inputs():
@@ -514,8 +519,7 @@ def test_split_matches_brute_force():
     posets = [_three_parts(), antichain(5), chain_plus_point(5)]
     posets += [p for p in random_posets(150, nmax=8, seed=28) if len(lattice._components(p)) > 1]
     for p in posets:
-        lat = build_lattice(p)
-        assert isinstance(lat, SplitLattice)
+        lat = _folded(p)
         assert lat.extension_count == brute_count(p)
         assert lat.pair_counts() == brute_pair_counts(p)
         for x in p.labels:
@@ -554,6 +558,8 @@ def test_whole_lattice_reads_the_whole_poset():
     with pytest.raises(BudgetExceeded):
         lattice._whole_lattice(split, budget=whole.node_count - 1)
     assert lattice._whole_lattice(connected) is build_lattice(connected)
+    small = antichain(2)  # splits, but is built whole
+    assert lattice._whole_lattice(small) is build_lattice(small)
 
 
 def _chi_square(observed, expected):
