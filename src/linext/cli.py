@@ -65,15 +65,12 @@ def cmd_analyze(args) -> int:
     budget = args.budget_nodes
     profile = comparability_profile(p)
     extensions = count_extensions(p, budget)
+    # the pair-count sweep fills the position counts too, so ask for it first
+    delta_report = None if p.is_chain() else balance(p, budget)
     dists = all_position_distributions(p, budget)
     stats = {lab: PositionStatistics.from_distribution(dists[lab]) for lab in p.labels}
     sigma_arg = max(p.labels, key=lambda lab: (stats[lab].variance, -p.index(lab)))
     pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)))
-
-    if p.is_chain():
-        delta_report = None
-    else:
-        delta_report = balance(p, budget)
 
     if args.json:
         payload = {

@@ -137,3 +137,37 @@ def test_no_dense_products_in_poset():
 def test_dense_product_check_sees_the_pattern():
     tree = ast.parse("c = a @ b\nnp.matmul(a, b)\nf = matmul\nd = a * b\n")
     assert sorted(_matmul_sites(tree)) == [1, 2, 3]
+
+
+def _callers(tree, name: str) -> list[str | None]:
+    """The innermost enclosing function of every call to ``name``, in order."""
+    found: list[str | None] = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _name_of(child.func) == name:
+                found.append(fn)
+            inner = child.name if isinstance(child, ast.FunctionDef) else fn
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_lattice_kernel_per_regime():
+    # the array regime merges each level's ideals in one np.unique step;
+    # the dict regime grows addable sets in _walk, and the sampler's draw
+    # follows one path with the same rule
+    tree = _tree("lattice.py")
+    assert _callers(tree, "unique") == ["_array_levels"]
+    assert sorted(set(_callers(tree, "_grow"))) == ["_walk", "draw"]
+
+
+def test_kernel_regime_check_sees_the_pattern():
+    tree = ast.parse(
+        "def a():\n    np.unique(x)\n"
+        "def b():\n    def draw():\n        _grow(1, 2, 3, [])\n    unique(y)\n"
+        "_grow(0, 0, 0, [])\n"
+    )
+    assert _callers(tree, "unique") == ["a", "b"]
+    assert _callers(tree, "_grow") == ["draw", None]
