@@ -14,11 +14,11 @@ carries each ideal's addable set (the minimal elements of the complement)
 and updates it from the upper covers of the element just added, so no
 pass tests elements that cannot come next.  The down pass is this walk
 with path counts; the up pass is the same walk over the dual order from
-the full set; ``pair_counts`` (which fills the position counts in the
-same pass), ``edges`` and the exact sampler walk it again.  Addable sets
-are kept for the level being expanded, never for the whole lattice; the
-next level's ride in the low bits of its path counts.  It serves posets
-of more than 64 elements and small lattices.
+the full set; the position counts (with the pair counts, when asked, in
+the same pass), ``edges`` and the exact sampler walk it again.  Addable
+sets are kept for the level being expanded, never for the whole
+lattice; the next level's ride in the low bits of its path counts.  It
+serves posets of more than 64 elements and small lattices.
 
 The array kernel, :func:`_array_levels`, serves posets of at most 64
 elements whose lattice is large enough to pay for it.  Each level is a
@@ -391,11 +391,12 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
 #: ``_ARRAY_MIN_ELEMENTS <= n <= 64`` and :func:`_ideal_floor` is at least
 #: ``_ARRAY_MIN_IDEALS_PER_ELEMENT * n``.  It costs about 0.1 ms per level
 #: and little per ideal; the dict kernel about 10 µs per ideal (build plus
-#: both sweeps).  Measured on 800 random connected posets of 11 to 40
-#: elements: with a floor near 2n the array kernel lost on 52 of 52; from
-#: about 2.5n it saved time in total; from 4n it won on 72 of 82 (median
-#: 1.7x to 7x by bucket).  On random connected posets of 6 to 10
-#: elements it lost on 18 of 18, so verify's posets stay on the dict kernel.
+#: both sweeps).  Measured on 288 random connected posets of 11 to 40
+#: elements with floors from 1.5n to 6n: near 2n the array kernel lost on
+#: 52 of 52; from about 2.5n it saved time in total; from 4n it won on 72
+#: of 82 (median 1.7x to 7x by bucket).  On random connected posets of 6
+#: to 10 elements it lost on 18 of 18, so verify's posets stay on the
+#: dict kernel.
 _ARRAY_MIN_ELEMENTS = 11
 _ARRAY_MIN_IDEALS_PER_ELEMENT = 3
 

@@ -113,7 +113,7 @@ def test_arrays_match_the_dict_kernel_on_wide_inputs(monkeypatch):
 
 
 def test_arrays_match_the_dict_kernel_on_random40(monkeypatch):
-    # 163,758 ideals, a 96-bit count, levels of up to 12,000 ideals
+    # 163,758 ideals, a 96-bit count, levels of up to 13,139 ideals (several chunks)
     _assert_same(monkeypatch, random_poset(40, 0.1, seed=5), ideals=False)
 
 
