@@ -23,15 +23,15 @@ serves posets of more than 64 elements and small lattices.
 The array kernel, :func:`_array_levels`, serves posets of at most 64
 elements whose lattice is large enough to pay for it.  Each level is a
 sorted ``uint64`` array; one broadcast test over a chunk of the level and
-every element finds the edges, and ``np.unique`` merges the ideals
-reached twice.  Path counts are kept modulo primes below 2^31.  The down
-pass takes enough primes to exceed a bound on the extension count (n!
-over a chain cover), and the Chinese remainder theorem (CRT) rebuilds
-e(P) exactly from it.  Every other count is at most e(P), so the up pass
-and the sweeps keep only the primes that cover e(P).  Counts are summed
-in float64, which is exact: an ideal has at most n ≤ 64 edges in or out,
-so a sum stays below n 2^31 < 2^53, and a sweep adds at most
-:data:`_CHUNK` edges at a time.  Each answer is one CRT of the residues
+every element finds the edges, and the chunk's targets, made unique, are
+merged into the next level by binary search.  Path counts are kept
+modulo primes below 2^31.  The down pass takes enough primes to exceed a
+bound on the extension count (n! over a chain cover), and the Chinese
+remainder theorem (CRT) rebuilds e(P) exactly from it.  Every other
+count is at most e(P), so the up pass and the sweeps keep only the
+primes that cover e(P).  Counts are summed in float64, which is exact:
+an ideal has at most n ≤ 64 edges in or out, so a sum stays below
+n 2^31 < 2^53, and a sweep adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of the residues
 (De Loof, De Meyer and De Baets, "Exploiting the lattice of ideals
 representation of a poset", Fundam. Inform. 2006).  Ideals and counts
 as Python ints (``levels``, ``down``, ``up``, and so ``edges`` and the
@@ -62,8 +62,9 @@ Ideals are encoded as integer bitmasks over the ground-set indices:
 Python ints (arbitrary precision, so any desk-scale n works) in the dict
 kernel, ``uint64`` in the array kernel.  Construction is bounded by a
 node budget and raises :class:`BudgetExceeded` past it, with the same
-(nodes, budget) from both kernels; the array kernel checks each level
-before it expands the next.  The budget bounds the nodes really built:
+(nodes, budget) from both kernels; the array kernel checks after each
+chunk it merges, so a level past the budget is never gathered whole.
+The budget bounds the nodes really built:
 for a split poset, the sum over its parts, each part built against what
 the earlier ones left.
 """
@@ -261,8 +262,7 @@ _GARNER = [[pow(p, -1, q) for p in _PRIMES[:j]] for j, q in enumerate(_PRIMES)]
 
 #: Rows of a level tested at once, and edges summed at once, by the array
 #: kernel: no temporary array grows past this many rows of n entries (k
-#: primes count as n here), except in the merge of a level's targets,
-#: which holds one uint64 per edge of the level, as its stored edges do.
+#: primes count as n here).
 _CHUNK = 4096
 
 
@@ -320,37 +320,41 @@ def _crt(res: np.ndarray) -> list:
     return value.tolist()
 
 
-def _gather(index: np.ndarray, counts: np.ndarray, pick: np.ndarray, m: int) -> np.ndarray:
-    """``out[j, i]``: the sum of ``counts[j, pick[e]]`` over every e with ``index[e] == i``, mod prime j.
+def _gather(pairs, counts: np.ndarray, m: int) -> np.ndarray:
+    """``out[j, i]``: the sum of ``counts[j, pick[e]]`` over every edge e with ``index[e] == i``, mod prime j.
 
-    Sums run in float64, :data:`_CHUNK` edges at a time.  Each is exact:
-    an ideal has at most n ≤ 64 edges in or out, each count is below
-    2^31, and so every sum stays below n 2^31 < 2^53.
+    ``pairs`` lists the (index, pick) arrays of a level's runs.  Sums run
+    in float64, :data:`_CHUNK` edges at a time.  Each is exact: an ideal
+    has at most n ≤ 64 edges in or out, each count is below 2^31, and so
+    every sum stays below n 2^31 < 2^53.
     """
     k = len(counts)
     sums = np.zeros(k * m)
     offset = np.arange(k)[:, None] * m
-    for lo in range(0, len(index), _CHUNK):
-        at = (index[lo : lo + _CHUNK] + offset).ravel()
-        np.add.at(sums, at, counts[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
+    for index, pick in pairs:
+        for lo in range(0, len(index), _CHUNK):
+            at = (index[lo : lo + _CHUNK] + offset).ravel()
+            np.add.at(sums, at, counts[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
     return sums.reshape(k, m).astype(np.int64) % _MODS[:k]
 
 
 def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
-    """Yield the lattice level by level as (ideals, counts, edges); the array kernel.
+    """Yield the lattice level by level as (ideals, counts, runs); the array kernel.
 
     ``ideals`` is a sorted ``uint64`` array and ``counts[j]`` the path
-    counts from the empty ideal modulo prime j, for j < ``k``.  ``edges``
-    = (src, starts, tgt) lists the edges to the next level grouped by the
-    element x added: the edges of x are ``starts[x]:starts[x + 1]``, and
-    edge e runs from ideal ``src[e]`` of this level to ``tgt[e]`` of the
-    next.  The last level (or the first one no edge leaves, when ``pred``
-    has a cycle) comes with ``edges`` None.  ``pred`` need not be closed.
-    x is addable to ideal I when ``I & x == 0`` and ``I & pred[x] ==
-    pred[x]``, tested for every element against a chunk of the level at
-    once, and ``np.unique`` merges the ideals reached twice.  Raises
-    BudgetExceeded past ``budget`` ideals, before the next level is
-    expanded.
+    counts from the empty ideal modulo prime j, for j < ``k``.  ``runs``
+    lists the edges to the next level, one run per chunk of
+    :data:`_CHUNK` ideals that has any: a run (src, starts, tgt) groups
+    its edges by the element x added, the edges of x being
+    ``starts[x]:starts[x + 1]``, and edge e runs from ideal ``src[e]`` of
+    this level to ``tgt[e]`` of the next.  The last level (or the first one no edge leaves, when
+    ``pred`` has a cycle) comes with ``runs`` None.  ``pred`` need not be
+    closed.  x is addable to ideal I when ``I & x == 0`` and ``I &
+    pred[x] == pred[x]``, tested for every element against a chunk of the
+    level at once.  Each chunk's targets go through ``np.unique`` and are
+    merged into the next level, sorted, by ``np.searchsorted``; the count
+    is checked against ``budget`` after every chunk, so BudgetExceeded
+    is raised before the level past the budget is whole.
     """
     bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     need = np.array(pred, dtype=np.uint64)[:, None]
@@ -361,28 +365,38 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     nodes = 1
     for _ in range(n):
         found = []
+        nxt = level[:0]
         for lo in range(0, len(level), _CHUNK):
             x, src = np.nonzero((level[lo : lo + _CHUNK] & want) == need)
-            found.append((x, src + lo))
-        if len(found) == 1:
-            ((x, src),) = found
-        else:
-            x = np.concatenate([f[0] for f in found])
-            src = np.concatenate([f[1] for f in found])
-            order = np.argsort(x, kind="stable")
-            x, src = x[order], src[order]
-        if len(x) == 0:
+            if len(x) == 0:
+                continue
+            src = (src + lo).astype(np.int32)
+            # ``into`` maps each edge to its target in ``new``, and later
+            # in the merged level
+            new, into = np.unique(level[src] | bits[x], return_inverse=True)
+            if len(nxt):
+                at = np.searchsorted(nxt, new)
+                seen = nxt[np.minimum(at, len(nxt) - 1)] == new
+                nxt = np.insert(nxt, at[~seen], new[~seen])
+            else:
+                nxt = new
+            if nodes + len(nxt) > budget:
+                # the dict kernel stops at the first ideal past the budget
+                raise BudgetExceeded(max(budget, 1) + 1, budget)
+            found.append((x.astype(np.uint8), src, new, into.astype(np.int32)))
+        if not found:
             break
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(x, minlength=n), out=starts[1:])
-        nxt, tgt = np.unique(level[src] | bits[x], return_inverse=True)
         nodes += len(nxt)
-        if nodes > budget:
-            # the dict kernel stops at the first ideal past the budget
-            raise BudgetExceeded(max(budget, 1) + 1, budget)
-        edges = (src.astype(np.int32), starts, tgt.astype(np.int32))
-        yield level, counts, edges
-        counts = _gather(tgt, counts, src, len(nxt))
+        runs = []
+        for x, src, new, into in found:
+            starts = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(x, minlength=n), out=starts[1:])
+            if new is not nxt:
+                into = np.searchsorted(nxt, new).astype(np.int32)[into]
+            runs.append((src, starts, into))
+        del found
+        yield level, counts, runs
+        counts = _gather([(tgt, src) for src, _, tgt in runs], counts, len(nxt))
         level = nxt
     yield level, counts, None
 
@@ -391,12 +405,11 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
 #: ``_ARRAY_MIN_ELEMENTS <= n <= 64`` and :func:`_ideal_floor` is at least
 #: ``_ARRAY_MIN_IDEALS_PER_ELEMENT * n``.  It costs about 0.1 ms per level
 #: and little per ideal; the dict kernel about 10 µs per ideal (build plus
-#: both sweeps).  Measured on 288 random connected posets of 11 to 40
-#: elements with floors from 1.5n to 6n: near 2n the array kernel lost on
-#: 52 of 52; from about 2.5n it saved time in total; from 4n it won on 72
-#: of 82 (median 1.7x to 7x by bucket).  On random connected posets of 6
-#: to 10 elements it lost on 18 of 18, so verify's posets stay on the
-#: dict kernel.
+#: both sweeps).  ``tools/kernel_regime.py`` times both on random connected
+#: posets (its runs are recorded in ``BENCH_7.json`` under ``regime``): the
+#: median speed-up crosses 1 at a floor of about 3n, where the median
+#: lattice holds about 20n ideals, and posets of 6 to 10 elements lose on
+#: the array kernel, so verify's posets stay on the dict kernel.
 _ARRAY_MIN_ELEMENTS = 11
 _ARRAY_MIN_IDEALS_PER_ELEMENT = 3
 
@@ -480,8 +493,8 @@ class _Arrays:
         down = [c[:k].copy() for c in down]
         up = [None] * n + [np.ones((k, 1), dtype=np.int64)]
         for size in range(n - 1, -1, -1):
-            src, _, tgt = edges[size]
-            up[size] = _gather(src, up[size + 1], tgt, len(levels[size]))
+            pairs = [(src, tgt) for src, _, tgt in edges[size]]
+            up[size] = _gather(pairs, up[size + 1], len(levels[size]))
         self.n = n
         self.k = k
         self.levels = levels
@@ -505,26 +518,27 @@ class _Arrays:
         mods = _MODS[:k]
         pos = np.zeros((k, n, n), dtype=np.int64)
         ahead = np.zeros((k, n, n), dtype=np.int64) if pairs else None
-        for size, (src, starts, tgt) in enumerate(self.edges):
+        for size, runs in enumerate(self.edges):
             down, up, above = self.down[size], self.up[size + 1], self.levels[size + 1]
-            for lo in range(0, len(src), _CHUNK):
-                into = tgt[lo : lo + _CHUNK]
-                part = down[:, src[lo : lo + _CHUNK]] * up[:, into] % mods
-                cut = np.clip(starts - lo, 0, len(into))
-                xs = np.flatnonzero(cut[1:] > cut[:-1])
-                pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
-                if not pairs:
-                    continue
-                out = (~above[into]).astype("<u8")
-                rest = np.unpackbits(out.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-                rest = rest[:, :n].astype(np.float64)
-                weights = part.astype(np.float64)
-                block = np.zeros((k, n, n))
-                bounds = cut.tolist()
-                for x in xs.tolist():
-                    a, b = bounds[x], bounds[x + 1]
-                    block[:, x] = weights[:, a:b] @ rest[a:b]
-                ahead += block.astype(np.int64)
+            for src, starts, tgt in runs:
+                for lo in range(0, len(src), _CHUNK):
+                    into = tgt[lo : lo + _CHUNK]
+                    part = down[:, src[lo : lo + _CHUNK]] * up[:, into] % mods
+                    cut = np.clip(starts - lo, 0, len(into))
+                    xs = np.flatnonzero(cut[1:] > cut[:-1])
+                    pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
+                    if not pairs:
+                        continue
+                    out = (~above[into]).astype("<u8")
+                    rest = np.unpackbits(out.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+                    rest = rest[:, :n].astype(np.float64)
+                    weights = part.astype(np.float64)
+                    block = np.zeros((k, n, n))
+                    bounds = cut.tolist()
+                    for x in xs.tolist():
+                        a, b = bounds[x], bounds[x + 1]
+                        block[:, x] = weights[:, a:b] @ rest[a:b]
+                    ahead += block.astype(np.int64)
             if pairs:
                 ahead %= mods[:, :, None]
         pos %= mods[:, :, None]
@@ -545,11 +559,10 @@ class _Arrays:
         up: dict[int, int] = {}
         for size, level in enumerate(self.levels):
             if size:
-                src, starts, tgt = self.edges[size - 1]
-                x = np.repeat(np.arange(n), np.diff(starts))
-                key = rank[src] * n + x
                 first = np.full(len(level), np.iinfo(np.int64).max)
-                np.minimum.at(first, tgt, key)
+                for src, starts, tgt in self.edges[size - 1]:
+                    x = np.repeat(np.arange(n), np.diff(starts))
+                    np.minimum.at(first, tgt, rank[src] * n + x)
                 order = np.argsort(first)
                 rank = np.empty(len(level), dtype=np.int64)
                 rank[order] = np.arange(len(level))

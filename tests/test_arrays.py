@@ -129,7 +129,7 @@ def test_arrays_match_brute_force(monkeypatch):
 
 
 def test_small_chunks_give_the_same_answers(monkeypatch):
-    # levels and edge runs cut into many chunks take the concatenating paths
+    # levels and edge runs cut into many chunks take the merging paths
     monkeypatch.setattr(lattice, "_CHUNK", 3)
     for p in [young_diagram((4, 3, 3, 1)).poset, random_poset(11, 0.2, seed=4)]:
         _assert_same(monkeypatch, p)
@@ -187,6 +187,42 @@ def test_budget_raises_before_the_next_level_is_expanded():
         # level j + 1 is formed and checked before level j is handed on
         assert yielded == sizes[:j]
         assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
+
+
+def test_a_refused_level_stops_at_the_first_chunk_past_the_budget(monkeypatch):
+    # the 14-antichain's levels hold C(14, t) ideals; with chunks of 8
+    # ideals, every merge sees at most 8 * 14 targets, and the budget is
+    # checked after each one, so a level past it is never gathered whole
+    n, chunk = 14, 8
+    monkeypatch.setattr(lattice, "_CHUNK", chunk)
+    sizes = [math.comb(n, t) for t in range(n + 1)]
+    merged = []
+    unique = np.unique
+
+    def counted(a, **kwargs):
+        merged.append(len(a))
+        return unique(a, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    fifth = sorted(m for m in range(1 << n) if m.bit_count() == 5)
+    for slack in (0, 200):
+        # the first chunk of level 5 whose targets take the running count of
+        # level 6 past the budget is the last one merged
+        reached: set[int] = set()
+        for chunks, lo in enumerate(range(0, len(fifth), chunk), 1):
+            reached.update(m | 1 << x for m in fifth[lo : lo + chunk] for x in range(n))
+            reached.difference_update(fifth)
+            if len(reached) > slack:
+                break
+        merged.clear()
+        budget = sum(sizes[:6]) + slack
+        with pytest.raises(BudgetExceeded) as info:
+            for _ in lattice._array_levels(n, [0] * n, 1, budget):
+                pass
+        assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
+        whole = sum(-(-sizes[t] // chunk) for t in range(5))
+        assert len(merged) == whole + chunks
+        assert max(merged) <= chunk * n
 
 
 def test_pair_counts_fill_position_counts_in_one_rewalk(monkeypatch):
