@@ -18,24 +18,30 @@ the full set; the position counts (with the pair counts, when asked, in
 the same pass), ``edges`` and the exact sampler walk it again.  Addable
 sets are kept for the level being expanded, never for the whole
 lattice; the next level's ride in the low bits of its path counts.  It
-serves posets of more than 64 elements and small lattices.
+serves small lattices, and any poset the array kernel cannot hold
+(:func:`_arrays_fit`).
 
-The array kernel, :func:`_array_levels`, serves posets of at most 64
-elements whose lattice is large enough to pay for it.  Each level is a
-sorted ``uint64`` array; one broadcast test over a chunk of the level and
-every element finds the edges, and the chunk's targets, made unique, are
+The array kernel, :func:`_array_levels`, serves lattices large enough to
+pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and
+each level is sorted by a one-word key: the mask itself when n <= 64,
+else the ideal's heights on the chains of a greedy chain cover, read as
+one mixed-radix number (the chain code), which must fit 64 bits.  One
+broadcast test over a chunk of the level and every element, word by
+word, finds the edges, and the chunk's targets, made unique by key, are
 merged into the next level by binary search.  Path counts are kept
 modulo primes below 2^31.  The down pass takes enough primes to exceed a
-bound on the extension count (n! over a chain cover), and the Chinese
+bound on the extension count (n! over the chain cover), and the Chinese
 remainder theorem (CRT) rebuilds e(P) exactly from it.  Every other
 count is at most e(P), so the up pass and the sweeps keep only the
 primes that cover e(P).  Counts are summed in float64, which is exact:
-an ideal has at most n ≤ 64 edges in or out, so a sum stays below
-n 2^31 < 2^53, and a sweep adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of the residues
-(De Loof, De Meyer and De Baets, "Exploiting the lattice of ideals
-representation of a poset", Fundam. Inform. 2006).  Ideals and counts
-as Python ints (``levels``, ``down``, ``up``, and so ``edges`` and the
-sampler) are rebuilt on first use, in the dict kernel's order.
+an ideal has at most one edge in and one out per chain, the chain code's
+64 bits allow at most 64 chains, so a sum stays below 64 2^31 < 2^53,
+and a sweep adds at most :data:`_CHUNK` edges at a time.  Each answer is
+one CRT of the residues (De Loof, De Meyer and De Baets, "Exploiting the
+lattice of ideals representation of a poset", Fundam. Inform. 2006).
+Ideals and counts as Python ints (``levels``, ``down``, ``up``, and so
+``edges`` and the sampler) are rebuilt on first use, in the dict
+kernel's order.
 
 An event "u before v" is counted on the poset's own ideals, by either
 kernel: one down pass in which v also waits for u, and pairs the poset
@@ -60,13 +66,12 @@ ideals (``levels``, ``down``, ``up``, ``edges``) use
 
 Ideals are encoded as integer bitmasks over the ground-set indices:
 Python ints (arbitrary precision, so any desk-scale n works) in the dict
-kernel, ``uint64`` in the array kernel.  Construction is bounded by a
-node budget and raises :class:`BudgetExceeded` past it, with the same
-(nodes, budget) from both kernels; the array kernel checks after each
-chunk it merges, so a level past the budget is never gathered whole.
-The budget bounds the nodes really built:
-for a split poset, the sum over its parts, each part built against what
-the earlier ones left.
+kernel, rows of ``uint64`` words in the array kernel.  Construction is
+bounded by a node budget and raises :class:`BudgetExceeded` past it,
+with the same (nodes, budget) from both kernels; the array kernel checks
+after each chunk it merges, so a level past the budget is never gathered
+whole.  The budget bounds the nodes really built: for a split poset, the
+sum over its parts, each part built against what the earlier ones left.
 """
 
 from __future__ import annotations
@@ -251,12 +256,15 @@ def _walk(
     yield masks, addables
 
 
-#: The ten largest primes below 2^31; their product (310 bits) exceeds 64!.
+#: The 24 largest primes below 2^31; their product (744 bits) exceeds 128!.
 _PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
 )
 _MODS = np.array(_PRIMES, dtype=np.int64)[:, None]
+_PRIME_PRODUCT = math.prod(_PRIMES)
 #: ``_GARNER[j][i]``: the inverse of prime i modulo prime j (i < j).
 _GARNER = [[pow(p, -1, q) for p in _PRIMES[:j]] for j, q in enumerate(_PRIMES)]
 
@@ -264,30 +272,59 @@ _GARNER = [[pow(p, -1, q) for p in _PRIMES[:j]] for j, q in enumerate(_PRIMES)]
 #: kernel: no temporary array grows past this many rows of n entries (k
 #: primes count as n here).
 _CHUNK = 4096
+_WORD = (1 << 64) - 1
 
 
-def _count_bound(n: int, pred: Sequence[int]) -> int:
-    """n! / (|C1|! ... |Cw|!) over a greedy chain cover: at least e(P).
+def _chain_cover(n: int, pred: Sequence[int]) -> tuple[list[int], list[int]]:
+    """A greedy chain cover: the chain of each element, and each chain's size.
 
-    Every extension interleaves the chains, each in its own order.  The
-    chains are valid for any ``pred``, closed or not, and the bound holds
-    for it.
+    Elements are taken by predecessor count, and each joins the first
+    chain whose top is in its ``pred`` (or starts a new one).  So every
+    element of a chain has the one before it in its ``pred``, closed or
+    not, and every ideal reachable under ``pred`` meets each chain in a
+    prefix.
     """
     tops: list[int] = []
     sizes: list[int] = []
+    chain = [0] * n
     for x in sorted(range(n), key=lambda x: pred[x].bit_count()):
         for i, t in enumerate(tops):
             if (pred[x] >> t) & 1:
-                tops[i] = x
-                sizes[i] += 1
                 break
         else:
+            i = len(tops)
             tops.append(x)
-            sizes.append(1)
+            sizes.append(0)
+        tops[i] = x
+        sizes[i] += 1
+        chain[x] = i
+    return chain, sizes
+
+
+def _count_bound(n: int, pred: Sequence[int]) -> int:
+    """n! / (|C1|! ... |Cw|!) over the chain cover: at least e(P).
+
+    Every extension interleaves the chains, each in its own order.
+    """
     bound = math.factorial(n)
-    for s in sizes:
+    for s in _chain_cover(n, pred)[1]:
         bound //= math.factorial(s)
     return bound
+
+
+def _chain_code(n: int, pred: Sequence[int]) -> tuple[list[int], int]:
+    """Per element, its stride in the chain code, and the number of codes.
+
+    An ideal's code is the sum over the chains of the cover of its height
+    on chain i times ``(|C1| + 1) ... (|C(i-1)| + 1)``.  An ideal meets
+    every chain in a prefix, so the code is one-to-one, and adding x adds
+    the stride of x's chain.  Codes run below ``(|C1| + 1) ... (|Cw| + 1)``.
+    """
+    chain, sizes = _chain_cover(n, pred)
+    places = [1]
+    for s in sizes:
+        places.append(places[-1] * (s + 1))
+    return [places[c] for c in chain], places[-1]
 
 
 def _primes_over(bound: int) -> int:
@@ -325,8 +362,9 @@ def _gather(pairs, counts: np.ndarray, m: int) -> np.ndarray:
 
     ``pairs`` lists the (index, pick) arrays of a level's runs.  Sums run
     in float64, :data:`_CHUNK` edges at a time.  Each is exact: an ideal
-    has at most n ≤ 64 edges in or out, each count is below 2^31, and so
-    every sum stays below n 2^31 < 2^53.
+    has at most one edge in and one out per chain of the cover, at most 64
+    chains (:func:`_arrays_fit`), and each count is below 2^31, so every
+    sum stays below 2^6 2^31 < 2^53.
     """
     k = len(counts)
     sums = np.zeros(k * m)
@@ -338,42 +376,67 @@ def _gather(pairs, counts: np.ndarray, m: int) -> np.ndarray:
     return sums.reshape(k, m).astype(np.int64) % _MODS[:k]
 
 
+def _ints(rows: np.ndarray) -> list[int]:
+    """Each row of little-endian ``uint64`` words as one Python int."""
+    value = rows[:, -1].tolist()
+    for j in range(rows.shape[1] - 2, -1, -1):
+        value = [v << 64 | w for v, w in zip(value, rows[:, j].tolist())]
+    return value
+
+
 def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     """Yield the lattice level by level as (ideals, counts, runs); the array kernel.
 
-    ``ideals`` is a sorted ``uint64`` array and ``counts[j]`` the path
-    counts from the empty ideal modulo prime j, for j < ``k``.  ``runs``
-    lists the edges to the next level, one run per chunk of
-    :data:`_CHUNK` ideals that has any: a run (src, starts, tgt) groups
-    its edges by the element x added, the edges of x being
-    ``starts[x]:starts[x + 1]``, and edge e runs from ideal ``src[e]`` of
-    this level to ``tgt[e]`` of the next.  The last level (or the first one no edge leaves, when
-    ``pred`` has a cycle) comes with ``runs`` None.  ``pred`` need not be
-    closed.  x is addable to ideal I when ``I & x == 0`` and ``I &
-    pred[x] == pred[x]``, tested for every element against a chunk of the
-    level at once.  Each chunk's targets go through ``np.unique`` and are
-    merged into the next level, sorted, by ``np.searchsorted``; the count
-    is checked against ``budget`` after every chunk, so BudgetExceeded
-    is raised before the level past the budget is whole.
+    ``ideals`` holds one row of W = ceil(n / 64) little-endian ``uint64``
+    words per ideal, and ``counts[j]`` the path counts from the empty
+    ideal modulo prime j, for j < ``k``.  ``runs`` lists the edges to the
+    next level, one run per chunk of :data:`_CHUNK` ideals that has any: a
+    run (src, starts, tgt) groups its edges by the element x added, the
+    edges of x being ``starts[x]:starts[x + 1]``, and edge e runs from
+    ideal ``src[e]`` of this level to ``tgt[e]`` of the next.  The last
+    level (or the first one no edge leaves, when ``pred`` has a cycle)
+    comes with ``runs`` None.  ``pred`` need not be closed.  x is addable
+    to ideal I when ``I & x == 0`` and ``I & pred[x] == pred[x]``, tested
+    word by word for every element against a chunk of the level at once.
+
+    A level is sorted by a one-word key: with one word the mask itself,
+    otherwise the chain code (:func:`_chain_code`, which must fit 64
+    bits).  Either way a target's key is its source's key plus the stride
+    of x.  Each chunk's targets go through ``np.unique`` on their keys and
+    are merged into the next level by ``np.searchsorted``; the count is
+    checked against ``budget`` after every chunk, so BudgetExceeded is
+    raised before the level past the budget is whole.
     """
-    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    need = np.array(pred, dtype=np.uint64)[:, None]
-    # pred[x] never holds x, so I & (pred[x] | x) == pred[x] tests both
-    want = need | bits[:, None]
-    level = np.zeros(1, dtype=np.uint64)
+    width = max(1, -(-n // 64))
+    elements = np.arange(n)
+    word = elements // 64
+    bit = np.left_shift(np.uint64(1), (elements % 64).astype(np.uint64))
+    # need[j, x]: word j of pred[x]; want adds x itself, which pred[x]
+    # never holds, so I & want == need tests both conditions
+    need = np.array([[m >> 64 * j & _WORD for m in pred] for j in range(width)], dtype=np.uint64)
+    want = need.copy()
+    want[word, elements] |= bit
+    need, want = need[:, :, None], want[:, :, None]
+    stride = bit if width == 1 else np.array(_chain_code(n, pred)[0], dtype=np.uint64)
+    ids = np.min_scalar_type(n)  # element ids of the edges, as they wait for the merge
+    keys = np.zeros(1, dtype=np.uint64)
+    level = keys[:, None] if width == 1 else np.zeros((1, width), dtype=np.uint64)
     counts = np.ones((k, 1), dtype=np.int64)
     nodes = 1
     for _ in range(n):
         found = []
-        nxt = level[:0]
-        for lo in range(0, len(level), _CHUNK):
-            x, src = np.nonzero((level[lo : lo + _CHUNK] & want) == need)
+        nxt = keys[:0]
+        for lo in range(0, len(keys), _CHUNK):
+            ok = (level[lo : lo + _CHUNK, 0] & want[0]) == need[0]
+            for j in range(1, width):
+                ok &= (level[lo : lo + _CHUNK, j] & want[j]) == need[j]
+            x, src = np.nonzero(ok)
             if len(x) == 0:
                 continue
             src = (src + lo).astype(np.int32)
             # ``into`` maps each edge to its target in ``new``, and later
             # in the merged level
-            new, into = np.unique(level[src] | bits[x], return_inverse=True)
+            new, into = np.unique(keys[src] + stride[x], return_inverse=True)
             if len(nxt):
                 at = np.searchsorted(nxt, new)
                 seen = nxt[np.minimum(at, len(nxt) - 1)] == new
@@ -383,33 +446,39 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
             if nodes + len(nxt) > budget:
                 # the dict kernel stops at the first ideal past the budget
                 raise BudgetExceeded(max(budget, 1) + 1, budget)
-            found.append((x.astype(np.uint8), src, new, into.astype(np.int32)))
+            found.append((x.astype(ids), src, new, into.astype(np.int32)))
         if not found:
             break
         nodes += len(nxt)
         runs = []
+        above = nxt[:, None] if width == 1 else np.empty((len(nxt), width), dtype=np.uint64)
         for x, src, new, into in found:
             starts = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(x, minlength=n), out=starts[1:])
             if new is not nxt:
                 into = np.searchsorted(nxt, new).astype(np.int32)[into]
             runs.append((src, starts, into))
+            if width > 1:
+                grown = level[src]
+                grown[np.arange(len(src)), word[x]] |= bit[x]
+                above[into] = grown
         del found
         yield level, counts, runs
         counts = _gather([(tgt, src) for src, _, tgt in runs], counts, len(nxt))
-        level = nxt
+        keys, level = nxt, above
     yield level, counts, None
 
 
 #: The array kernel builds the lattice of a poset of n elements when
-#: ``_ARRAY_MIN_ELEMENTS <= n <= 64`` and :func:`_ideal_floor` is at least
-#: ``_ARRAY_MIN_IDEALS_PER_ELEMENT * n``.  It costs about 0.1 ms per level
-#: and little per ideal; the dict kernel about 10 µs per ideal (build plus
-#: both sweeps).  ``tools/kernel_regime.py`` times both on random connected
-#: posets (its runs are recorded in ``BENCH_7.json`` under ``regime``): the
-#: median speed-up crosses 1 at a floor of about 3n, where the median
-#: lattice holds about 20n ideals, and posets of 6 to 10 elements lose on
-#: the array kernel, so verify's posets stay on the dict kernel.
+#: ``n >= _ARRAY_MIN_ELEMENTS``, :func:`_ideal_floor` is at least
+#: ``_ARRAY_MIN_IDEALS_PER_ELEMENT * n`` and :func:`_arrays_fit` holds.  It
+#: costs about 0.1 ms per level and little per ideal; the dict kernel about
+#: 10 µs per ideal (build plus both sweeps).  ``tools/kernel_regime.py``
+#: times both on random connected posets (its runs are recorded in
+#: ``BENCH_7.json`` and ``BENCH_8.json`` under ``regime``): the median
+#: speed-up crosses 1 at a floor of about 3n, where the median lattice
+#: holds about 20n ideals, and posets of 6 to 10 elements lose on the
+#: array kernel, so verify's posets stay on the dict kernel.
 _ARRAY_MIN_ELEMENTS = 11
 _ARRAY_MIN_IDEALS_PER_ELEMENT = 3
 
@@ -440,11 +509,25 @@ def _ideal_floor(n: int, pred: Sequence[int]) -> int:
     return floor
 
 
+def _arrays_fit(n: int, pred: Sequence[int]) -> bool:
+    """True when the array kernel can hold this lattice.
+
+    Its chain code (:func:`_chain_code`) must fit one ``uint64`` key, and
+    :data:`_PRIMES` must cover :func:`_count_bound`.  Both hold for every
+    n <= 64.  The first allows at most 64 chains, and so at most 64 edges
+    in or out of an ideal.
+    """
+    return n <= 64 or (
+        _chain_code(n, pred)[1] <= 1 << 64 and _count_bound(n, pred) < _PRIME_PRODUCT
+    )
+
+
 def _arrays_win(n: int, pred: Sequence[int]) -> bool:
     """True when the array kernel builds this lattice (see :data:`_ARRAY_MIN_ELEMENTS`)."""
     return (
-        _ARRAY_MIN_ELEMENTS <= n <= 64
+        n >= _ARRAY_MIN_ELEMENTS
         and _ideal_floor(n, pred) >= _ARRAY_MIN_IDEALS_PER_ELEMENT * n
+        and _arrays_fit(n, pred)
     )
 
 
@@ -457,18 +540,16 @@ def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | N
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    full = (1 << n) - 1
     if not _arrays_win(n, pred):
         down: dict[int, int] = {0: 1}
         for _ in _walk(n, pred, cand, budget, down):
             pass
-        return down.get(full, 0)
+        return down.get((1 << n) - 1, 0)
     k = _primes_over(_count_bound(n, pred))
-    for level, counts, _ in _array_levels(n, pred, k, budget):
+    # the walk stops early, short of the full set, only on a cycle
+    for size, (_, counts, _) in enumerate(_array_levels(n, pred, k, budget)):
         pass
-    if len(level) != 1 or int(level[0]) != full:
-        return 0
-    return _crt(counts[:, :1])[0]
+    return _crt(counts[:, :1])[0] if size == n else 0
 
 
 class _Arrays:
@@ -530,7 +611,7 @@ class _Arrays:
                     if not pairs:
                         continue
                     out = (~above[into]).astype("<u8")
-                    rest = np.unpackbits(out.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+                    rest = np.unpackbits(out.view(np.uint8).reshape(len(into), -1), axis=1, bitorder="little")
                     rest = rest[:, :n].astype(np.float64)
                     weights = part.astype(np.float64)
                     block = np.zeros((k, n, n))
@@ -566,7 +647,7 @@ class _Arrays:
                 order = np.argsort(first)
                 rank = np.empty(len(level), dtype=np.int64)
                 rank[order] = np.arange(len(level))
-            masks = level[order].tolist()
+            masks = _ints(level[order])
             levels.append(masks)
             down.update(zip(masks, _crt(self.down[size][:, order])))
             up.update(zip(masks, _crt(self.up[size][:, order])))
@@ -603,9 +684,9 @@ class DownsetLattice(_OnPoset):
     extensions of the restriction to ``m``); ``up[m]`` counts paths from
     ``m`` to the full ground set.  ``up[0]`` is the extension count.
 
-    A poset of at most 64 elements whose lattice is large enough
-    (:func:`_arrays_win`) is built by the array kernel (:class:`_Arrays`);
-    any other by the dict kernel (:func:`_walk`).  Both give the same
+    A poset whose lattice is large enough and fits the array kernel
+    (:func:`_arrays_win`) is built by that kernel (:class:`_Arrays`); any
+    other by the dict kernel (:func:`_walk`).  Both give the same
     exact answers.  On the array kernel, ``levels``, ``down`` and ``up``
     are rebuilt as Python ints on first use and cached.
     """

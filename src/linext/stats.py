@@ -57,25 +57,28 @@ def balance(p: Poset, budget: int | None = None) -> BalanceReport:
     counts = lat.pair_counts()
     total = lat.extension_count
     comp = p.lt | p.lt.T
+    # every pair shares the denominator ``total``, so the pairs are ranked
+    # by their integer counts and a Fraction is built per pair only for
+    # the report
     pairs: dict[tuple[str, str], Fraction] = {}
-    per_idx = [Fraction(0)] * p.n
-    best = Fraction(-1)
+    per_idx = [0] * p.n
+    best = -1
     witness = None
     for i in range(p.n):
         for j in range(i + 1, p.n):
             if comp[i, j]:
                 continue
-            d = Fraction(min(counts[i][j], counts[j][i]), total)
-            pairs[(p.labels[i], p.labels[j])] = d
-            if d > per_idx[i]:
-                per_idx[i] = d
-            if d > per_idx[j]:
-                per_idx[j] = d
-            if d > best:
-                best = d
+            m = min(counts[i][j], counts[j][i])
+            pairs[(p.labels[i], p.labels[j])] = Fraction(m, total)
+            if m > per_idx[i]:
+                per_idx[i] = m
+            if m > per_idx[j]:
+                per_idx[j] = m
+            if m > best:
+                best = m
                 witness = (p.labels[i], p.labels[j])
-    per_element = {p.labels[i]: per_idx[i] for i in range(p.n)}
-    return BalanceReport(pairs, per_element, best, witness)
+    per_element = {p.labels[i]: Fraction(per_idx[i], total) for i in range(p.n)}
+    return BalanceReport(pairs, per_element, Fraction(best, total), witness)
 
 
 @dataclass(frozen=True)

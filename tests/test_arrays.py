@@ -19,13 +19,13 @@ from linext.families import (
 )
 from linext.lattice import DownsetLattice, EventSpec, event_probability, sample_extensions
 from linext.poset import Poset
-from oracles import brute_count, brute_marginal, brute_pair_counts
+from oracles import brute_count, brute_marginal, brute_pair_counts, hook_length_count
 from conftest import random_posets
 
 
 def _kernel(monkeypatch, arrays: bool) -> None:
-    """Route every lattice and event pass of n <= 64 to one kernel."""
-    monkeypatch.setattr(lattice, "_arrays_win", lambda n, pred: arrays and n <= 64)
+    """Route every lattice and event pass the array kernel can hold to one kernel."""
+    monkeypatch.setattr(lattice, "_arrays_win", lambda n, pred: arrays and lattice._arrays_fit(n, pred))
 
 
 def _fresh(p: Poset) -> Poset:
@@ -55,12 +55,20 @@ def _assert_same(monkeypatch, p: Poset, ideals: bool = True) -> None:
         assert list(arrays.edges()) == list(walked.edges())
 
 
-def test_primes_cover_every_count_up_to_64_elements():
+def test_primes_cover_every_count_bound_the_rule_admits():
     assert len(set(lattice._PRIMES)) == len(lattice._PRIMES)
     for q in lattice._PRIMES:
         assert q < 2**31
         assert q % 2 and all(q % d for d in range(3, math.isqrt(q) + 1, 2))
-    assert math.prod(lattice._PRIMES) > math.factorial(64)
+    assert lattice._PRIME_PRODUCT == math.prod(lattice._PRIMES) > math.factorial(128)
+    # past 64 elements the rule admits a poset whose chain code fits 64
+    # bits only when the primes cover its count bound: two chains of 65 do,
+    # eight chains of 40 do not
+    for width, n, fits in ((2, 130, True), (8, 320, False)):
+        pred = [1 << (x - width) if x >= width else 0 for x in range(n)]
+        assert lattice._chain_code(n, pred)[1] <= 2**64
+        assert (lattice._count_bound(n, pred) < lattice._PRIME_PRODUCT) == fits
+        assert lattice._arrays_fit(n, pred) == fits
 
 
 def test_crt_rebuilds_values_below_the_product():
@@ -87,11 +95,10 @@ def test_regime_follows_the_input():
     for p in random_posets(500, nmax=10, seed=42):
         assert not win(p.n, p._pred_masks)  # verify's sizes stay on the dict kernel
     assert not win(40, chain(40)._pred_masks)
-    assert not win(65, young_diagram((13,) * 5).poset._pred_masks)
     r30 = random_poset(30, 0.12, seed=20)
     (big,) = [idx for idx in lattice._components(r30) if len(idx) > 1]
     part = r30.subposet(r30.labels[i] for i in big)
-    for p in (young_diagram((8,) * 8).poset, part):
+    for p in (young_diagram((8,) * 8).poset, part, young_diagram((13,) * 5).poset):
         assert win(p.n, p._pred_masks)
         assert DownsetLattice(p)._arrays is not None
 
@@ -110,6 +117,70 @@ def test_arrays_match_the_dict_kernel_on_wide_inputs(monkeypatch):
     r30 = random_poset(30, 0.12, seed=20)
     for p in (young_diagram((8,) * 8).poset, r30, two_equal_chains(20)):
         _assert_same(monkeypatch, p, ideals=p.n < 64)
+
+
+def _crossed_chains(width: int, height: int) -> Poset:
+    """``width`` chains of ``height``, joined by covers two steps up the next chain."""
+    labels = [f"c{i}_{h}" for i in range(width) for h in range(height)]
+    covers = [(f"c{i}_{h}", f"c{i}_{h + 1}") for i in range(width) for h in range(height - 1)]
+    covers += [(f"c{i}_{h}", f"c{i + 1}_{h + 2}") for i in range(width - 1) for h in range(0, height - 2, 3)]
+    covers += [(f"c{i + 1}_{h}", f"c{i}_{h + 2}") for i in range(width - 1) for h in range(1, height - 2, 4)]
+    return Poset.from_covers(labels, covers)
+
+
+def test_arrays_match_the_dict_kernel_past_64_elements(monkeypatch):
+    # two words per ideal, levels sorted by the chain code
+    for p in (young_diagram((13,) * 5).poset, two_equal_chains(40), _crossed_chains(4, 20)):
+        assert p.n > 64
+        _assert_same(monkeypatch, p)
+
+
+def test_young_diagrams_past_64_cells_match_the_hook_formula():
+    for shape in ((13,) * 5, (17,) * 4):
+        p = young_diagram(shape).poset
+        lat = DownsetLattice(p)
+        assert lat._arrays is not None
+        assert lat.extension_count == hook_length_count(shape)
+
+
+def _ordinal_antichains(width: int, layers: int) -> Poset:
+    """``layers`` antichains of ``width``, each wholly below the next."""
+    labels = [f"a{t}_{i}" for t in range(layers) for i in range(width)]
+    covers = [
+        (f"a{t}_{i}", f"a{t + 1}_{j}")
+        for t in range(layers - 1)
+        for i in range(width)
+        for j in range(width)
+    ]
+    return Poset.from_covers(labels, covers)
+
+
+def test_a_chain_code_past_64_bits_stays_on_the_dict_kernel(monkeypatch):
+    # 8 chains of 256: the chain code runs to 257^8 > 2^64, while the
+    # lattice has 1 + 256 (2^8 - 1) ideals and the floor rule admits it
+    p = _ordinal_antichains(8, 256)
+    pred = p._pred_masks
+    assert lattice._chain_code(p.n, pred)[1] > 2**64
+    assert lattice._ideal_floor(p.n, pred) >= lattice._ARRAY_MIN_IDEALS_PER_ELEMENT * p.n
+    with monkeypatch.context() as m:
+        # the code alone refuses it, however many primes there were
+        m.setattr(lattice, "_PRIME_PRODUCT", 1 << 100_000)
+        assert not lattice._arrays_fit(p.n, pred)
+    assert not lattice._arrays_win(p.n, pred)
+    lat = DownsetLattice(p)
+    assert lat._arrays is None
+    assert lat.node_count == 1 + 256 * 255
+    assert lat.extension_count == math.factorial(8) ** 256
+
+
+def test_element_ids_past_255_stay_exact():
+    # a 300-chain has one chain of 300, so the array kernel holds it in
+    # five words per ideal with one prime
+    n = 300
+    arrays = lattice._Arrays(n, chain(n)._pred_masks, 10**6)
+    assert (arrays.total, arrays.nodes) == (1, n + 1)
+    pos, _ = arrays.sweep(False)
+    assert pos == [[int(k == x) for k in range(n)] for x in range(n)]
 
 
 def test_arrays_match_the_dict_kernel_on_random40(monkeypatch):
@@ -161,9 +232,10 @@ def test_samples_are_the_same_on_both_kernels(monkeypatch):
 
 def test_budget_raises_like_the_dict_kernel(monkeypatch):
     posets = [young_diagram((3, 3, 2)).poset, random_poset(10, 0.15, seed=9), antichain(5)]
-    for p in posets:
+    for p in posets + [young_diagram((13,) * 5).poset]:
         nodes = DownsetLattice(p).node_count
-        for budget in (-1, 0, 1, 2, nodes // 2, nodes - 1, nodes):
+        budgets = (-1, 0, 1, 2, nodes // 2, nodes - 1, nodes) if p.n <= 64 else (nodes // 2, nodes - 1, nodes)
+        for budget in budgets:
             seen = []
             for arrays in (True, False):
                 _kernel(monkeypatch, arrays)

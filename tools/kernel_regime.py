@@ -1,14 +1,21 @@
 """Time both lattice kernels on random connected posets, to place the kernel rule.
 
 ``lattice._arrays_win`` sends a connected poset of n elements to the array
-kernel when 11 <= n <= 64 and its ideal floor (``lattice._ideal_floor``)
-is at least 3n.  This script measures where that pays: for each random
-connected poset it times the array kernel and the dict kernel on the same
-work (build plus ``pair_counts``, best of ``--reps``), and prints one JSON
-record with every poset's times and a summary by floor / n and by ideals
-/ n.  Run from the repository root:
+kernel when n >= 11, its ideal floor (``lattice._ideal_floor``) is at
+least 3n and the kernel can hold it (``lattice._arrays_fit``).  This
+script measures where that pays: for each random connected poset the
+array kernel can hold, it times the array kernel and the dict kernel on
+the same work (build plus ``pair_counts``, best of ``--reps``), and prints
+one JSON record with every poset's times and a summary by floor / n and
+by ideals / n.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/kernel_regime.py --seed 1 --trials 400
+
+Past 64 elements (two words per ideal), random posets need denser edges
+to keep their lattices small:
+
+    PYTHONPATH=src python3 tools/kernel_regime.py --seed 1 --trials 200 \
+        --nmin 65 --nmax 128 --probs 0.2,0.25,0.3,0.4,0.5
 
 Times depend on the machine; compare the two kernels' columns, not runs
 taken on different machines.
@@ -27,6 +34,7 @@ import time
 import numpy as np
 
 from linext import lattice
+from linext.errors import BudgetExceeded
 from linext.families import random_poset
 from linext.poset import Poset
 
@@ -34,7 +42,7 @@ from linext.poset import Poset
 def _timed(p: Poset, arrays: bool, reps: int) -> tuple[float, int]:
     """Best time of build plus pair_counts on one kernel, and the node count."""
     kept = lattice._arrays_win
-    lattice._arrays_win = lambda n, pred: arrays and n <= 64
+    lattice._arrays_win = lambda n, pred: arrays
     try:
         best = float("inf")
         for _ in range(reps):
@@ -76,26 +84,30 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=400, help="random posets drawn (disconnected ones are skipped)")
     ap.add_argument("--nmin", type=int, default=6)
     ap.add_argument("--nmax", type=int, default=40)
+    ap.add_argument("--probs", default="0.08,0.1,0.15,0.2,0.3", help="edge probabilities to draw from, comma-separated")
     ap.add_argument("--max-floor", type=float, default=6.0, help="skip posets whose floor exceeds this many times n")
     ap.add_argument("--max-nodes", type=int, default=30000, help="skip lattices larger than this")
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
 
+    probs = [float(v) for v in args.probs.split(",")]
     rng = random.Random(args.seed)
     rows = []
     for _ in range(args.trials):
         n = rng.randint(args.nmin, args.nmax)
-        prob = rng.choice([0.08, 0.1, 0.15, 0.2, 0.3])
+        prob = rng.choice(probs)
         seed = rng.randrange(10**9)
         p = random_poset(n, prob, seed=seed)
-        if len(lattice._components(p)) > 1:
+        if len(lattice._components(p)) > 1 or not lattice._arrays_fit(n, p._pred_masks):
             continue
         floor = lattice._ideal_floor(n, p._pred_masks)
         if floor > args.max_floor * n:
             continue
-        array_s, nodes = _timed(p, True, args.reps)
-        if nodes > args.max_nodes:
+        try:
+            lattice.DownsetLattice(Poset.from_dict(p.to_dict()), args.max_nodes)
+        except BudgetExceeded:
             continue
+        array_s, nodes = _timed(p, True, args.reps)
         dict_s, _ = _timed(p, False, args.reps)
         rows.append(
             {
