@@ -22,26 +22,23 @@ serves small lattices, and any poset the array kernel cannot hold
 (:func:`_arrays_fit`).
 
 The array kernel, :func:`_array_levels`, serves lattices large enough to
-pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and
-each level is sorted by a one-word key: the mask itself when n <= 64,
-else the ideal's heights on the chains of a greedy chain cover, read as
-one mixed-radix number (the chain code), which must fit 64 bits.  One
-broadcast test over a chunk of the level and every element, word by
-word, finds the edges, and the chunk's targets, made unique by key, are
-merged into the next level by binary search.  Path counts are kept
-modulo primes below 2^31.  The down pass takes enough primes to exceed a
-bound on the extension count (n! over the chain cover), and the Chinese
-remainder theorem (CRT) rebuilds e(P) exactly from it.  Every other
-count is at most e(P), so the up pass and the sweeps keep only the
-primes that cover e(P).  Counts are summed in float64, which is exact:
-an ideal has at most one edge in and one out per chain, the chain code's
-64 bits allow at most 64 chains, so a sum stays below 64 2^31 < 2^53,
-and a sweep adds at most :data:`_CHUNK` edges at a time.  Each answer is
-one CRT of the residues (De Loof, De Meyer and De Baets, "Exploiting the
-lattice of ideals representation of a poset", Fundam. Inform. 2006).
-Ideals and counts as Python ints (``levels``, ``down``, ``up``, and so
-``edges`` and the sampler) are rebuilt on first use, in the dict
-kernel's order.
+pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
+level is sorted by a one-word key (the mask, or past 64 elements the
+chain code of :func:`_chain_code`).  One broadcast test over a chunk of
+the level and every element finds the edges, and the chunk's targets,
+made unique by key, are merged into the next level by binary search.
+Path counts are kept modulo primes below 2^31.  The down pass takes
+enough primes to exceed a bound on the extension count (n! over the
+chain cover), and the Chinese remainder theorem (CRT) rebuilds e(P)
+exactly from it.  Every other count is at most e(P), so the up pass and
+the sweeps keep only the primes that cover e(P).  Counts are summed in
+float64, which is exact: an ideal has at most 64 edges in or out
+(:func:`_arrays_fit`), so a sum stays below 2^6 2^31 < 2^53, and a sweep
+adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of
+the residues (De Loof, De Meyer and De Baets, "Exploiting the lattice of
+ideals representation of a poset", Fundam. Inform. 2006).  Ideals and
+counts as Python ints (``levels``, ``down``, ``up``, and so ``edges``
+and the sampler) are rebuilt on first use, in the dict kernel's order.
 
 An event "u before v" is counted on the poset's own ideals, by either
 kernel: one down pass in which v also waits for u, and pairs the poset
@@ -362,9 +359,8 @@ def _gather(pairs, counts: np.ndarray, m: int) -> np.ndarray:
 
     ``pairs`` lists the (index, pick) arrays of a level's runs.  Sums run
     in float64, :data:`_CHUNK` edges at a time.  Each is exact: an ideal
-    has at most one edge in and one out per chain of the cover, at most 64
-    chains (:func:`_arrays_fit`), and each count is below 2^31, so every
-    sum stays below 2^6 2^31 < 2^53.
+    has at most 64 edges in or out (:func:`_arrays_fit`), and each count
+    is below 2^31, so every sum stays below 2^6 2^31 < 2^53.
     """
     k = len(counts)
     sums = np.zeros(k * m)
@@ -400,12 +396,12 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     word by word for every element against a chunk of the level at once.
 
     A level is sorted by a one-word key: with one word the mask itself,
-    otherwise the chain code (:func:`_chain_code`, which must fit 64
-    bits).  Either way a target's key is its source's key plus the stride
-    of x.  Each chunk's targets go through ``np.unique`` on their keys and
-    are merged into the next level by ``np.searchsorted``; the count is
-    checked against ``budget`` after every chunk, so BudgetExceeded is
-    raised before the level past the budget is whole.
+    else the chain code (:func:`_chain_code`).  Either way a target's key
+    is its source's plus the stride of x.  Each chunk's targets go through
+    ``np.unique`` on their keys and are merged into the next level by
+    ``np.searchsorted``; the count is checked against ``budget`` after
+    every chunk, so BudgetExceeded is raised before the level past the
+    budget is whole.
     """
     width = max(1, -(-n // 64))
     elements = np.arange(n)
@@ -514,8 +510,8 @@ def _arrays_fit(n: int, pred: Sequence[int]) -> bool:
 
     Its chain code (:func:`_chain_code`) must fit one ``uint64`` key, and
     :data:`_PRIMES` must cover :func:`_count_bound`.  Both hold for every
-    n <= 64.  The first allows at most 64 chains, and so at most 64 edges
-    in or out of an ideal.
+    n <= 64.  The first allows at most 64 chains, and an ideal has at most
+    one edge in and one out per chain.
     """
     return n <= 64 or (
         _chain_code(n, pred)[1] <= 1 << 64 and _count_bound(n, pred) < _PRIME_PRODUCT
