@@ -407,25 +407,30 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     elements = np.arange(n)
     word = elements // 64
     bit = np.left_shift(np.uint64(1), (elements % 64).astype(np.uint64))
-    # need[j, x]: word j of pred[x]; want adds x itself, which pred[x]
-    # never holds, so I & want == need tests both conditions
-    need = np.array([[m >> 64 * j & _WORD for m in pred] for j in range(width)], dtype=np.uint64)
+    # need[j][x]: word j of pred[x] (with one word, pred[x] itself); want
+    # adds x, which pred[x] never holds, so I & want == need tests both
+    need = np.array(
+        [pred] if width == 1 else [[m >> s & _WORD for m in pred] for s in range(0, 64 * width, 64)],
+        dtype=np.uint64,
+    )
     want = need.copy()
     want[word, elements] |= bit
-    need, want = need[:, :, None], want[:, :, None]
+    need, want = list(need[:, :, None]), list(want[:, :, None])
     stride = bit if width == 1 else np.array(_chain_code(n, pred)[0], dtype=np.uint64)
     ids = np.min_scalar_type(n)  # element ids of the edges, as they wait for the merge
     keys = np.zeros(1, dtype=np.uint64)
     level = keys[:, None] if width == 1 else np.zeros((1, width), dtype=np.uint64)
+    # the level's words, one column each: with one word, its keys
+    words = [keys] if width == 1 else list(level.T)
     counts = np.ones((k, 1), dtype=np.int64)
     nodes = 1
     for _ in range(n):
         found = []
         nxt = keys[:0]
         for lo in range(0, len(keys), _CHUNK):
-            ok = (level[lo : lo + _CHUNK, 0] & want[0]) == need[0]
+            ok = (words[0][lo : lo + _CHUNK] & want[0]) == need[0]
             for j in range(1, width):
-                ok &= (level[lo : lo + _CHUNK, j] & want[j]) == need[j]
+                ok &= (words[j][lo : lo + _CHUNK] & want[j]) == need[j]
             x, src = np.nonzero(ok)
             if len(x) == 0:
                 continue
@@ -462,6 +467,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
         yield level, counts, runs
         counts = _gather([(tgt, src) for src, _, tgt in runs], counts, len(nxt))
         keys, level = nxt, above
+        words = [keys] if width == 1 else list(level.T)
     yield level, counts, None
 
 
