@@ -478,9 +478,10 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
 #: 10 µs per ideal (build plus both sweeps).  ``tools/kernel_regime.py``
 #: times both on random connected posets (its runs are recorded in
 #: ``BENCH_7.json`` and ``BENCH_8.json`` under ``regime``): the median
-#: speed-up crosses 1 at a floor of about 3n, where the median lattice
-#: holds about 20n ideals, and posets of 6 to 10 elements lose on the
-#: array kernel, so verify's posets stay on the dict kernel.
+#: speed-up crosses 1 at a floor of about 3n (past 64 elements, between 3n
+#: and 3.5n), where the median lattice holds about 20n ideals, and posets
+#: of 6 to 10 elements lose on the array kernel, so verify's posets stay on
+#: the dict kernel.
 _ARRAY_MIN_ELEMENTS = 11
 _ARRAY_MIN_IDEALS_PER_ELEMENT = 3
 
