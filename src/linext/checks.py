@@ -262,6 +262,10 @@ def check_grunbaum_pair(p: Poset, u: str, v: str, budget: int | None = None) -> 
     """
     from .lattice import position_distribution
 
+    if not p.comparable(u, v):
+        # the event below reads the pair counts, and their sweep fills the
+        # position counts too: one sweep serves the means and the event
+        build_lattice(p, budget).pair_counts()
     mu = position_distribution(p, u, budget).mean
     mv = position_distribution(p, v, budget).mean
     directions = []

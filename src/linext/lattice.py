@@ -40,9 +40,13 @@ ideals representation of a poset", Fundam. Inform. 2006).  Ideals and
 counts as Python ints (``levels``, ``down``, ``up``, and so ``edges``
 and the sampler) are rebuilt on first use, in the dict kernel's order.
 
-An event "u before v" is counted on the poset's own ideals, by either
-kernel: one down pass in which v also waits for u, and pairs the poset
-already orders are dropped.
+An event "u before v" drops the pairs the poset already orders.  With
+one pair left, :func:`event_probability` reads it from the cached
+lattice's ``pair_counts``, one sweep that answers every pair at once;
+two or more are counted on the poset's own ideals, by either kernel, in
+one down pass in which each v also waits for its u.
+:func:`conditional_probability` takes that down pass for any open
+pair, so its budget bounds only the ideals it walks.
 
 The lattice of a poset whose comparability graph falls into several
 connected parts is the product of the parts' lattices, so
@@ -380,6 +384,20 @@ def _ints(rows: np.ndarray) -> list[int]:
     return value
 
 
+@functools.lru_cache(maxsize=256)
+def _element_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elements 0..n-1, the word of each in an ideal's row, and its bit there.
+
+    Cached per n and read-only, so every pass of the array kernel shares them.
+    """
+    elements = np.arange(n)
+    word = elements // 64
+    bit = np.left_shift(np.uint64(1), (elements % 64).astype(np.uint64))
+    for a in (elements, word, bit):
+        a.flags.writeable = False
+    return elements, word, bit
+
+
 def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     """Yield the lattice level by level as (ideals, counts, runs); the array kernel.
 
@@ -404,9 +422,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     budget is whole.
     """
     width = max(1, -(-n // 64))
-    elements = np.arange(n)
-    word = elements // 64
-    bit = np.left_shift(np.uint64(1), (elements % 64).astype(np.uint64))
+    elements, word, bit = _element_bits(n)
     # need[j][x]: word j of pred[x] (with one word, pred[x] itself); want
     # adds x, which pred[x] never holds, so I & want == need tests both
     need = np.array(
@@ -1198,32 +1214,62 @@ def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
     return Poset._closed(p.labels, closed)
 
 
-def _event_count(p: Poset, pairs: Iterable[tuple[str, str]], budget: int | None) -> int:
-    """Extensions of ``p`` that put every ``u`` before its ``v``."""
+def _event_count(
+    p: Poset, pairs: Iterable[tuple[str, str]], budget: int | None, sweep: bool = False
+) -> int:
+    """Extensions of ``p`` that put every ``u`` before its ``v``.
+
+    Pairs the poset already orders are dropped, and with none left this
+    is the cached count.  With ``sweep`` (for :func:`event_probability`),
+    one pair (u, v) left is read from the cached lattice's
+    ``pair_counts``, a sweep that answers every pair of the poset at once
+    under the same budget as the count; a pair the poset orders the other
+    way, or u == v, counts 0 without it.  Otherwise the count is one
+    constrained down pass on the poset's own ideals, in which each v also
+    waits for its u.
+    """
     pred = list(p._pred_masks)
     cand = list(p._upper_cover_masks)
-    extra = False
+    open_pairs = []
     for u, v in pairs:
         u, v = p.index(u), p.index(v)
         if not (pred[v] >> u) & 1:  # a pair already in the order adds nothing
             pred[v] |= 1 << u
             cand[u] |= 1 << v
-            extra = True
-    if not extra:
+            open_pairs.append((u, v))
+    if not open_pairs:
         return count_extensions(p, budget)
+    if sweep and len(open_pairs) == 1:
+        u, v = open_pairs[0]
+        if u == v or (p._pred_masks[u] >> v) & 1:
+            return 0
+        return build_lattice(p, budget).pair_counts()[u][v]
     return _down_pass(p.n, pred, cand, budget)
 
 
 def event_probability(p: Poset, event, budget: int | None = None) -> Fraction:
-    """Probability that a uniform extension satisfies every required pair."""
-    hits = _event_count(p, _required_pairs(event), budget)
+    """Probability that a uniform extension satisfies every required pair.
+
+    An event with one pair the poset leaves open reads the cached
+    lattice's pair counts (:func:`_event_count`), so the budget bounds
+    that lattice, as it bounds the count; an event of two or more open
+    pairs is one constrained down pass.
+    """
+    hits = _event_count(p, _required_pairs(event), budget, sweep=True)
     return Fraction(hits, count_extensions(p, budget)) if hits else Fraction(0)
 
 
 def conditional_probability(
     p: Poset, event, given, budget: int | None = None
 ) -> Fraction:
-    """P(event | given); raises ConditionNullEvent when P(given) = 0."""
+    """P(event | given); raises ConditionNullEvent when P(given) = 0.
+
+    A count with an open pair is a constrained down pass, even with just
+    one, so the budget bounds only the augmented lattices walked.
+    Reading the poset's whole lattice for a lone ``given`` pair would
+    hold the budget to that lattice too and lower the reach of a
+    conditional.
+    """
     given_pairs = _required_pairs(given)
     base = _event_count(p, given_pairs, budget)
     if base == 0:
@@ -1232,7 +1278,11 @@ def conditional_probability(
 
 
 def sorting_probability(p: Poset, x: str, y: str, budget: int | None = None) -> Fraction:
-    """P(x before y) in a uniform extension."""
+    """P(x before y) in a uniform extension.
+
+    Read from the cached lattice's pair counts, so asking for many pairs
+    of one poset costs one sweep.
+    """
     if x == y:
         raise ComparablePair("need two distinct elements")
     return event_probability(p, EventSpec.of((x, y)), budget)

@@ -312,11 +312,11 @@ def test_budget_threshold_is_the_augmented_lattice_size():
             conditional_probability(q, event, pairs, budget=n_cond - 1)
         got = conditional_probability(q, event, pairs, budget=n_cond)
         assert got == _augmented_conditional(q, event, pairs)
-        # an unconditioned event also reads the poset's own lattice
-        need = own if implied else max(n_aug, own)
+        # an unconditioned event of one pair, open or implied, reads the
+        # poset's own lattice
         with pytest.raises(BudgetExceeded):
-            event_probability(q, pairs, budget=need - 1)
-        assert event_probability(q, pairs, budget=need) == _augmented_event(q, pairs)
+            event_probability(q, pairs, budget=own - 1)
+        assert event_probability(q, pairs, budget=own) == _augmented_event(q, pairs)
     assert checked == 20
 
 
@@ -332,6 +332,90 @@ def test_queries_share_one_lattice(monkeypatch):
         except ConditionNullEvent:
             pass
     assert built == ["DownsetLattice"]
+
+
+# -- one open pair from the cached lattice's pair counts ---------------------
+
+
+def _one_open_pair_events(p, rng, sample=None):
+    """Events whose only pair p leaves open is (x, y), as (pairs, (x, y)).
+
+    Every (x, y), or ``sample`` of them, u == v and pairs against the order
+    included, alone; then a few repeated, or beside a pair p orders.
+    """
+    labels = p.labels
+    pairs = [(x, y) for x in labels for y in labels]
+    if sample is not None:
+        free = [(x, y) for x, y in pairs if x != y and not p.comparable(x, y)]
+        against = [(y, x) for x, y in pairs if p.less(x, y)]
+        pairs = rng.sample(free, min(sample, len(free))) + against[:3] + [(labels[0],) * 2]
+    events = [([pair], pair) for pair in pairs]
+    ordered = [(x, y) for x, y in pairs if p.less(x, y)]
+    for pair in rng.sample(pairs, min(4, len(pairs))):
+        events.append(([pair, pair], pair))
+        if ordered:
+            events.append(([rng.choice(ordered), pair, rng.choice(ordered)], pair))
+    return events
+
+
+def _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, brute):
+    """``event_probability`` against the constrained down pass on the
+    augmented ``pred``/``cand`` and, with ``brute``, the brute-force oracle."""
+    down_pass = lattice._down_pass
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return down_pass(*args)
+
+    monkeypatch.setattr(lattice, "_down_pass", counting)
+    total = count_extensions(p)
+    counts = brute_pair_counts(p) if brute else None
+    for pairs, (x, y) in events:
+        got = event_probability(p, pairs)
+        assert calls == []
+        pred = list(p._pred_masks)
+        cand = list(p._upper_cover_masks)
+        for u, v in pairs:
+            u, v = p.index(u), p.index(v)
+            pred[v] |= 1 << u
+            cand[u] |= 1 << v
+        assert got == Fraction(down_pass(p.n, pred, cand, None), total)
+        if brute:
+            assert got == Fraction(counts[p.index(x)][p.index(y)], total)
+            if len(pairs) > 1:
+                assert got == brute_event_probability(p, pairs)
+    monkeypatch.undo()
+
+
+def test_one_open_pair_matches_the_down_pass_on_corpus(monkeypatch):
+    rng = random.Random(31)
+    for _, p in builtin_corpus():
+        _assert_one_open_pair_reads_the_sweep(monkeypatch, p, _one_open_pair_events(p, rng), True)
+
+
+def test_one_open_pair_matches_the_down_pass_on_random_posets(monkeypatch):
+    rng = random.Random(32)
+    across = 0
+    posets = random_posets(150, nmax=8, seed=33) + [_three_parts()]
+    for p in posets:
+        events = _one_open_pair_events(p, rng)
+        _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, True)
+        lat = build_lattice(p)
+        if isinstance(lat, SplitLattice):
+            part = {x: k for k, (idx, _) in enumerate(lat.parts) for x in idx}
+            across += sum(
+                part[p.index(x)] != part[p.index(y)] for pairs, (x, y) in events if len(pairs) == 1
+            )
+    assert across > 500
+
+
+def test_one_open_pair_matches_the_down_pass_on_the_array_kernel(monkeypatch):
+    p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    lat = build_lattice(p)
+    assert isinstance(lat, DownsetLattice) and lat._arrays is not None
+    events = _one_open_pair_events(p, random.Random(34), sample=30)
+    _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, False)
 
 
 # -- the successor kernel against a scan of every unplaced element ----------
@@ -450,19 +534,26 @@ def test_implied_pairs_read_the_cached_lattice(monkeypatch):
     assert event_probability(p, EventSpec(())) == 1
     assert event_probability(p, [("c1", "c3"), ("c2", "c3")]) == 1
     assert conditional_probability(p, [("c1", "c2")], [("c1", "c3")]) == 1
-    assert calls == []
+    # one open pair, with ordered pairs or repeats beside it, reads the
+    # cached lattice's pair counts; a contradictory or u == v pair reads 0
     assert event_probability(p, [("c1", "c3"), ("z", "c2")]) == Fraction(1, 2)
+    assert event_probability(p, [("z", "c2"), ("z", "c2")]) == Fraction(1, 2)
+    assert event_probability(p, [("c3", "c1")]) == 0
+    assert event_probability(p, [("z", "z")]) == 0
+    assert calls == []
+    # two open pairs take one constrained down pass
+    assert event_probability(p, [("c1", "z"), ("z", "c2")]) == Fraction(1, 4)
     assert len(calls) == 1
     c2 = p.index("c2")
     assert calls[0][c2] == p._pred_masks[c2] | 1 << p.index("z")
-    # contradictory and u == v pairs still walk and count 0
-    assert event_probability(p, [("c3", "c1")]) == 0
-    assert event_probability(p, [("z", "z")]) == 0
-    assert len(calls) == 3
     # the budget still bounds the lattice the answer comes from
-    with pytest.raises(BudgetExceeded):
-        event_probability(p, [("c1", "c2")], budget=lat.node_count - 1)
-    assert event_probability(p, [("c1", "c2")], budget=lat.node_count) == 1
+    for pair in [("c1", "c2"), ("z", "c2")]:
+        with pytest.raises(BudgetExceeded):
+            event_probability(p, [pair], budget=lat.node_count - 1)
+        assert event_probability(p, [pair], budget=lat.node_count) > 0
+    # a pair against the order, or u == v, needs no lattice at all
+    assert event_probability(p, [("c3", "c1")], budget=1) == 0
+    assert event_probability(p, [("z", "z")], budget=1) == 0
 
 
 # -- posets that split into parts -------------------------------------------
