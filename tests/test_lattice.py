@@ -338,19 +338,19 @@ def test_queries_share_one_lattice(monkeypatch):
 
 
 def _one_open_pair_events(p, rng, sample=None):
-    """Events whose only pair p leaves open is (x, y), as (pairs, (x, y)).
+    """Events of one pair (x, y) p may leave open, as (pairs, (x, y)).
 
     Every (x, y), or ``sample`` of them, u == v and pairs against the order
-    included, alone; then a few repeated, or beside a pair p orders.
+    included, alone; then a few repeated, or between pairs p orders.
     """
     labels = p.labels
     pairs = [(x, y) for x in labels for y in labels]
+    ordered = [(x, y) for x, y in pairs if p.less(x, y)]
     if sample is not None:
         free = [(x, y) for x, y in pairs if x != y and not p.comparable(x, y)]
-        against = [(y, x) for x, y in pairs if p.less(x, y)]
-        pairs = rng.sample(free, min(sample, len(free))) + against[:3] + [(labels[0],) * 2]
+        against = [(y, x) for x, y in ordered[:3]]
+        pairs = rng.sample(free, min(sample, len(free))) + against + [(labels[0],) * 2]
     events = [([pair], pair) for pair in pairs]
-    ordered = [(x, y) for x, y in pairs if p.less(x, y)]
     for pair in rng.sample(pairs, min(4, len(pairs))):
         events.append(([pair, pair], pair))
         if ordered:
