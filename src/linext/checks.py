@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -622,16 +622,10 @@ def random_cwsig_instance(rng: random.Random, nmax: int = 7):
     return Poset.from_covers(labels, covers), "w", lower, upper
 
 
-def _feasible_psi(rng: random.Random, t: TwoChainPoset):
-    table = psi_table(t)
-    live = [(i, j) for (i, j), v in table.items() if v > 0]
-    return live
-
-
 def random_window_instance(rng: random.Random, kind: str, max_side: int = 6):
     """Instance for check_window_identity; returns None when no window fits."""
     t = random_two_chain(rng, max_side, max_side, rng.choice([0.0, 0.15, 0.3]))
-    live = _feasible_psi(rng, t)
+    live = [(i, j) for (i, j), v in psi_table(t).items() if v > 0]
     rng.shuffle(live)
     if kind == "psi":
         for i, j in live:
@@ -676,21 +670,87 @@ def random_window_instance(rng: random.Random, kind: str, max_side: int = 6):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-#: Suites run_suite knows, mapped to whether --corpus builtin applies.
-SUITES = {
-    "logconcave": True,
-    "xyz": False,
-    "gyy": False,
-    "window": False,
-    "cwsig": False,
-    "grunbaum": True,
-    "sigmaq": True,
-    "bl1": False,
-    "bl2": False,
-    "ratio": False,
-    "pibounds": False,
-    "onethird": True,
-}
+# -- suites ----------------------------------------------------------------
+#
+# One seeded random sweep per suite, called as (rng, count, nmax, budget),
+# and for the suites that can walk the builtin corpus, the records of one
+# corpus poset, called as (poset, budget).
+
+
+def _logconcave(rng, count, nmax, budget):
+    for _ in range(count):
+        p = _random_nonchain(rng, nmax, nmin=2)
+        yield check_log_concavity(p, rng.choice(p.labels), budget)
+
+
+def _xyz(rng, count, nmax, budget):
+    for _ in range(count):
+        p = _random_nonchain(rng, nmax)
+        x = rng.choice(p.labels)
+        others = [lab for lab in p.labels if lab != x]
+        rng.shuffle(others)
+        yield check_xyz(p, x, others[: rng.randint(1, min(3, len(others)))], budget)
+
+
+def _gyy(rng, count, nmax, budget):
+    for _ in range(count):
+        t = random_two_chain(rng, 5, 5, rng.choice([0.0, 0.2, 0.4]))
+        i = rng.randint(1, t.m)
+        j = rng.randint(1, t.n)
+        given = {(rng.randint(1, t.m), rng.randint(1, t.n)) for _ in range(rng.randint(1, 3))}
+        yield check_gyy(t, i, j, given, budget)
+
+
+def _window(rng, count, nmax, budget):
+    kinds = ["psi", "psi_psi", "psi_phi"]
+    made = 0
+    while made < count:
+        kind = kinds[made % 3]
+        inst = random_window_instance(rng, kind)
+        if inst is None:
+            continue
+        t, cond, window = inst
+        pairs = tuple(tuple(rng.sample(window, 2)) for _ in range(rng.randint(1, 2)))
+        rec = check_window_identity(t, cond, window, pairs, budget)
+        yield replace(rec, check=f"window_{kind}")
+        made += 1
+
+
+def _cwsig(rng, count, nmax, budget):
+    for _ in range(count):
+        yield check_cwsig(*random_cwsig_instance(rng, nmax), budget)
+
+
+def _grunbaum(rng, count, nmax, budget):
+    for _ in range(count):
+        if rng.random() < 0.5:
+            p = _random_nonchain(rng, min(nmax, 9), nmin=2)
+            yield check_grunbaum_pair(p, *rng.sample(p.labels, 2), budget)
+        else:
+            t = random_two_chain(rng, 5, 5, rng.choice([0.0, 0.2, 0.4]))
+            yield check_grunbaum_tails(t, rng.randint(1, t.m), budget)
+
+
+def _sigmaq(rng, count, nmax, budget):
+    for _ in range(count):
+        p = _random_nonchain(rng, min(nmax, 8), nmin=2)
+        yield from check_sigma_q(p, rng.choice(p.labels), budget)
+
+
+def _bl1(rng, count, nmax, budget):
+    for _ in range(count):
+        t = random_two_chain(rng, 6, 6, 0.0)
+        i, j = rng.choice([(i, j) for i in range(1, t.m + 1) for j in range(1, t.n + 1)])
+        value = psi_probability(t, i, j, budget)
+        bound = Fraction(i, j)
+        yield CheckRecord(
+            check="bl1_tail",
+            instance=_poset_digest(t.poset, i=i, j=j),
+            holds=value <= bound,
+            lhs=value,
+            rhs=bound,
+        )
+
 
 #: Cross-free sweep grid for the bl2 suite: cutoff -> (chain lengths m,
 #: chain lengths n).  Kept inside the ranges the ceiling derivation covers.
@@ -698,6 +758,81 @@ _BL2_GRID = {
     5: ((2, 4, 6, 8, 10, 12, 14), (12, 13)),
     10: ((4, 8, 12, 16, 20, 24), (22,)),
 }
+
+
+def _bl2(rng, count, nmax, budget):
+    for cutoff, (ms, ns) in _BL2_GRID.items():
+        for m, n in itertools.product(ms, ns):
+            t = make_two_chain(m, n)
+            for i, j in itertools.product(range(1, m + 1), range(1, n + 1)):
+                if bl2_hypothesis(m, n, i, j, cutoff):
+                    yield check_bl2(t, i, j, cutoff, budget)
+
+
+def _ratio(rng, count, nmax, budget):
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
+        t = make_two_chain(m, n)
+        i = rng.randint(1, m)
+        ell = rng.randint(1, n)
+        exact, closed = bl2_ratio_sides(t, i, ell, budget)
+        yield CheckRecord(
+            check="ratio_closed_form",
+            instance=_poset_digest(t.poset, i=i, ell=ell),
+            holds=exact == closed,
+            kind="identity",
+            lhs=exact,
+            rhs=closed,
+        )
+
+
+def _pibounds(rng, count, nmax, budget):
+    shapes = [young_diagram(lam) for lam in all_partitions(9)]
+    shapes += [tripod(2, ell) for ell in range(2, 6)]
+    shapes += [tripod(3, ell) for ell in range(2, 5)]
+    for shape in shapes[:count]:
+        yield from check_pi_bounds(shape, budget)
+
+
+def _onethird(rng, count, nmax, budget):
+    for _ in range(count):
+        yield check_onethird(_random_nonchain(rng, nmax), budget)
+
+
+#: Each suite run_suite knows: (its random sweep, the records of one
+#: builtin-corpus poset or None when --corpus builtin does not apply).
+_SUITES = {
+    "logconcave": (
+        _logconcave,
+        lambda p, budget: [check_log_concavity(p, x, budget) for x in p.labels],
+    ),
+    "xyz": (_xyz, None),
+    "gyy": (_gyy, None),
+    "window": (_window, None),
+    "cwsig": (_cwsig, None),
+    "grunbaum": (
+        _grunbaum,
+        lambda p, budget: [
+            check_grunbaum_pair(p, u, v, budget) for u, v in itertools.combinations(p.labels, 2)
+        ],
+    ),
+    "sigmaq": (
+        _sigmaq,
+        lambda p, budget: [r for x in p.labels for r in check_sigma_q(p, x, budget)],
+    ),
+    "bl1": (_bl1, None),
+    "bl2": (_bl2, None),
+    "ratio": (_ratio, None),
+    "pibounds": (_pibounds, None),
+    "onethird": (
+        _onethird,
+        lambda p, budget: [] if p.is_chain() else [check_onethird(p, budget)],
+    ),
+}
+
+#: Suites run_suite knows, mapped to whether --corpus builtin applies.
+SUITES = {name: walk is not None for name, (_, walk) in _SUITES.items()}
 
 
 def run_suite(
@@ -708,171 +843,21 @@ def run_suite(
     budget: int | None = None,
     corpus: str | None = None,
 ) -> list[CheckRecord]:
-    """Sweep of one named check family.
+    """Sweep of one named check family, or of every family with ``"all"``.
 
     By default instances are drawn from a seeded random stream; with
     ``corpus="builtin"`` the poset-valued suites walk the named builtin
     corpus exhaustively instead (suites over structured random instances
     ignore the flag).
     """
-    rng = random.Random(seed)
-    records: list[CheckRecord] = []
-
     if corpus is not None and corpus != "builtin":
         raise ValueError(f"unknown corpus {corpus!r}")
-    use_corpus = corpus == "builtin" and SUITES.get(name, False)
-
-    if name == "logconcave":
-        if use_corpus:
-            for _, p in builtin_corpus():
-                for x in p.labels:
-                    records.append(check_log_concavity(p, x, budget))
-        else:
-            for _ in range(count):
-                p = _random_nonchain(rng, nmax, nmin=2)
-                x = rng.choice(p.labels)
-                records.append(check_log_concavity(p, x, budget))
-    elif name == "xyz":
-        for _ in range(count):
-            p = _random_nonchain(rng, nmax)
-            x = rng.choice(p.labels)
-            others = [lab for lab in p.labels if lab != x]
-            rng.shuffle(others)
-            ys = others[: rng.randint(1, min(3, len(others)))]
-            records.append(check_xyz(p, x, ys, budget))
-    elif name == "gyy":
-        for _ in range(count):
-            t = random_two_chain(rng, 5, 5, rng.choice([0.0, 0.2, 0.4]))
-            i = rng.randint(1, t.m)
-            j = rng.randint(1, t.n)
-            given = set()
-            for _ in range(rng.randint(1, 3)):
-                given.add((rng.randint(1, t.m), rng.randint(1, t.n)))
-            records.append(check_gyy(t, i, j, given, budget))
-    elif name == "window":
-        kinds = ["psi", "psi_psi", "psi_phi"]
-        made = 0
-        while made < count:
-            kind = kinds[made % 3]
-            inst = random_window_instance(rng, kind)
-            if inst is None:
-                continue
-            t, cond, window = inst
-            pairs = _random_window_event(rng, window)
-            rec = check_window_identity(t, cond, window, pairs, budget)
-            records.append(
-                CheckRecord(
-                    check=f"window_{kind}",
-                    instance=rec.instance,
-                    holds=rec.holds,
-                    kind="identity",
-                    lhs=rec.lhs,
-                    rhs=rec.rhs,
-                )
-            )
-            made += 1
-    elif name == "cwsig":
-        for _ in range(count):
-            p, x, lower, upper = random_cwsig_instance(rng, nmax)
-            records.append(check_cwsig(p, x, lower, upper, budget))
-    elif name == "grunbaum":
-        if use_corpus:
-            for _, p in builtin_corpus():
-                if p.n < 2:
-                    continue
-                for u, v in itertools.combinations(p.labels, 2):
-                    records.append(check_grunbaum_pair(p, u, v, budget))
-        else:
-            for _ in range(count):
-                if rng.random() < 0.5:
-                    p = _random_nonchain(rng, min(nmax, 9), nmin=2)
-                    u, v = rng.sample(p.labels, 2)
-                    records.append(check_grunbaum_pair(p, u, v, budget))
-                else:
-                    t = random_two_chain(rng, 5, 5, rng.choice([0.0, 0.2, 0.4]))
-                    records.append(
-                        check_grunbaum_tails(t, rng.randint(1, t.m), budget)
-                    )
-    elif name == "sigmaq":
-        if use_corpus:
-            for _, p in builtin_corpus():
-                for x in p.labels:
-                    records.extend(check_sigma_q(p, x, budget))
-        else:
-            for _ in range(count):
-                p = _random_nonchain(rng, min(nmax, 8), nmin=2)
-                x = rng.choice(p.labels)
-                records.extend(check_sigma_q(p, x, budget))
-    elif name == "bl1":
-        for _ in range(count):
-            t = random_two_chain(rng, 6, 6, 0.0)
-            live = [(i, j) for i in range(1, t.m + 1) for j in range(1, t.n + 1)]
-            i, j = rng.choice(live)
-            value = psi_probability(t, i, j, budget)
-            bound = Fraction(i, j)
-            records.append(
-                CheckRecord(
-                    check="bl1_tail",
-                    instance=_poset_digest(t.poset, i=i, j=j),
-                    holds=value <= bound,
-                    lhs=value,
-                    rhs=bound,
-                )
-            )
-    elif name == "bl2":
-        for cutoff, (ms, ns) in _BL2_GRID.items():
-            for m in ms:
-                for n in ns:
-                    t = make_two_chain(m, n)
-                    for i, j in itertools.product(range(1, m + 1), range(1, n + 1)):
-                        if bl2_hypothesis(m, n, i, j, cutoff):
-                            records.append(check_bl2(t, i, j, cutoff, budget))
-    elif name == "ratio":
-        for _ in range(count):
-            m = rng.randint(1, 8)
-            n = rng.randint(1, 8)
-            t = make_two_chain(m, n)
-            i = rng.randint(1, m)
-            ell = rng.randint(1, n)
-            exact, closed = bl2_ratio_sides(t, i, ell, budget)
-            records.append(
-                CheckRecord(
-                    check="ratio_closed_form",
-                    instance=_poset_digest(t.poset, i=i, ell=ell),
-                    holds=exact == closed,
-                    kind="identity",
-                    lhs=exact,
-                    rhs=closed,
-                )
-            )
-    elif name == "pibounds":
-        shapes = [young_diagram(lam) for lam in all_partitions(9)]
-        shapes += [tripod(2, ell) for ell in range(2, 6)]
-        shapes += [tripod(3, ell) for ell in range(2, 5)]
-        for shape in shapes[:count] if count < len(shapes) else shapes:
-            records.extend(check_pi_bounds(shape, budget))
-    elif name == "onethird":
-        if use_corpus:
-            for _, p in builtin_corpus():
-                if not p.is_chain():
-                    records.append(check_onethird(p, budget))
-        else:
-            for _ in range(count):
-                p = _random_nonchain(rng, nmax)
-                records.append(check_onethird(p, budget))
-    elif name == "all":
-        for sub in SUITES:
-            records.extend(
-                run_suite(sub, max(count // 5, 10), nmax, seed, budget, corpus)
-            )
-    else:
+    if name == "all":
+        count = max(count // 5, 10)
+        return [rec for sub in SUITES for rec in run_suite(sub, count, nmax, seed, budget, corpus)]
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return records
-
-
-def _random_window_event(rng: random.Random, window: Sequence[str]):
-    pairs = []
-    for _ in range(rng.randint(1, 2)):
-        u, v = rng.sample(list(window), 2)
-        pairs.append((u, v))
-    return tuple(pairs)
+    sweep, walk = _SUITES[name]
+    if corpus is not None and walk is not None:
+        return [rec for _, p in builtin_corpus() for rec in walk(p, budget)]
+    return list(sweep(random.Random(seed), count, nmax, budget))

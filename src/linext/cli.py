@@ -145,57 +145,47 @@ def _parse_cross(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def cmd_generate(args) -> int:
-    family = args.family
-    params = args.params
-    seed = args.seed
-
-    def need(k):
-        if len(params) != k:
-            raise ValueError(f"family {family!r} takes {k} parameter(s)")
-
-    if family == "chain":
-        need(1)
-        p = families.chain(int(params[0]))
-    elif family == "antichain":
-        need(1)
-        p = families.antichain(int(params[0]))
-    elif family == "chainpoint":
-        need(1)
-        p = families.chain_plus_point(int(params[0]))
-    elif family == "twochains":
-        need(1)
-        p = families.two_equal_chains(int(params[0]))
-    elif family == "young":
-        need(1)
-        p = families.young_diagram(_parse_int_list(params[0])).poset
-    elif family == "skew":
-        need(2)
-        p = families.skew_diagram(
-            _parse_int_list(params[0]), _parse_int_list(params[1])
-        ).poset
-    elif family == "tripod":
-        need(2)
-        p = families.tripod(int(params[0]), int(params[1])).poset
-    elif family == "grid":
-        need(2)
-        gens = [tuple(_parse_int_list(g)) for g in params[1].split(";") if g.strip()]
-        p = families.grid_ideal(int(params[0]), gens).poset
-    elif family == "random":
-        need(2)
-        p = families.random_poset(int(params[0]), float(params[1]), seed)
-    elif family == "two-chain":
-        need(2)
-        spec = {
-            "m": int(params[0]),
-            "n": int(params[1]),
+#: Each family ``generate`` knows: (its parameter count, a builder from the
+#: parameters and the parsed arguments).  A builder returns the poset, or
+#: for ``two-chain`` the JSON spec that ``analyze`` reads.
+_FAMILIES = {
+    "chain": (1, lambda ps, args: families.chain(int(ps[0]))),
+    "antichain": (1, lambda ps, args: families.antichain(int(ps[0]))),
+    "chainpoint": (1, lambda ps, args: families.chain_plus_point(int(ps[0]))),
+    "twochains": (1, lambda ps, args: families.two_equal_chains(int(ps[0]))),
+    "young": (1, lambda ps, args: families.young_diagram(_parse_int_list(ps[0])).poset),
+    "skew": (
+        2,
+        lambda ps, args: families.skew_diagram(
+            _parse_int_list(ps[0]), _parse_int_list(ps[1])
+        ).poset,
+    ),
+    "tripod": (2, lambda ps, args: families.tripod(int(ps[0]), int(ps[1])).poset),
+    "grid": (
+        2,
+        lambda ps, args: families.grid_ideal(
+            int(ps[0]), [tuple(_parse_int_list(g)) for g in ps[1].split(";") if g.strip()]
+        ).poset,
+    ),
+    "random": (2, lambda ps, args: families.random_poset(int(ps[0]), float(ps[1]), args.seed)),
+    "two-chain": (
+        2,
+        lambda ps, args: {
+            "m": int(ps[0]),
+            "n": int(ps[1]),
             "cross": sorted(_parse_cross(args.cross or "")),
-        }
-        print(json.dumps(spec, indent=2))
-        return 0
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    print(json.dumps(p.to_dict(), indent=2))
+        },
+    ),
+}
+
+
+def cmd_generate(args) -> int:
+    family, params = args.family, args.params
+    arity, build = _FAMILIES[family]
+    if len(params) != arity:
+        raise ValueError(f"family {family!r} takes {arity} parameter(s)")
+    out = build(params, args)
+    print(json.dumps(out.to_dict() if isinstance(out, Poset) else out, indent=2))
     return 0
 
 
@@ -322,21 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("generate", help="emit a family poset as JSON")
-    sp.add_argument(
-        "family",
-        choices=[
-            "chain",
-            "antichain",
-            "chainpoint",
-            "twochains",
-            "young",
-            "skew",
-            "tripod",
-            "grid",
-            "random",
-            "two-chain",
-        ],
-    )
+    sp.add_argument("family", choices=list(_FAMILIES))
     sp.add_argument("params", nargs="*")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--cross", default=None, help="two-chain cross pairs i:j,...")

@@ -61,9 +61,7 @@ across two parts is counted from both parts' position counts and the
 number of interleavings that put one slot before the other.  Only a
 split poset whose whole lattice could be small (fewer than
 ``_SPLIT_MIN_IDEALS`` ideals by a bound from its parts) is built whole,
-because there a lattice per part costs more than it saves.  Readers of
-ideals (``levels``, ``down``, ``up``, ``edges``) use
-:class:`DownsetLattice` on the whole poset.
+because there a lattice per part costs more than it saves.
 
 Ideals are encoded as integer bitmasks over the ground-set indices:
 Python ints (arbitrary precision, so any desk-scale n works) in the dict
@@ -673,19 +671,24 @@ class _Arrays:
         return levels, down, up
 
 
-class _OnPoset:
-    """A lattice's hold on its poset, without a reference cycle.
+class _Lattice:
+    """What both lattice classes share: a hold on the poset, and the laws.
 
     A lattice sits in its poset's cache, so a strong reference back would
     make a cycle that only the cyclic collector frees: lattices of dropped
     posets would pile up between its runs.  The poset is held weakly
     instead, with the labels and order that rebuild an equal poset when a
-    caller keeps the lattice longer than the poset.
+    caller keeps the lattice longer than the poset.  Each class fills the
+    position and pair counts its own way; the position laws are read from
+    the position counts.
     """
 
     def _hold(self, poset: Poset) -> None:
         self._poset = weakref.ref(poset)
         self._order = (poset.labels, poset.lt)
+        self._marginals: dict[str, tuple[Fraction, ...]] | None = None
+        self._position_counts: list[list[int]] | None = None
+        self._pair_counts: list[list[int]] | None = None
 
     @property
     def poset(self) -> Poset:
@@ -695,8 +698,18 @@ class _OnPoset:
             self._poset = lambda: p
         return p
 
+    def marginals(self) -> dict[str, tuple[Fraction, ...]]:
+        """Position law for every element, from the integer position counts."""
+        if self._marginals is None:
+            total = self.extension_count
+            self._marginals = {
+                lab: tuple(Fraction(c, total) for c in row)
+                for lab, row in zip(self.poset.labels, self.position_counts())
+            }
+        return self._marginals
 
-class DownsetLattice(_OnPoset):
+
+class DownsetLattice(_Lattice):
     """Ideals of a poset with path counts from both ends.
 
     ``down[m]`` counts paths from the empty ideal to ideal ``m`` (linear
@@ -716,9 +729,6 @@ class DownsetLattice(_OnPoset):
         n = poset.n
         pred = poset._pred_masks
         self._hold(poset)
-        self._marginals: dict[str, tuple[Fraction, ...]] | None = None
-        self._position_counts: list[list[int]] | None = None
-        self._pair_counts: list[list[int]] | None = None
         if _arrays_win(n, pred):
             self._arrays: _Arrays | None = _Arrays(n, pred, budget)
             self._exact = None
@@ -767,6 +777,10 @@ class DownsetLattice(_OnPoset):
     def up(self) -> dict[int, int]:
         return self._ideals()[2]
 
+    def down_count(self, mask: int) -> int:
+        """``down[mask]``: extensions of the restriction to ``mask``, 0 off the ideals."""
+        return self.down.get(mask, 0)
+
     def _addable_levels(self):
         """The lattice again, level by level, with each ideal's addable set."""
         p = self.poset
@@ -783,11 +797,8 @@ class DownsetLattice(_OnPoset):
                     addable ^= b
                     yield mask, b.bit_length() - 1, mask | b
 
-    def marginals(self) -> dict[str, tuple[Fraction, ...]]:
-        """Position law for every element, from one pass over the edges."""
-        if self._marginals is None:
-            self._marginals = _laws(self)
-        return self._marginals
+    # named here too: benchmarks/tracing.py wraps it in this class's namespace
+    marginals = _Lattice.marginals
 
     def position_counts(self) -> list[list[int]]:
         """``counts[x][k]`` = number of extensions placing x at position k + 1."""
@@ -895,15 +906,6 @@ class DownsetLattice(_OnPoset):
         return draw
 
 
-def _laws(lat) -> dict[str, tuple[Fraction, ...]]:
-    """Position laws from a lattice's integer position counts, in label order."""
-    total = lat.extension_count
-    return {
-        lab: tuple(Fraction(c, total) for c in row)
-        for lab, row in zip(lat.poset.labels, lat.position_counts())
-    }
-
-
 def _components(p: Poset) -> list[list[int]]:
     """Connected parts of the comparability graph, as ascending index lists.
 
@@ -961,7 +963,7 @@ def _slot_ahead(a: int, b: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class SplitLattice(_OnPoset):
+class SplitLattice(_Lattice):
     """Lattice of a poset whose comparability graph has several parts.
 
     The ideals of a disjoint sum are the products of its parts' ideals, so
@@ -971,8 +973,8 @@ class SplitLattice(_OnPoset):
     parts' orders are independent and uniformly interleaved.  It answers
     what :class:`DownsetLattice` answers without reading ideals:
     ``extension_count``, ``node_count`` (the nodes built, summed over the
-    parts), ``position_counts``, ``marginals``, ``pair_counts`` and
-    ``sampler``.
+    parts), ``down_count``, ``position_counts``, ``marginals``,
+    ``pair_counts`` and ``sampler``.
     """
 
     def __init__(self, poset: Poset, parts: list[list[int]], budget: int):
@@ -999,15 +1001,19 @@ class SplitLattice(_OnPoset):
         self.parts = built
         self.node_count = nodes
         self.extension_count = total
-        self._marginals: dict[str, tuple[Fraction, ...]] | None = None
-        self._position_counts: list[list[int]] | None = None
-        self._pair_counts: list[list[int]] | None = None
 
-    def marginals(self) -> dict[str, tuple[Fraction, ...]]:
-        """Position law for every element, folded from the parts' counts."""
-        if self._marginals is None:
-            self._marginals = _laws(self)
-        return self._marginals
+    def down_count(self, mask: int) -> int:
+        """Extensions of the restriction to ``mask``, 0 when it is not an ideal.
+
+        The restriction is the disjoint sum of its parts' restrictions, so
+        it counts C(|m|; |m & P1|, ..., |m & Pk|) times the parts' down
+        counts, each read at its part's mask renumbered through ``idx``.
+        """
+        total = math.factorial(mask.bit_count())
+        for idx, lat in self.parts:
+            sub = sum(1 << k for k, x in enumerate(idx) if mask >> x & 1)
+            total = total // math.factorial(sub.bit_count()) * lat.down_count(sub)
+        return total
 
     def position_counts(self) -> list[list[int]]:
         """``counts[x][k]`` = number of extensions placing x at position k + 1.
@@ -1152,19 +1158,6 @@ def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | Split
     bound of :func:`_split`) is built whole.
     """
     return _cached(p, "lattice", budget, _split_or_whole)
-
-
-def _whole_lattice(p: Poset, budget: int | None = None) -> DownsetLattice:
-    """The :class:`DownsetLattice` of all of ``p``'s ideals, cached on ``p``.
-
-    For code that reads ideals, split poset or not; when :func:`build_lattice`
-    builds ``p`` whole, both return the same lattice.
-    """
-    if "ideals" not in p._cache:
-        lat = p._cache.get("lattice")
-        if isinstance(lat, DownsetLattice) or (lat is None and _split(p) is None):
-            return build_lattice(p, budget)
-    return _cached(p, "ideals", budget, DownsetLattice)
 
 
 def count_extensions(p: Poset, budget: int | None = None) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     HypothesisNotSatisfied,
     IndexOutOfRange,
 )
-from .lattice import EventSpec, _whole_lattice, build_lattice
+from .lattice import EventSpec, build_lattice
 from .poset import Poset
 
 
@@ -206,11 +206,11 @@ def conditioned_psi(t: TwoChainPoset, i: int, j: int, budget: int | None = None)
         raise IndexOutOfRange(f"x index {i} outside [1, {t.m}]")
     if not 0 <= j <= t.n:
         raise IndexOutOfRange(f"y cut {j} outside [0, {t.n}]")
-    lat = _whole_lattice(t.poset, budget)
-    denom = lat.down.get(t.prefix_mask(i, j), 0)
+    lat = build_lattice(t.poset, budget)
+    denom = lat.down_count(t.prefix_mask(i, j))
     if denom == 0:
         raise ConditionNullEvent("the conditioning prefix is not reachable")
-    num = lat.down.get(t.prefix_mask(i - 1, j), 0)
+    num = lat.down_count(t.prefix_mask(i - 1, j))
     return Fraction(num, denom)
 
 

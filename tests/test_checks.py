@@ -1,9 +1,12 @@
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from linext import checks
 from linext.checks import (
     BL2_EPSILON,
     GRUNBAUM_LOWER,
@@ -274,6 +277,46 @@ def test_corpus_mode_sweeps_every_element():
     total = sum(p.n for _, p in builtin_corpus())
     assert len(records) == total
     assert all(r.holds for r in records)
+
+
+def test_all_reenters_run_suite_once_per_suite(monkeypatch):
+    # "all" calls each suite through the module global, so a wrapper on it
+    # (a traced per-suite span) sees one call per suite, in SUITES order
+    real = checks.run_suite
+    seen = []
+
+    def spy(name, *args, **kwargs):
+        seen.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "run_suite", spy)
+    records = checks.run_suite("all", count=10, nmax=5)
+    assert seen == ["all", *checks.SUITES]
+    assert {r.check.split("_")[0] for r in records} >= {"xyz", "gyy", "window", "bl1"}
+
+
+def test_traced_suites_are_the_table():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    (suites,) = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SUITES"]
+    ]
+    assert ast.literal_eval(suites) == tuple(checks.SUITES)
+
+
+def test_suites_flag_the_corpus_walkers():
+    assert [name for name, walks in checks.SUITES.items() if walks] == [
+        "logconcave",
+        "grunbaum",
+        "sigmaq",
+        "onethird",
+    ]
+    # a suite without a corpus walker ignores the flag
+    assert run_suite("xyz", count=3, seed=5, corpus="builtin") == run_suite(
+        "xyz", count=3, seed=5
+    )
 
 
 def test_unknown_suite_or_corpus_raises():

@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from linext import cli
 from linext.cli import main
 
 
@@ -116,6 +118,22 @@ def test_generate_round_trips_through_analyze(capsys, tmp_path):
 def test_generate_rejects_wrong_arity(capsys):
     code, _, err = run(capsys, "generate", "young")
     assert code == 2
+
+
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_generate_checks_each_family_arity(capsys, family):
+    arity, _ = cli._FAMILIES[family]
+    for params in ([], ["2"] * (arity + 1)):
+        code, out, err = run(capsys, "generate", family, *params)
+        assert (code, out) == (2, "")
+        assert err == f"error: family {family!r} takes {arity} parameter(s)\n"
+
+
+def test_generate_choices_are_the_table():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (family,) = [a for a in sub.choices["generate"]._actions if a.dest == "family"]
+    assert family.choices == list(cli._FAMILIES)
 
 
 def test_generate_unknown_family(capsys):

@@ -171,3 +171,52 @@ def test_kernel_regime_check_sees_the_pattern():
     )
     assert _callers(tree, "unique") == ["a", "b"]
     assert _callers(tree, "_grow") == ["draw", None]
+
+
+def _string_dispatch(tree, limit: int = 3) -> list[str]:
+    """Functions that compare one name with more than ``limit`` string
+    constants through ``==``: an if/elif chain a lookup table should hold."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        per_name: dict[str, int] = {}
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Compare)
+                and len(node.ops) == 1
+                and isinstance(node.ops[0], ast.Eq)
+            ):
+                continue
+            for a, b in ((node.left, node.comparators[0]), (node.comparators[0], node.left)):
+                if (
+                    isinstance(a, ast.Name)
+                    and isinstance(b, ast.Constant)
+                    and isinstance(b.value, str)
+                ):
+                    per_name[a.id] = per_name.get(a.id, 0) + 1
+        found += [f"{fn.name}:{name}" for name, k in per_name.items() if k > limit]
+    return found
+
+
+def test_no_string_dispatch_chains():
+    # drivers name their suites and families in one table each
+    found = [
+        f"{path.name}:{hit}"
+        for path in SOURCES
+        for hit in _string_dispatch(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_string_dispatch_check_sees_the_pattern():
+    tree = ast.parse(
+        "def a(name):\n"
+        "    if name == 'x':\n        pass\n    elif name == 'y':\n        pass\n"
+        "    elif 'z' == name:\n        pass\n    elif name == 'w':\n        pass\n"
+        "def b(kind, k):\n"
+        "    if kind == 'p':\n        pass\n    if kind == 'q':\n        pass\n"
+        "    if kind == 'r' or k == 's' or k == 't':\n        pass\n"
+        "    if kind != 'u' and k == 1 and k == 2 and k == 3 and k == 4:\n        pass\n"
+    )
+    assert _string_dispatch(tree) == ["a:name"]
