@@ -42,11 +42,14 @@ and the sampler) are rebuilt on first use, in the dict kernel's order.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
-lattice's ``pair_counts``, one sweep that answers every pair at once;
-two or more are counted on the poset's own ideals, by either kernel, in
-one down pass in which each v also waits for its u.
-:func:`conditional_probability` takes that down pass for any open
-pair, so its budget bounds only the ideals it walks.
+lattice's ``pair_counts``, one sweep that answers every pair at once.
+Two or more, and every count :func:`conditional_probability` makes,
+are counted on the ideals that hold u whenever they hold v.  When the
+poset caches an array-kernel lattice within the budget, that is one
+masked down pass over its stored edges, the counts of every other ideal
+zeroed, with a block of rows per pair set (a conditional's two counts
+share it).  Otherwise it is a constrained down pass, on either kernel,
+so the budget bounds only the ideals it walks.
 
 The lattice of a poset whose comparability graph falls into several
 connected parts is the product of the parts' lattices, so
@@ -67,9 +70,10 @@ Ideals are encoded as integer bitmasks over the ground-set indices:
 Python ints (arbitrary precision, so any desk-scale n works) in the dict
 kernel, rows of ``uint64`` words in the array kernel.  Construction is
 bounded by a node budget and raises :class:`BudgetExceeded` past it,
-with the same (nodes, budget) from both kernels; the array kernel checks
-after each chunk it merges, so a level past the budget is never gathered
-whole.  The budget bounds the nodes really built: for a split poset, the
+with the same (nodes, budget) from both kernels.  A poset whose ideal
+floor already passes the budget is refused before any level, reporting
+the floor; the array kernel checks after each chunk it merges, so a
+level past the budget is never gathered whole.  The budget bounds the nodes really built: for a split poset, the
 sum over its parts, each part built against what the earlier ones left.
 """
 
@@ -357,21 +361,23 @@ def _crt(res: np.ndarray) -> list:
 
 
 def _gather(pairs, counts: np.ndarray, m: int) -> np.ndarray:
-    """``out[j, i]``: the sum of ``counts[j, pick[e]]`` over every edge e with ``index[e] == i``, mod prime j.
+    """``out[..., j, i]``: the sum of ``counts[..., j, pick[e]]`` over every edge e with ``index[e] == i``, mod prime j.
 
-    ``pairs`` lists the (index, pick) arrays of a level's runs.  Sums run
-    in float64, :data:`_CHUNK` edges at a time.  Each is exact: an ideal
-    has at most 64 edges in or out (:func:`_arrays_fit`), and each count
-    is below 2^31, so every sum stays below 2^6 2^31 < 2^53.
+    ``counts`` holds k rows, one per prime, or r blocks of them (shape
+    (r, k, L)), all summed in one pass.  ``pairs`` lists the (index, pick)
+    arrays of a level's runs.  Sums run in float64, :data:`_CHUNK` edges at
+    a time.  Each is exact: an ideal has at most 64 edges in or out
+    (:func:`_arrays_fit`), and each count is below 2^31, so every sum stays
+    below 2^6 2^31 < 2^53.
     """
-    k = len(counts)
-    sums = np.zeros(k * m)
-    offset = np.arange(k)[:, None] * m
+    rows = counts.reshape(-1, counts.shape[-1])
+    sums = np.zeros(len(rows) * m)
+    offset = np.arange(len(rows))[:, None] * m
     for index, pick in pairs:
         for lo in range(0, len(index), _CHUNK):
             at = (index[lo : lo + _CHUNK] + offset).ravel()
-            np.add.at(sums, at, counts[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
-    return sums.reshape(k, m).astype(np.int64) % _MODS[:k]
+            np.add.at(sums, at, rows[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
+    return sums.reshape(counts.shape[:-1] + (m,)).astype(np.int64) % _MODS[: counts.shape[-2]]
 
 
 def _ints(rows: np.ndarray) -> list[int]:
@@ -539,13 +545,32 @@ def _arrays_fit(n: int, pred: Sequence[int]) -> bool:
     )
 
 
-def _arrays_win(n: int, pred: Sequence[int]) -> bool:
-    """True when the array kernel builds this lattice (see :data:`_ARRAY_MIN_ELEMENTS`)."""
+def _arrays_win(n: int, pred: Sequence[int], floor: int) -> bool:
+    """True when the array kernel builds this lattice (see :data:`_ARRAY_MIN_ELEMENTS`).
+
+    ``floor`` is :func:`_ideal_floor`, as :func:`_preflight` reads it.
+    """
     return (
         n >= _ARRAY_MIN_ELEMENTS
-        and _ideal_floor(n, pred) >= _ARRAY_MIN_IDEALS_PER_ELEMENT * n
+        and floor >= _ARRAY_MIN_IDEALS_PER_ELEMENT * n
         and _arrays_fit(n, pred)
     )
+
+
+def _preflight(n: int, pred: Sequence[int], budget: int) -> bool:
+    """The kernel rule, after refusing a lattice plainly past ``budget``.
+
+    The ideal floor is read once, where the rule needs it (from
+    :data:`_ARRAY_MIN_ELEMENTS` elements; smaller posets skip the check).
+    A floor past the budget raises BudgetExceeded with the floor as its
+    nodes, before any level and on either kernel.
+    """
+    floor = 0
+    if n >= _ARRAY_MIN_ELEMENTS:
+        floor = _ideal_floor(n, pred)
+        if floor > budget:
+            raise BudgetExceeded(floor, budget)
+    return _arrays_win(n, pred, floor)
 
 
 def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | None) -> int:
@@ -557,7 +582,7 @@ def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | N
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    if not _arrays_win(n, pred):
+    if not _preflight(n, pred, budget):
         down: dict[int, int] = {0: 1}
         for _ in _walk(n, pred, cand, budget, down):
             pass
@@ -601,6 +626,32 @@ class _Arrays:
         self.edges = edges[:-1]
         self.total = total
         self.nodes = sum(len(level) for level in levels)
+
+    def masked(self, events: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+        """Per list of pairs (u, v), the extensions putting each u before its v.
+
+        The poset's ideals with each v also waiting for its u are the
+        ideals here that hold u whenever they hold v.  So each count is the
+        down pass again over the stored edges, with the counts of every
+        other ideal zeroed after each level; each list is one block of k
+        rows, and one pass serves them all.  A count is at most e(P), so
+        the k primes cover it.
+        """
+        _, word, _ = _element_bits(self.n)
+        ideals = np.concatenate(self.levels)
+        keep = np.empty((len(events), 1, len(ideals)), dtype=bool)
+        for row, pairs in zip(keep, events):
+            u, v = np.array(pairs).T
+            has_v = ideals[:, word[v]] >> (v % 64).astype(np.uint64)
+            lacks_u = ~ideals[:, word[u]] >> (u % 64).astype(np.uint64)
+            row[0] = ~(has_v & lacks_u & 1).any(1)
+        counts = np.ones((len(events), self.k, 1), dtype=np.int64)
+        end = 1
+        for runs, level in zip(self.edges, self.levels[1:]):
+            counts = _gather([(tgt, src) for src, _, tgt in runs], counts, len(level))
+            counts *= keep[:, :, end : end + len(level)]
+            end += len(level)
+        return _crt(counts[:, :, 0].T)
 
     def sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
         """Position counts, and with ``pairs`` pair counts, from one pass.
@@ -729,7 +780,7 @@ class DownsetLattice(_Lattice):
         n = poset.n
         pred = poset._pred_masks
         self._hold(poset)
-        if _arrays_win(n, pred):
+        if _preflight(n, pred, budget):
             self._arrays: _Arrays | None = _Arrays(n, pred, budget)
             self._exact = None
             self.node_count = self._arrays.nodes
@@ -1207,48 +1258,77 @@ def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
     return Poset._closed(p.labels, closed)
 
 
-def _event_count(
-    p: Poset, pairs: Iterable[tuple[str, str]], budget: int | None, sweep: bool = False
-) -> int:
-    """Extensions of ``p`` that put every ``u`` before its ``v``.
+def _event_counts(
+    p: Poset, events: Sequence[Sequence[tuple[str, str]]], budget: int | None, sweep: bool = False
+) -> list[int]:
+    """Extensions of ``p`` that put every ``u`` before its ``v``, per event.
 
-    Pairs the poset already orders are dropped, and with none left this
-    is the cached count.  With ``sweep`` (for :func:`event_probability`),
-    one pair (u, v) left is read from the cached lattice's
-    ``pair_counts``, a sweep that answers every pair of the poset at once
-    under the same budget as the count; a pair the poset orders the other
-    way, or u == v, counts 0 without it.  Otherwise the count is one
-    constrained down pass on the poset's own ideals, in which each v also
-    waits for its u.
+    Pairs the poset already orders are dropped, and an event with none
+    left is the cached count.  With ``sweep`` (for
+    :func:`event_probability`), one pair (u, v) left is read from the
+    cached lattice's ``pair_counts``, a sweep that answers every pair of
+    the poset at once under the same budget as the count; a pair the
+    poset orders the other way, or u == v, counts 0 without it.  Every
+    other event is counted on the poset's own ideals with each v also
+    waiting for its u.  When ``p`` already caches an array-kernel
+    :class:`DownsetLattice` within ``budget``, those counts share one
+    masked pass over its stored edges (:meth:`_Arrays.masked`), which
+    walks no ideal the augmented lattice lacks.  Otherwise each is a
+    constrained down pass, whose budget bounds the augmented lattice.
+    Each event holds the pairs of the one before it, so the counts after
+    a 0 are 0 and are not made.
     """
-    pred = list(p._pred_masks)
-    cand = list(p._upper_cover_masks)
-    open_pairs = []
-    for u, v in pairs:
-        u, v = p.index(u), p.index(v)
-        if not (pred[v] >> u) & 1:  # a pair already in the order adds nothing
-            pred[v] |= 1 << u
-            cand[u] |= 1 << v
-            open_pairs.append((u, v))
-    if not open_pairs:
-        return count_extensions(p, budget)
-    if sweep and len(open_pairs) == 1:
-        u, v = open_pairs[0]
-        if u == v or (p._pred_masks[u] >> v) & 1:
-            return 0
-        return build_lattice(p, budget).pair_counts()[u][v]
-    return _down_pass(p.n, pred, cand, budget)
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    lat = p._cache.get("lattice")
+    arrays = lat._arrays if isinstance(lat, DownsetLattice) and lat.node_count <= budget else None
+    counts: list[int | None] = []
+    masked = []
+    for pairs in events:
+        pred = list(p._pred_masks)
+        cand = list(p._upper_cover_masks)
+        open_pairs = []
+        for u, v in pairs:
+            u, v = p.index(u), p.index(v)
+            if not (pred[v] >> u) & 1:  # a pair already in the order adds nothing
+                pred[v] |= 1 << u
+                cand[u] |= 1 << v
+                open_pairs.append((u, v))
+        if not open_pairs:
+            count = count_extensions(p, budget)
+        elif sweep and len(open_pairs) == 1:
+            ((u, v),) = open_pairs
+            if u == v or (p._pred_masks[u] >> v) & 1:
+                count = 0
+            else:
+                count = build_lattice(p, budget).pair_counts()[u][v]
+        elif arrays is None:
+            count = _down_pass(p.n, pred, cand, budget)
+        elif any(u == v for u, v in open_pairs):  # the mask would keep every ideal
+            count = 0
+        else:
+            masked.append(open_pairs)
+            count = None
+        counts.append(count)
+        if count == 0:
+            break
+    if masked:
+        found = iter(arrays.masked(masked))
+        counts = [next(found) if c is None else c for c in counts]
+    return counts + [0] * (len(events) - len(counts))
 
 
 def event_probability(p: Poset, event, budget: int | None = None) -> Fraction:
     """Probability that a uniform extension satisfies every required pair.
 
     An event with one pair the poset leaves open reads the cached
-    lattice's pair counts (:func:`_event_count`), so the budget bounds
-    that lattice, as it bounds the count; an event of two or more open
-    pairs is one constrained down pass.
+    lattice's pair counts (:func:`_event_counts`), so the budget bounds
+    that lattice, as it bounds the count.  An event of two or more open
+    pairs is a masked pass over the cached lattice when that is an
+    array-kernel lattice within the budget, and otherwise one constrained
+    down pass.
     """
-    hits = _event_count(p, _required_pairs(event), budget, sweep=True)
+    (hits,) = _event_counts(p, [_required_pairs(event)], budget, sweep=True)
     return Fraction(hits, count_extensions(p, budget)) if hits else Fraction(0)
 
 
@@ -1257,17 +1337,19 @@ def conditional_probability(
 ) -> Fraction:
     """P(event | given); raises ConditionNullEvent when P(given) = 0.
 
-    A count with an open pair is a constrained down pass, even with just
-    one, so the budget bounds only the augmented lattices walked.
-    Reading the poset's whole lattice for a lone ``given`` pair would
-    hold the budget to that lattice too and lower the reach of a
-    conditional.
+    Both counts, the condition's and the condition's with the event's,
+    come from one masked pass when ``p`` caches an array-kernel lattice
+    within the budget (:func:`_event_counts`).  Otherwise a count with an
+    open pair is a constrained down pass, even with just one, so the
+    budget bounds only the augmented lattices walked: reading the
+    poset's whole lattice for a lone ``given`` pair would hold the budget
+    to that lattice too and lower the reach of a conditional.
     """
     given_pairs = _required_pairs(given)
-    base = _event_count(p, given_pairs, budget)
+    base, hits = _event_counts(p, [given_pairs, given_pairs + _required_pairs(event)], budget)
     if base == 0:
         raise ConditionNullEvent("conditioning event has probability zero")
-    return Fraction(_event_count(p, given_pairs + _required_pairs(event), budget), base)
+    return Fraction(hits, base)
 
 
 def sorting_probability(p: Poset, x: str, y: str, budget: int | None = None) -> Fraction:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +14,19 @@ from linext.families import (
     antichain,
     builtin_corpus,
     chain,
+    grid_ideal,
     random_poset,
     two_equal_chains,
     young_diagram,
 )
-from linext.lattice import DownsetLattice, EventSpec, event_probability, sample_extensions
+from linext.lattice import (
+    DownsetLattice,
+    EventSpec,
+    build_lattice,
+    conditional_probability,
+    event_probability,
+    sample_extensions,
+)
 from linext.poset import Poset
 from oracles import brute_count, brute_marginal, brute_pair_counts, hook_length_count
 from conftest import random_posets
@@ -25,7 +34,7 @@ from conftest import random_posets
 
 def _kernel(monkeypatch, arrays: bool) -> None:
     """Route every lattice and event pass the array kernel can hold to one kernel."""
-    monkeypatch.setattr(lattice, "_arrays_win", lambda n, pred: arrays and lattice._arrays_fit(n, pred))
+    monkeypatch.setattr(lattice, "_arrays_win", lambda n, pred, floor: arrays and lattice._arrays_fit(n, pred))
 
 
 def _fresh(p: Poset) -> Poset:
@@ -91,7 +100,9 @@ def test_bounds_bracket_the_lattice():
 
 
 def test_regime_follows_the_input():
-    win = lattice._arrays_win
+    def win(n, pred):
+        return lattice._arrays_win(n, pred, lattice._ideal_floor(n, pred))
+
     for p in random_posets(500, nmax=10, seed=42):
         assert not win(p.n, p._pred_masks)  # verify's sizes stay on the dict kernel
     assert not win(40, chain(40)._pred_masks)
@@ -166,7 +177,7 @@ def test_a_chain_code_past_64_bits_stays_on_the_dict_kernel(monkeypatch):
         # the code alone refuses it, however many primes there were
         m.setattr(lattice, "_PRIME_PRODUCT", 1 << 100_000)
         assert not lattice._arrays_fit(p.n, pred)
-    assert not lattice._arrays_win(p.n, pred)
+    assert not lattice._arrays_win(p.n, pred, lattice._ideal_floor(p.n, pred))
     lat = DownsetLattice(p)
     assert lat._arrays is None
     assert lat.node_count == 1 + 256 * 255
@@ -244,6 +255,63 @@ def test_budget_raises_like_the_dict_kernel(monkeypatch):
                 except BudgetExceeded as exc:
                     seen.append((exc.nodes, exc.budget))
             assert seen[0] == seen[1], (p, budget)
+
+
+def _no_levels(monkeypatch) -> None:
+    """Make every level walk, on either kernel, fail the test."""
+
+    def walked(*args, **kwargs):
+        raise AssertionError("a level was walked")
+
+    monkeypatch.setattr(lattice, "_walk", walked)
+    monkeypatch.setattr(lattice, "_array_levels", walked)
+
+
+def test_a_box_far_past_the_budget_is_refused_before_any_level(monkeypatch):
+    # the 6x6x6 box: 216 elements and an 83-bit chain code (the dict
+    # kernel's), with an ideal floor 34 times the default budget
+    p = grid_ideal(3, [(6, 6, 6)]).poset
+    floor = lattice._ideal_floor(p.n, p._pred_masks)
+    assert floor == 339_806_341
+    _no_levels(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        build_lattice(p)
+    assert time.perf_counter() - start < 0.5
+    assert (info.value.nodes, info.value.budget) == (floor, lattice.DEFAULT_NODE_BUDGET)
+
+
+def test_preflight_reports_the_floor_on_both_kernels(monkeypatch):
+    p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    floor = lattice._ideal_floor(p.n, p._pred_masks)
+    assert DownsetLattice(p).node_count > floor
+    for arrays in (True, False):
+        _kernel(monkeypatch, arrays)
+        with monkeypatch.context() as m:
+            _no_levels(m)
+            for budget in (-1, 0, floor - 1):
+                with pytest.raises(BudgetExceeded) as info:
+                    DownsetLattice(_fresh(p), budget)
+                assert (info.value.nodes, info.value.budget) == (floor, budget)
+    # posets below the kernel rule's size read no floor and refuse as before
+    with pytest.raises(BudgetExceeded) as info:
+        DownsetLattice(young_diagram((3, 3, 2)).poset, 5)
+    assert (info.value.nodes, info.value.budget) == (6, 5)
+
+
+def test_preflight_reads_the_augmented_order(monkeypatch):
+    # a conditional's down pass checks the floor of the order it walks
+    p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    labels = p.labels
+    given = [(labels[-1], labels[1])]
+    pred = list(p._pred_masks)
+    pred[1] |= 1 << (p.n - 1)
+    floor = lattice._ideal_floor(p.n, pred)
+    assert floor < lattice._ideal_floor(p.n, p._pred_masks)
+    _no_levels(monkeypatch)
+    with pytest.raises(BudgetExceeded) as info:
+        conditional_probability(p, [(labels[2], labels[3])], given, floor - 1)
+    assert (info.value.nodes, info.value.budget) == (floor, floor - 1)
 
 
 def test_budget_raises_before_the_next_level_is_expanded():

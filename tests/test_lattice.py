@@ -39,6 +39,7 @@ from oracles import (
     brute_sorting_probability,
 )
 from conftest import count_constructions, random_posets
+from test_arrays import _kernel
 
 
 def test_count_small_fixtures():
@@ -359,9 +360,8 @@ def _one_open_pair_events(p, rng, sample=None):
     return events
 
 
-def _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, brute):
-    """``event_probability`` against the constrained down pass on the
-    augmented ``pred``/``cand`` and, with ``brute``, the brute-force oracle."""
+def _spy_down_pass(monkeypatch):
+    """The real ``_down_pass``, and the list of the arguments of each call to it."""
     down_pass = lattice._down_pass
     calls = []
 
@@ -370,18 +370,30 @@ def _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, brute):
         return down_pass(*args)
 
     monkeypatch.setattr(lattice, "_down_pass", counting)
+    return down_pass, calls
+
+
+def _augmented_masks(p, pairs):
+    """``pred`` and ``cand`` of ``p`` with each v also waiting for its u."""
+    pred = list(p._pred_masks)
+    cand = list(p._upper_cover_masks)
+    for u, v in pairs:
+        u, v = p.index(u), p.index(v)
+        pred[v] |= 1 << u
+        cand[u] |= 1 << v
+    return pred, cand
+
+
+def _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, brute):
+    """``event_probability`` against the constrained down pass on the
+    augmented ``pred``/``cand`` and, with ``brute``, the brute-force oracle."""
+    down_pass, calls = _spy_down_pass(monkeypatch)
     total = count_extensions(p)
     counts = brute_pair_counts(p) if brute else None
     for pairs, (x, y) in events:
         got = event_probability(p, pairs)
         assert calls == []
-        pred = list(p._pred_masks)
-        cand = list(p._upper_cover_masks)
-        for u, v in pairs:
-            u, v = p.index(u), p.index(v)
-            pred[v] |= 1 << u
-            cand[u] |= 1 << v
-        assert got == Fraction(down_pass(p.n, pred, cand, None), total)
+        assert got == Fraction(down_pass(p.n, *_augmented_masks(p, pairs), None), total)
         if brute:
             assert got == Fraction(counts[p.index(x)][p.index(y)], total)
             if len(pairs) > 1:
@@ -417,6 +429,192 @@ def test_one_open_pair_matches_the_down_pass_on_the_array_kernel(monkeypatch):
     assert isinstance(lat, DownsetLattice) and lat._arrays is not None
     events = _one_open_pair_events(p, random.Random(34), sample=30)
     _assert_one_open_pair_reads_the_sweep(monkeypatch, p, events, False)
+
+
+# -- conjunctions and conditionals by a masked pass over the cached lattice --
+
+
+def _masked_queries(p, rng, count):
+    """``count`` conjunctions and ``count`` (event, given) conditionals.
+
+    Two or three pairs p leaves open, each with a twist now and then: a
+    repeat, a pair p orders, one against the order, its reverse (a cycle),
+    or u == v.  Every fifth condition is null.
+    """
+    labels = p.labels
+    free = [(x, y) for x in labels for y in labels if x != y and not p.comparable(x, y)]
+    ordered = [(x, y) for x in labels for y in labels if p.less(x, y)]
+
+    def pairs():
+        out = [rng.choice(free) for _ in range(rng.randint(2, 3))] if free else []
+        twist = rng.randrange(8)
+        if twist == 0:
+            out.append(out[0] if out else (labels[0],) * 2)
+        elif twist == 1 and ordered:
+            out.insert(rng.randrange(len(out) + 1), rng.choice(ordered))
+        elif twist == 2 and ordered:
+            out.append(rng.choice(ordered)[::-1])
+        elif twist == 3 and out:
+            out.append(out[-1][::-1])
+        elif twist == 4:
+            out.append((rng.choice(labels),) * 2)
+        return out
+
+    events = [pairs() for _ in range(count)]
+    conditionals = []
+    for k in range(count):
+        given = pairs()[: rng.randint(1, 3)]
+        if k % 5 == 0 and free:
+            x, y = rng.choice(free)
+            given = [(x, y), (y, x)]
+        conditionals.append((pairs()[: rng.randint(1, 3)], given))
+    return events, conditionals
+
+
+def _assert_masked_route(monkeypatch, p, queries, brute):
+    """Conjunctions and conditionals on ``p``'s cached array lattice, each
+    against the constrained down pass on the augmented ``pred``/``cand``
+    and, with ``brute``, the brute-force oracle; none calls ``_down_pass``.
+    Returns the number of null conditions seen."""
+    lat = build_lattice(p)
+    assert isinstance(lat, DownsetLattice) and lat._arrays is not None
+    down_pass, calls = _spy_down_pass(monkeypatch)
+    total = count_extensions(p)
+
+    def walked(pairs):
+        return down_pass(p.n, *_augmented_masks(p, pairs), None)
+
+    events, conditionals = queries
+    for pairs in events:
+        got = event_probability(p, pairs)
+        assert got == Fraction(walked(pairs), total)
+        if brute:
+            assert got == brute_event_probability(p, pairs)
+    nulls = 0
+    for event, given in conditionals:
+        base = walked(given)
+        if base == 0:
+            nulls += 1
+            with pytest.raises(ConditionNullEvent):
+                conditional_probability(p, event, given)
+            continue
+        got = conditional_probability(p, event, given)
+        assert got == Fraction(walked(given + event), base)
+        if brute:
+            assert got == brute_conditional_probability(p, event, given)
+    assert calls == []
+    monkeypatch.undo()
+    return nulls
+
+
+def test_masked_route_matches_the_down_pass_on_the_array_kernel(monkeypatch):
+    p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    queries = _masked_queries(p, random.Random(35), 40)
+    assert _assert_masked_route(monkeypatch, p, queries, False) > 0
+
+
+def test_masked_route_matches_the_down_pass_on_random_posets(monkeypatch):
+    # connected posets, and split ones small enough to be built whole,
+    # forced onto the array kernel
+    rng = random.Random(36)
+    checked = nulls = 0
+    for p in random_posets(150, nmax=9, seed=37) + [young_diagram((3, 3, 2)).poset]:
+        _kernel(monkeypatch, True)
+        if not isinstance(build_lattice(p), DownsetLattice):
+            continue
+        nulls += _assert_masked_route(monkeypatch, p, _masked_queries(p, rng, 4), True)
+        checked += 1
+    assert checked > 120 and nulls > 50
+
+
+def test_masked_pass_shares_one_pass_between_pair_lists(monkeypatch):
+    _kernel(monkeypatch, True)
+    p = young_diagram((3, 3, 2)).poset
+    arrays = build_lattice(p)._arrays
+    labels = p.labels
+    sets = [
+        [(labels[1], labels[3])],
+        [(labels[1], labels[3]), (labels[6], labels[2])],
+        [(labels[3], labels[1]), (labels[6], labels[2]), (labels[7], labels[5])],
+        [(labels[0], labels[7]), (labels[7], labels[0])],
+    ]
+    got = arrays.masked([[(p.index(u), p.index(v)) for u, v in pairs] for pairs in sets])
+    assert got == [brute_event_probability(p, pairs) * arrays.total for pairs in sets]
+
+
+def _route_pairs(p):
+    """A conjunction of two pairs p leaves open, and a condition of one."""
+    free = [(x, y) for i, x in enumerate(p.labels) for y in p.labels[i + 1 :] if not p.comparable(x, y)]
+    return [free[0], free[-1][::-1]], [free[len(free) // 2]]
+
+
+def _routes(monkeypatch, p, budget=None):
+    """``_down_pass`` calls made by one conjunction and one conditional on ``p``."""
+    event, given = _route_pairs(p)
+    down_pass, calls = _spy_down_pass(monkeypatch)
+    # the conditional first: an event builds and caches the lattice for
+    # its denominator
+    got = (conditional_probability(p, event, given, budget), event_probability(p, event, budget))
+    monkeypatch.undo()
+    expected = (
+        Fraction(
+            down_pass(p.n, *_augmented_masks(p, given + event), None),
+            down_pass(p.n, *_augmented_masks(p, given), None),
+        ),
+        Fraction(down_pass(p.n, *_augmented_masks(p, event), None), count_extensions(p)),
+    )
+    assert got == expected
+    return calls
+
+
+def test_masked_route_needs_an_array_lattice_cached_within_the_budget(monkeypatch):
+    young = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    event, given = _route_pairs(young)
+    # no cached lattice: one constrained down pass per count, with the
+    # augmented masks and the budget as given
+    fresh = Poset.from_dict(young.to_dict())
+    calls = _routes(monkeypatch, fresh, budget=10**6)
+    assert [call[1:] for call in calls] == [
+        (*_augmented_masks(fresh, pairs), 10**6) for pairs in (given, given + event, event)
+    ]
+    # the cached array lattice within the budget: no down pass at all
+    nodes = build_lattice(young).node_count
+    assert _routes(monkeypatch, young, budget=nodes) == []
+    assert _routes(monkeypatch, young) == []
+    # a cached lattice larger than the budget leaves the conditional's two
+    # counts to the down pass (an event's denominator refuses that lattice)
+    _, calls = _spy_down_pass(monkeypatch)
+    conditional_probability(young, event, given, budget=nodes - 1)
+    monkeypatch.undo()
+    assert [call[1:] for call in calls] == [
+        (*_augmented_masks(young, pairs), nodes - 1) for pairs in (given, given + event)
+    ]
+    # a dict-kernel lattice, and a split one, keep the down pass
+    small = random_poset(9, 0.2, seed=3)
+    assert build_lattice(small)._arrays is None
+    assert len(_routes(monkeypatch, small)) == 3
+    split = disjoint_sum(young_diagram((3, 3, 2)).poset, young_diagram((4, 3)).poset)
+    assert isinstance(build_lattice(split), SplitLattice)
+    assert len(_routes(monkeypatch, split)) == 3
+
+
+def test_masked_route_keeps_the_budget_of_the_down_pass():
+    # a conditional's budget bounds its augmented lattices, cached lattice
+    # or not: the masked route reads only a cached lattice within the
+    # budget, and that holds every augmented lattice
+    p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    event, given = _route_pairs(p)
+    aug = DownsetLattice(augmented_poset(p, given)).node_count
+    fresh = Poset.from_dict(p.to_dict())
+    nodes = build_lattice(p).node_count
+    assert aug < nodes
+    expected = conditional_probability(p, event, given)
+    for q in (fresh, p):
+        for budget in (aug, nodes - 1, nodes):
+            assert conditional_probability(q, event, given, budget) == expected
+        with pytest.raises(BudgetExceeded):
+            conditional_probability(q, event, given, aug - 1)
+    assert "lattice" not in fresh._cache
 
 
 # -- the successor kernel against a scan of every unplaced element ----------

@@ -220,3 +220,44 @@ def test_string_dispatch_check_sees_the_pattern():
         "    if kind != 'u' and k == 1 and k == 2 and k == 3 and k == 4:\n        pass\n"
     )
     assert _string_dispatch(tree) == ["a:name"]
+
+
+def _add_at_sites(tree) -> list[str | None]:
+    """The function around each use of ``add.at`` (None at module level)."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "at"
+                and _name_of(child.value) == "add"
+            ):
+                sites.append(owner)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_accumulation_kernel():
+    # every pass of the array kernel sums along edges in lattice._gather,
+    # so a new pass cannot fork a second accumulation kernel
+    found = [
+        (path.name, owner)
+        for path in SOURCES
+        for owner in _add_at_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [("lattice.py", "_gather")]
+
+
+def test_accumulation_check_sees_the_pattern():
+    tree = ast.parse(
+        "def _gather(s, i, w):\n    np.add.at(s, i, w)\n"
+        "def up(s, i, w):\n    for _ in i:\n        numpy.add.at(s, i, w)\n"
+        "class A:\n    def sweep(self):\n        acc = np.add.at\n"
+        "def low(s, i, w):\n    np.minimum.at(s, i, w)\n    np.add.reduceat(w, i)\n"
+        "np.add.at(s, i, w)\n"
+    )
+    assert _add_at_sites(tree) == ["_gather", "up", "sweep", None]

@@ -42,7 +42,7 @@ from linext.poset import Poset
 def _timed(p: Poset, arrays: bool, reps: int) -> tuple[float, int]:
     """Best time of build plus pair_counts on one kernel, and the node count."""
     kept = lattice._arrays_win
-    lattice._arrays_win = lambda n, pred: arrays
+    lattice._arrays_win = lambda n, pred, floor: arrays
     try:
         best = float("inf")
         for _ in range(reps):
@@ -118,7 +118,7 @@ def main() -> None:
                 "floor": floor,
                 "floor_per_n": round(floor / n, 2),
                 "nodes_per_n": round(nodes / n, 2),
-                "rule_picks_arrays": lattice._arrays_win(n, p._pred_masks),
+                "rule_picks_arrays": lattice._arrays_win(n, p._pred_masks, floor),
                 "array_ms": round(array_s * 1e3, 3),
                 "dict_ms": round(dict_s * 1e3, 3),
             }
