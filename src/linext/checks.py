@@ -40,7 +40,7 @@ from .poset import (
     comparability_profile,
     is_convex_in_grid,
 )
-from .stats import balance, position_statistics
+from .stats import balance, mean_tails, position_statistics
 from .twochain import (
     TwoChainPoset,
     bl2_hypothesis,
@@ -300,8 +300,7 @@ def check_grunbaum_tails(t: TwoChainPoset, i: int, budget: int | None = None) ->
 
     dist = g_distribution(t, i, budget)
     mu = dist.mean
-    upper = sum((q for k, q in enumerate(dist.probs) if k >= mu), Fraction(0))
-    lower = sum((q for k, q in enumerate(dist.probs) if k <= mu), Fraction(0))
+    upper, lower = mean_tails(dist.probs, mu, first=0)
     mean_x = position_distribution(t.poset, t.x_label(i), budget).mean
 
     checked = []

@@ -25,13 +25,14 @@ The array kernel, :func:`_array_levels`, serves lattices large enough to
 pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
 level is sorted by a one-word key (the mask, or past 64 elements the
 chain code of :func:`_chain_code`).  One broadcast test over a chunk of
-the level and every element finds the edges, and the chunk's targets,
-made unique by key, are merged into the next level by binary search.
-Path counts are kept modulo primes below 2^31.  The down pass takes
-enough primes to exceed a bound on the extension count (n! over the
-chain cover), and the Chinese remainder theorem (CRT) rebuilds e(P)
-exactly from it.  Every other count is at most e(P), so the up pass and
-the sweeps keep only the primes that cover e(P).  Counts are summed in
+the level and every element finds the edges; the chunk's targets, made
+unique by key, are merged into the next level by binary search, and the
+level's edges are kept as one table sorted by the element added.  Path
+counts are kept modulo primes below 2^31.  The down pass takes enough
+primes to exceed a bound on the extension count (n! over the chain
+cover), and the Chinese remainder theorem (CRT) rebuilds e(P) exactly
+from it.  Every other count is at most e(P), so the up pass and the
+sweeps keep only the primes that cover e(P).  Counts are summed in
 float64, which is exact: an ideal has at most 64 edges in or out
 (:func:`_arrays_fit`), so a sum stays below 2^6 2^31 < 2^53, and a sweep
 adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of
@@ -73,8 +74,9 @@ bounded by a node budget and raises :class:`BudgetExceeded` past it,
 with the same (nodes, budget) from both kernels.  A poset whose ideal
 floor already passes the budget is refused before any level, reporting
 the floor; the array kernel checks after each chunk it merges, so a
-level past the budget is never gathered whole.  The budget bounds the nodes really built: for a split poset, the
-sum over its parts, each part built against what the earlier ones left.
+level past the budget is never gathered whole.  The budget bounds the
+nodes really built: for a split poset, the sum over its parts, each part
+built against what the earlier ones left.
 """
 
 from __future__ import annotations
@@ -360,23 +362,23 @@ def _crt(res: np.ndarray) -> list:
     return value.tolist()
 
 
-def _gather(pairs, counts: np.ndarray, m: int) -> np.ndarray:
-    """``out[..., j, i]``: the sum of ``counts[..., j, pick[e]]`` over every edge e with ``index[e] == i``, mod prime j.
+def _gather(index: np.ndarray, pick: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
+    """Sums of ``counts`` along one level's edge table, mod each prime.
 
-    ``counts`` holds k rows, one per prime, or r blocks of them (shape
-    (r, k, L)), all summed in one pass.  ``pairs`` lists the (index, pick)
-    arrays of a level's runs.  Sums run in float64, :data:`_CHUNK` edges at
-    a time.  Each is exact: an ideal has at most 64 edges in or out
-    (:func:`_arrays_fit`), and each count is below 2^31, so every sum stays
-    below 2^6 2^31 < 2^53.
+    ``out[..., j, i]`` sums ``counts[..., j, pick[e]]`` over the edges e
+    with ``index[e] == i``: targets and sources for the down pass, sources
+    and targets for the up pass.  ``counts`` holds k rows, one per prime,
+    or r blocks of them (shape (r, k, L)), all summed in one pass.  Sums
+    run in float64, :data:`_CHUNK` edges at a time.  Each is exact: an
+    ideal has at most 64 edges in or out (:func:`_arrays_fit`), and each
+    count is below 2^31, so every sum stays below 2^6 2^31 < 2^53.
     """
     rows = counts.reshape(-1, counts.shape[-1])
     sums = np.zeros(len(rows) * m)
     offset = np.arange(len(rows))[:, None] * m
-    for index, pick in pairs:
-        for lo in range(0, len(index), _CHUNK):
-            at = (index[lo : lo + _CHUNK] + offset).ravel()
-            np.add.at(sums, at, rows[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
+    for lo in range(0, len(index), _CHUNK):
+        at = (index[lo : lo + _CHUNK] + offset).ravel()
+        np.add.at(sums, at, rows[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
     return sums.reshape(counts.shape[:-1] + (m,)).astype(np.int64) % _MODS[: counts.shape[-2]]
 
 
@@ -403,19 +405,18 @@ def _element_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
-    """Yield the lattice level by level as (ideals, counts, runs); the array kernel.
+    """Yield the lattice level by level as (ideals, counts, edges); the array kernel.
 
     ``ideals`` holds one row of W = ceil(n / 64) little-endian ``uint64``
     words per ideal, and ``counts[j]`` the path counts from the empty
-    ideal modulo prime j, for j < ``k``.  ``runs`` lists the edges to the
-    next level, one run per chunk of :data:`_CHUNK` ideals that has any: a
-    run (src, starts, tgt) groups its edges by the element x added, the
-    edges of x being ``starts[x]:starts[x + 1]``, and edge e runs from
-    ideal ``src[e]`` of this level to ``tgt[e]`` of the next.  The last
-    level (or the first one no edge leaves, when ``pred`` has a cycle)
-    comes with ``runs`` None.  ``pred`` need not be closed.  x is addable
-    to ideal I when ``I & x == 0`` and ``I & pred[x] == pred[x]``, tested
-    word by word for every element against a chunk of the level at once.
+    ideal modulo prime j, for j < ``k``.  ``edges`` is the level's edge
+    table (src, starts, tgt), sorted by the element x added: edge e runs
+    from ideal ``src[e]`` of this level to ``tgt[e]`` of the next, and the
+    edges of x are ``starts[x]:starts[x + 1]``.  The last level (or the
+    first one no edge leaves, when ``pred`` has a cycle) comes with
+    ``edges`` None.  ``pred`` need not be closed.  x is addable to ideal I
+    when ``I & x == 0`` and ``I & pred[x] == pred[x]``, tested word by word
+    for every element against a chunk of the level at once.
 
     A level is sorted by a one-word key: with one word the mask itself,
     else the chain code (:func:`_chain_code`).  Either way a target's key
@@ -423,7 +424,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     ``np.unique`` on their keys and are merged into the next level by
     ``np.searchsorted``; the count is checked against ``budget`` after
     every chunk, so BudgetExceeded is raised before the level past the
-    budget is whole.
+    budget is whole, and only then are the chunks' edges joined.
     """
     width = max(1, -(-n // 64))
     elements, word, bit = _element_bits(n)
@@ -455,8 +456,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
             if len(x) == 0:
                 continue
             src = (src + lo).astype(np.int32)
-            # ``into`` maps each edge to its target in ``new``, and later
-            # in the merged level
+            # ``into`` maps each edge to its target in ``new``
             new, into = np.unique(keys[src] + stride[x], return_inverse=True)
             if len(nxt):
                 at = np.searchsorted(nxt, new)
@@ -471,21 +471,24 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
         if not found:
             break
         nodes += len(nxt)
-        runs = []
-        above = nxt[:, None] if width == 1 else np.empty((len(nxt), width), dtype=np.uint64)
-        for x, src, new, into in found:
-            starts = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(x, minlength=n), out=starts[1:])
-            if new is not nxt:
-                into = np.searchsorted(nxt, new).astype(np.int32)[into]
-            runs.append((src, starts, into))
-            if width > 1:
-                grown = level[src]
-                grown[np.arange(len(src)), word[x]] |= bit[x]
-                above[into] = grown
-        del found
-        yield level, counts, runs
-        counts = _gather([(tgt, src) for src, _, tgt in runs], counts, len(nxt))
+        # the level's table: its chunks' edges, targets renumbered, by x
+        x, src, new, into = zip(*found)
+        tgt = [i if c is nxt else np.searchsorted(nxt, c).astype(np.int32)[i] for c, i in zip(new, into)]
+        x, src, tgt = map(np.concatenate, (x, src, tgt))
+        # each chunk's edges are sorted by x, so a lone chunk's table is
+        order = np.argsort(x, kind="stable") if len(found) > 1 else slice(None)
+        del found, new, into
+        starts = np.concatenate(([0], np.bincount(x, minlength=n).cumsum()))
+        if width == 1:
+            above = nxt[:, None]
+        else:  # each ideal of the next level is one edge's source plus its x
+            one = np.empty(len(nxt), dtype=np.int64)
+            one[tgt] = np.arange(len(tgt))
+            above, x = level[src[one]], x[one]
+            above[np.arange(len(nxt)), word[x]] |= bit[x]
+        src, tgt = src[order], tgt[order]
+        yield level, counts, (src, starts, tgt)
+        counts = _gather(tgt, src, counts, len(nxt))
         keys, level = nxt, above
         words = [keys] if width == 1 else list(level.T)
     yield level, counts, None
@@ -606,18 +609,14 @@ class _Arrays:
     """
 
     def __init__(self, n: int, pred: Sequence[int], budget: int):
-        levels, down, edges = [], [], []
-        for level, counts, step in _array_levels(n, pred, _primes_over(_count_bound(n, pred)), budget):
-            levels.append(level)
-            down.append(counts)
-            edges.append(step)
+        levels, down, edges = zip(*_array_levels(n, pred, _primes_over(_count_bound(n, pred)), budget))
         total = _crt(down[-1][:, :1])[0]
         k = _primes_over(total)
         down = [c[:k].copy() for c in down]
         up = [None] * n + [np.ones((k, 1), dtype=np.int64)]
         for size in range(n - 1, -1, -1):
-            pairs = [(src, tgt) for src, _, tgt in edges[size]]
-            up[size] = _gather(pairs, up[size + 1], len(levels[size]))
+            src, _, tgt = edges[size]
+            up[size] = _gather(src, tgt, up[size + 1], len(levels[size]))
         self.n = n
         self.k = k
         self.levels = levels
@@ -647,8 +646,8 @@ class _Arrays:
             row[0] = ~(has_v & lacks_u & 1).any(1)
         counts = np.ones((len(events), self.k, 1), dtype=np.int64)
         end = 1
-        for runs, level in zip(self.edges, self.levels[1:]):
-            counts = _gather([(tgt, src) for src, _, tgt in runs], counts, len(level))
+        for (src, _, tgt), level in zip(self.edges, self.levels[1:]):
+            counts = _gather(tgt, src, counts, len(level))
             counts *= keep[:, :, end : end + len(level)]
             end += len(level)
         return _crt(counts[:, :, 0].T)
@@ -658,36 +657,36 @@ class _Arrays:
 
         Edge (I, x, I + x) of level t carries w = down(I) up(I + x) mod
         each prime: it adds w to x's count at position t + 1, and to (x, y)
-        for every y outside I + x.  The edges of one x in a chunk of at
-        most :data:`_CHUNK` edges add up in one product, weights times the
-        0/1 matrix of the elements outside each target, in float64.  That
-        is exact: every sum is below 2^12 2^31 = 2^43 < 2^53.
+        for every y outside I + x.  A level's table is read :data:`_CHUNK`
+        edges at a time, and a chunk's edges of one x, adjacent in the
+        table, add up in one product: weights times the 0/1 matrix of the
+        elements outside each target, in float64.  That is exact: every
+        sum is below 2^12 2^31 = 2^43 < 2^53.
         """
         n, k = self.n, self.k
         mods = _MODS[:k]
         pos = np.zeros((k, n, n), dtype=np.int64)
         ahead = np.zeros((k, n, n), dtype=np.int64) if pairs else None
-        for size, runs in enumerate(self.edges):
+        for size, (src, starts, tgt) in enumerate(self.edges):
             down, up, above = self.down[size], self.up[size + 1], self.levels[size + 1]
-            for src, starts, tgt in runs:
-                for lo in range(0, len(src), _CHUNK):
-                    into = tgt[lo : lo + _CHUNK]
-                    part = down[:, src[lo : lo + _CHUNK]] * up[:, into] % mods
-                    cut = np.clip(starts - lo, 0, len(into))
-                    xs = np.flatnonzero(cut[1:] > cut[:-1])
-                    pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
-                    if not pairs:
-                        continue
-                    out = (~above[into]).astype("<u8")
-                    rest = np.unpackbits(out.view(np.uint8).reshape(len(into), -1), axis=1, bitorder="little")
-                    rest = rest[:, :n].astype(np.float64)
-                    weights = part.astype(np.float64)
-                    block = np.zeros((k, n, n))
-                    bounds = cut.tolist()
-                    for x in xs.tolist():
-                        a, b = bounds[x], bounds[x + 1]
-                        block[:, x] = weights[:, a:b] @ rest[a:b]
-                    ahead += block.astype(np.int64)
+            for lo in range(0, len(src), _CHUNK):
+                into = tgt[lo : lo + _CHUNK]
+                part = down[:, src[lo : lo + _CHUNK]] * up[:, into] % mods
+                cut = np.clip(starts - lo, 0, len(into))
+                xs = np.flatnonzero(cut[1:] > cut[:-1])
+                pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
+                if not pairs:
+                    continue
+                out = (~above[into]).astype("<u8")
+                rest = np.unpackbits(out.view(np.uint8).reshape(len(into), -1), axis=1, bitorder="little")
+                rest = rest[:, :n].astype(np.float64)
+                weights = part.astype(np.float64)
+                block = np.zeros((k, n, n))
+                bounds = cut.tolist()
+                for x in xs.tolist():
+                    a, b = bounds[x], bounds[x + 1]
+                    block[:, x] = weights[:, a:b] @ rest[a:b]
+                ahead += block.astype(np.int64)
             if pairs:
                 ahead %= mods[:, :, None]
         pos %= mods[:, :, None]
@@ -709,9 +708,9 @@ class _Arrays:
         for size, level in enumerate(self.levels):
             if size:
                 first = np.full(len(level), np.iinfo(np.int64).max)
-                for src, starts, tgt in self.edges[size - 1]:
-                    x = np.repeat(np.arange(n), np.diff(starts))
-                    np.minimum.at(first, tgt, rank[src] * n + x)
+                src, starts, tgt = self.edges[size - 1]
+                x = np.repeat(np.arange(n), np.diff(starts))
+                np.minimum.at(first, tgt, rank[src] * n + x)
                 order = np.argsort(first)
                 rank = np.empty(len(level), dtype=np.int64)
                 rank[order] = np.arange(len(level))

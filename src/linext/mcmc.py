@@ -76,13 +76,16 @@ def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]
 
     Returns the (step offset, slot) of each swap that moves an element of
     the bitmask ``watch``, in step order; the offset counts from 0 at the
-    first step of this call.  Nothing else is recorded per step.
+    first step of this call.  Nothing else is recorded per step.  With
+    fewer than two elements no swap exists, so the steps draw nothing.
     """
     p = state.poset
     n, incomp = p.n, p._incomp_masks
     order, pos, validate = state.order, state.pos, state.validate
     coin, slot = state.rng.random, state.rng.randrange
     state.steps += steps
+    if n < 2:
+        return []
     swaps: list[tuple[int, int]] = []
     for t in range(steps):
         if coin() < 0.5:
@@ -132,8 +135,11 @@ class MCEstimate:
 
 
 def _check_samples(samples: int) -> None:
+    """Reject a sample count no estimate can divide by."""
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    if samples == 0:
+        raise ValueError("samples must be at least 1, got 0")
 
 
 def _batch_stderr(batch_hits: list[int], size: int, hits: int, samples: int) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DomainError, NotApplicable
 from .lattice import build_lattice, PositionDistribution, position_distribution
@@ -126,14 +127,16 @@ def grunbaum_check(
     The bound holds for the order-polytope coordinate t_x instead.
     """
     dist = position_distribution(p, x, budget)
-    upper = sum(
-        (prob for k, prob in enumerate(dist.probs) if Fraction(k + 1) >= dist.mean),
-        Fraction(0),
-    )
-    lower = sum(
-        (prob for k, prob in enumerate(dist.probs) if Fraction(k + 1) <= dist.mean),
-        Fraction(0),
-    )
+    return mean_tails(dist.probs, dist.mean)
+
+
+def mean_tails(probs: Sequence[Fraction], mean: Fraction, first: int = 1) -> tuple[Fraction, Fraction]:
+    """(P(X >= mean), P(X <= mean)) for the law ``probs`` of X = first, first + 1, ...
+
+    Both tails hold the mass at the mean when the mean is a value of X.
+    """
+    upper = sum((q for k, q in enumerate(probs, first) if k >= mean), Fraction(0))
+    lower = sum((q for k, q in enumerate(probs, first) if k <= mean), Fraction(0))
     return upper, lower
 
 

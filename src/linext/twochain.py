@@ -25,6 +25,7 @@ from .errors import (
 )
 from .lattice import EventSpec, build_lattice
 from .poset import Poset
+from .stats import mean_tails
 
 
 @dataclass(frozen=True)
@@ -185,13 +186,7 @@ def expected_g(t: TwoChainPoset, i: int, budget: int | None = None) -> Fraction:
 def g_tails(t: TwoChainPoset, i: int, budget: int | None = None) -> tuple[Fraction, Fraction]:
     """(P(g >= E g), P(g <= E g)) for x_i, exact."""
     dist = g_distribution(t, i, budget)
-    upper = sum(
-        (p for k, p in enumerate(dist.probs) if Fraction(k) >= dist.mean), Fraction(0)
-    )
-    lower = sum(
-        (p for k, p in enumerate(dist.probs) if Fraction(k) <= dist.mean), Fraction(0)
-    )
-    return upper, lower
+    return mean_tails(dist.probs, dist.mean, first=0)
 
 
 def conditioned_psi(t: TwoChainPoset, i: int, j: int, budget: int | None = None) -> Fraction:

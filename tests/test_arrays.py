@@ -146,6 +146,29 @@ def test_arrays_match_the_dict_kernel_past_64_elements(monkeypatch):
         _assert_same(monkeypatch, p)
 
 
+def test_each_level_is_one_edge_table(monkeypatch):
+    # chunks of 3 cut the levels into several build chunks, and each table
+    # into several sweep chunks
+    monkeypatch.setattr(lattice, "_CHUNK", 3)
+    for p in (young_diagram((4, 3, 3, 1)).poset, _crossed_chains(3, 22)):
+        arrays, walked = _both(monkeypatch, p)
+        tables = arrays._arrays.edges
+        levels = [lattice._ints(level) for level in arrays._arrays.levels]
+        per_level = [0] * p.n
+        for mask, _, _ in walked.edges():
+            per_level[mask.bit_count()] += 1
+        assert len(tables) == p.n
+        assert max(len(level) for level in levels) > 3 and max(len(src) for src, _, _ in tables) > 6
+        for t, (src, starts, tgt) in enumerate(tables):
+            # starts partitions the table by the element added
+            assert len(starts) == p.n + 1 and starts[0] == 0 and starts[-1] == len(src) == len(tgt)
+            assert (np.diff(starts) >= 0).all()
+            x = np.repeat(np.arange(p.n), np.diff(starts))
+            for i, e, j in zip(src.tolist(), x.tolist(), tgt.tolist()):
+                assert levels[t + 1][j] == levels[t][i] | 1 << e
+            assert len(src) == per_level[t]
+
+
 def test_young_diagrams_past_64_cells_match_the_hook_formula():
     for shape in ((13,) * 5, (17,) * 4):
         p = young_diagram(shape).poset

@@ -252,6 +252,15 @@ def test_sample_mc_is_pinned_per_seed(capsys, tmp_path, argv, expected):
     assert out == expected
 
 
+def test_sample_mc_on_an_empty_poset(capsys, tmp_path):
+    # no adjacent pair exists, so no seed may draw a slot
+    path = write_poset(tmp_path, "empty.json", {"labels": [], "covers": []})
+    for seed in range(1, 7):
+        code, out, _ = run(capsys, "sample", path, "--mc", "--samples", "3", "--seed", str(seed))
+        assert code == 0
+        assert out == "# approximate: adjacent-transposition chain, burn-in 0, spacing 1\n" + "\n" * 3
+
+
 def test_no_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

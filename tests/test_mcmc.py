@@ -109,6 +109,24 @@ def test_negative_sample_counts_are_rejected():
         tv_distance_diagnostic(p, "z", samples=-1)
 
 
+def test_zero_sample_counts_are_rejected():
+    # both estimates divide by the sample count
+    p = chain_plus_point(4)
+    with pytest.raises(ValueError, match="at least 1"):
+        estimate_pair_probability(p, "z", "c1", 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        tv_distance_diagnostic(p, "z", 0)
+
+
+def test_steps_on_fewer_than_two_elements_draw_nothing():
+    for p in (antichain(0), antichain(1)):
+        state = initial_state(p, seed=1)
+        before = state.rng.getstate()
+        assert _advance(state, 5, 0) == []
+        assert state.steps == 5
+        assert state.rng.getstate() == before
+
+
 def test_tv_distance_zero_on_chain():
     assert tv_distance_diagnostic(chain(4), "c2", samples=100, seed=0) == 0.0
 
