@@ -40,7 +40,7 @@ from .poset import (
     comparability_profile,
     is_convex_in_grid,
 )
-from .stats import balance, mean_tails, position_statistics
+from .stats import balance, fraction_json, mean_tails, position_statistics
 from .twochain import (
     TwoChainPoset,
     bl2_hypothesis,
@@ -92,18 +92,13 @@ class CheckRecord:
     note: str = ""
 
     def to_json(self) -> dict:
-        def frac(v):
-            if v is None:
-                return None
-            return [str(v.numerator), str(v.denominator)]
-
         return {
             "check": self.check,
             "instance": self.instance,
             "holds": self.holds,
             "kind": self.kind,
-            "lhs": frac(self.lhs),
-            "rhs": frac(self.rhs),
+            "lhs": None if self.lhs is None else fraction_json(self.lhs),
+            "rhs": None if self.rhs is None else fraction_json(self.rhs),
             "note": self.note,
         }
 
@@ -120,7 +115,7 @@ def _poset_digest(p: Poset, **extra) -> str:
 # -- log-concavity -------------------------------------------------------
 
 
-def is_log_concave(seq: Sequence[Fraction]) -> bool:
+def is_log_concave(seq: Sequence[int | Fraction]) -> bool:
     """p_k^2 >= p_{k-1} * p_{k+1} for every interior index, exactly."""
     for k in range(1, len(seq) - 1):
         if seq[k] * seq[k] < seq[k - 1] * seq[k + 1]:
@@ -130,12 +125,12 @@ def is_log_concave(seq: Sequence[Fraction]) -> bool:
 
 def check_log_concavity(p: Poset, x: str, budget: int | None = None) -> CheckRecord:
     """The position law of x is log-concave (hence unimodal, interval support)."""
-    lat = build_lattice(p, budget)
-    probs = lat.marginals()[x]
+    # counts over one denominator test as the law does
+    counts = build_lattice(p, budget).position_counts()[p.index(x)]
     return CheckRecord(
         check="log_concavity",
         instance=_poset_digest(p, x=x),
-        holds=is_log_concave(probs),
+        holds=is_log_concave(counts),
         note=f"element {x}",
     )
 
@@ -296,12 +291,12 @@ def check_grunbaum_tails(t: TwoChainPoset, i: int, budget: int | None = None) ->
     need not hold there; the note says which sides were checked).
     """
     from .lattice import position_distribution
-    from .twochain import g_distribution
 
-    dist = g_distribution(t, i, budget)
-    mu = dist.mean
-    upper, lower = mean_tails(dist.probs, mu, first=0)
-    mean_x = position_distribution(t.poset, t.x_label(i), budget).mean
+    # f(x_i) = i + g(x_i): g's mean and tails from f's law
+    fx = position_distribution(t.poset, t.x_label(i), budget)
+    mean_x = fx.mean
+    mu = mean_x - i
+    upper, lower = mean_tails(fx.counts, fx.total, mean_x)
 
     checked = []
     holds = True

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,12 @@ from .twochain import make_two_chain
 
 def _fmt(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
+
+
+def _ratio_json(num: int, den: int) -> list[str]:
+    """``fraction_json(Fraction(num, den))``, den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return [str(num // g), str(den // g)]
 
 
 def _load_poset_file(path: str):
@@ -80,11 +87,9 @@ def cmd_analyze(args) -> int:
             "antichain": list(profile.antichain),
             "pi": profile.max_count,
             "pi_argmax": pi_arg,
-            "sigma": float(stats[sigma_arg].stddev),
+            "sigma": stats[sigma_arg].stddev,
             "sigma_argmax": sigma_arg,
-            "delta": None
-            if delta_report is None
-            else fraction_json(delta_report.delta),
+            "delta": None if delta_report is None else fraction_json(delta_report.delta),
             "witness": None if delta_report is None else list(delta_report.witness),
         }
         if args.full:
@@ -95,7 +100,7 @@ def cmd_analyze(args) -> int:
                     "sigma": stats[lab].stddev,
                     "q": fraction_json(stats[lab].q),
                     "pi": profile.counts[lab],
-                    "positions": [fraction_json(v) for v in dists[lab].probs],
+                    "positions": [_ratio_json(c, dists[lab].total) for c in dists[lab].counts],
                 }
                 for lab in p.labels
             }
@@ -225,19 +230,7 @@ def cmd_experiment(args) -> int:
     rows = checks.trend_experiment(args.family, sizes, args.budget_nodes)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "family",
-            "size",
-            "n",
-            "width",
-            "delta_num",
-            "delta_den",
-            "delta_float",
-            "sigma_float",
-            "pi",
-        ]
-    )
+    writer.writerow("family size n width delta_num delta_den delta_float sigma_float pi".split())
     for row in rows:
         writer.writerow(
             [
@@ -265,8 +258,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    p, _kind = _load_poset_file(args.file)
     count = args.samples
+    mcmc._check_samples(count, args.burn_in)
+    p, _kind = _load_poset_file(args.file)
     if args.mc:
         state = mcmc.initial_state(p, args.seed)
         burn = args.burn_in if args.burn_in is not None else mcmc.default_burn_in(p)

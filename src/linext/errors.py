@@ -30,11 +30,15 @@ class NotApplicable(LinextError):
 
 
 class BudgetExceeded(LinextError):
-    """The ideal lattice grew past the configured node budget."""
+    """The ideal lattice grew past the configured node budget.
 
-    def __init__(self, nodes: int, budget: int):
+    Refused before any level, ``upper`` bounds the lattice's size.
+    """
+
+    def __init__(self, nodes: int, budget: int, upper: int | None = None):
         self.nodes = nodes
         self.budget = budget
+        self.upper = upper
         super().__init__(
             f"ideal lattice exceeded the node budget ({nodes} > {budget})"
         )

@@ -113,45 +113,42 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Exact or empirical law of one element's position in a uniform extension."""
+    """A position law: ``counts[k]`` of ``total`` extensions put the element at k + 1.
+
+    An exact law is its integer position counts over e(P); ``mean`` and
+    ``variance()`` are one Fraction each, and ``probs`` is built on read.
+    """
 
     element: str
-    probs: tuple[Fraction, ...]
-    mean: Fraction
-    provenance: str = "exact"
+    counts: tuple[int, ...]
+    total: int
 
     @classmethod
-    def from_probs(
-        cls, element: str, probs: Sequence[Fraction], provenance: str = "exact"
-    ) -> "PositionDistribution":
+    def from_probs(cls, element: str, probs: Sequence[Fraction]) -> "PositionDistribution":
+        """``probs`` over their least common denominator."""
         probs = tuple(probs)
-        scale, first, _ = _moments(probs)
-        return cls(element, probs, Fraction(first, scale), provenance)
+        total = math.lcm(*(p.denominator for p in probs))
+        return cls(element, tuple(p.numerator * (total // p.denominator) for p in probs), total)
+
+    @functools.cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.total) for c in self.counts)
+
+    @property
+    def mean(self) -> Fraction:
+        return Fraction(sum(k * c for k, c in enumerate(self.counts, 1)), self.total)
 
     @property
     def support(self) -> tuple[int, ...]:
         """Positions (1-based) with positive probability."""
-        return tuple(k + 1 for k, p in enumerate(self.probs) if p > 0)
+        return tuple(k for k, c in enumerate(self.counts, 1) if c > 0)
 
     def variance(self) -> Fraction:
-        """E f² - (E f)², as one Fraction over the law's common denominator."""
-        scale, first, second = _moments(self.probs)
-        return Fraction(second * scale - first * first, scale * scale)
-
-
-def _moments(probs: Sequence[Fraction]) -> tuple[int, int, int]:
-    """(D, D E f, D E f²) for the law ``probs`` of positions 1, 2, ...
-
-    D is the least common denominator of the probabilities, so both sums
-    are integers and no Fraction is built per position.
-    """
-    scale = math.lcm(*(p.denominator for p in probs))
-    first = second = 0
-    for k, p in enumerate(probs, 1):
-        c = p.numerator * (scale // p.denominator)
-        first += k * c
-        second += k * k * c
-    return scale, first, second
+        """E f² - (E f)², as one Fraction over the total squared."""
+        t = self.total
+        first = sum(k * c for k, c in enumerate(self.counts, 1))
+        second = sum(k * k * c for k, c in enumerate(self.counts, 1))
+        return Fraction(second * t - first * first, t * t)
 
 
 def _grow(addable: int, b: int, unplaced: int, step) -> int:
@@ -565,14 +562,14 @@ def _preflight(n: int, pred: Sequence[int], budget: int) -> bool:
 
     The ideal floor is read once, where the rule needs it (from
     :data:`_ARRAY_MIN_ELEMENTS` elements; smaller posets skip the check).
-    A floor past the budget raises BudgetExceeded with the floor as its
-    nodes, before any level and on either kernel.
+    A floor past the budget raises BudgetExceeded (the floor, and the
+    chain codes as ``upper``) before any level and on either kernel.
     """
     floor = 0
     if n >= _ARRAY_MIN_ELEMENTS:
         floor = _ideal_floor(n, pred)
         if floor > budget:
-            raise BudgetExceeded(floor, budget)
+            raise BudgetExceeded(floor, budget, _chain_code(n, pred)[1])
     return _arrays_win(n, pred, floor)
 
 
@@ -1215,28 +1212,21 @@ def count_extensions(p: Poset, budget: int | None = None) -> int:
     return build_lattice(p, budget).extension_count
 
 
-def position_distribution(
-    p: Poset, x: str, budget: int | None = None
-) -> PositionDistribution:
-    """Exact law of the position of ``x`` under a uniform extension."""
+def position_distribution(p: Poset, x: str, budget: int | None = None) -> PositionDistribution:
+    """Exact law of the position of ``x``: its position counts over e(P)."""
     lat = build_lattice(p, budget)
-    probs = lat.marginals()[_checked(p, x)]
-    return PositionDistribution.from_probs(x, probs)
+    return PositionDistribution(x, tuple(lat.position_counts()[p.index(x)]), lat.extension_count)
 
 
 def all_position_distributions(
     p: Poset, budget: int | None = None
 ) -> dict[str, PositionDistribution]:
     lat = build_lattice(p, budget)
+    total = lat.extension_count
     return {
-        lab: PositionDistribution.from_probs(lab, probs)
-        for lab, probs in lat.marginals().items()
+        lab: PositionDistribution(lab, tuple(row), total)
+        for lab, row in zip(p.labels, lat.position_counts())
     }
-
-
-def _checked(p: Poset, x: str) -> str:
-    p.index(x)
-    return x
 
 
 def _required_pairs(event) -> tuple[tuple[str, str], ...]:

@@ -134,12 +134,14 @@ class MCEstimate:
     burn_in: int
 
 
-def _check_samples(samples: int) -> None:
-    """Reject a sample count no estimate can divide by."""
+def _check_samples(samples: int, burn_in: int | None = None) -> None:
+    """Reject a sample count no estimate can divide by, and a negative burn-in."""
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     if samples == 0:
         raise ValueError("samples must be at least 1, got 0")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError(f"burn-in must be non-negative, got {burn_in}")
 
 
 def _batch_stderr(batch_hits: list[int], size: int, hits: int, samples: int) -> float:
@@ -179,7 +181,7 @@ def estimate_pair_probability(
     xi, yi = p.index(x), p.index(y)
     if xi == yi or p.lt[xi, yi] or p.lt[yi, xi]:
         raise ComparablePair(f"{x!r} and {y!r} are comparable")
-    _check_samples(samples)
+    _check_samples(samples, burn_in)
     if burn_in is None:
         burn_in = default_burn_in(p)
     state = initial_state(p, seed)
@@ -212,7 +214,7 @@ def tv_distance_diagnostic(
     requested sample size; the comparison itself is exact rational.
     """
     xi = p.index(x)
-    _check_samples(samples)
+    _check_samples(samples, burn_in)
     if burn_in is None:
         burn_in = default_burn_in(p)
     exact = build_lattice(p, budget).marginals()[x]

@@ -84,7 +84,7 @@ def balance(p: Poset, budget: int | None = None) -> BalanceReport:
 
 @dataclass(frozen=True)
 class PositionStatistics:
-    """Moments and mode mass of one element's position law."""
+    """Moments and mode mass of one position law, one Fraction each from its counts."""
 
     element: str
     mean: Fraction
@@ -100,7 +100,7 @@ class PositionStatistics:
             mean=dist.mean,
             variance=var,
             stddev=math.sqrt(var),
-            q=max(dist.probs),
+            q=Fraction(max(dist.counts), dist.total),
         )
 
 
@@ -127,17 +127,17 @@ def grunbaum_check(
     The bound holds for the order-polytope coordinate t_x instead.
     """
     dist = position_distribution(p, x, budget)
-    return mean_tails(dist.probs, dist.mean)
+    return mean_tails(dist.counts, dist.total, dist.mean)
 
 
-def mean_tails(probs: Sequence[Fraction], mean: Fraction, first: int = 1) -> tuple[Fraction, Fraction]:
-    """(P(X >= mean), P(X <= mean)) for the law ``probs`` of X = first, first + 1, ...
+def mean_tails(counts: Sequence[int], total: int, mean: Fraction) -> tuple[Fraction, Fraction]:
+    """(P(X >= mean), P(X <= mean)) for the law ``counts / total`` of X = 1, 2, ...
 
     Both tails hold the mass at the mean when the mean is a value of X.
     """
-    upper = sum((q for k, q in enumerate(probs, first) if k >= mean), Fraction(0))
-    lower = sum((q for k, q in enumerate(probs, first) if k <= mean), Fraction(0))
-    return upper, lower
+    upper = sum(c for k, c in enumerate(counts, 1) if k >= mean)
+    lower = sum(c for k, c in enumerate(counts, 1) if k <= mean)
+    return Fraction(upper, total), Fraction(lower, total)
 
 
 def average_variance(p: Poset, elements, budget: int | None = None) -> Fraction:
@@ -145,14 +145,8 @@ def average_variance(p: Poset, elements, budget: int | None = None) -> Fraction:
     elements = list(elements)
     if not elements:
         raise DomainError("need at least one element to average over")
-    lat = build_lattice(p, budget)
-    marg = lat.marginals()
-    total = Fraction(0)
-    for x in elements:
-        p.index(x)
-        dist = PositionDistribution.from_probs(x, marg[x])
-        total += dist.variance()
-    return total / len(elements)
+    variances = [position_distribution(p, x, budget).variance() for x in elements]
+    return sum(variances, Fraction(0)) / len(elements)
 
 
 def fraction_json(value: Fraction) -> list[str]:

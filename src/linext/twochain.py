@@ -23,9 +23,9 @@ from .errors import (
     HypothesisNotSatisfied,
     IndexOutOfRange,
 )
-from .lattice import EventSpec, build_lattice
+from .lattice import EventSpec, build_lattice, position_distribution
 from .poset import Poset
-from .stats import mean_tails
+from .stats import grunbaum_check
 
 
 @dataclass(frozen=True)
@@ -137,25 +137,13 @@ def psi_table(t: TwoChainPoset, budget: int | None = None) -> dict[tuple[int, in
     position i + j, so the whole table is read off the position marginals
     of one lattice rather than one augmented count per cell.
     """
-    lat = build_lattice(t.poset, budget)
-    marg = lat.marginals()
-    out = {}
-    for i in range(1, t.m + 1):
-        probs = marg[t.x_label(i)]
-        for j in range(0, t.n + 1):
-            out[(i, j)] = probs[i + j - 1]
-    return out
+    marg = build_lattice(t.poset, budget).marginals()
+    return {(i, j): marg[t.x_label(i)][i + j - 1] for i in range(1, t.m + 1) for j in range(t.n + 1)}
 
 
 def phi_table(t: TwoChainPoset, budget: int | None = None) -> dict[tuple[int, int], Fraction]:
-    lat = build_lattice(t.poset, budget)
-    marg = lat.marginals()
-    out = {}
-    for j in range(1, t.n + 1):
-        probs = marg[t.y_label(j)]
-        for i in range(0, t.m + 1):
-            out[(j, i)] = probs[j + i - 1]
-    return out
+    marg = build_lattice(t.poset, budget).marginals()
+    return {(j, i): marg[t.y_label(j)][j + i - 1] for j in range(1, t.n + 1) for i in range(t.m + 1)}
 
 
 @dataclass(frozen=True)
@@ -169,13 +157,8 @@ class GStatistic:
 
 def g_distribution(t: TwoChainPoset, i: int, budget: int | None = None) -> GStatistic:
     """Exact law of g(x_i); it is the position law of x_i shifted by i."""
-    if not 1 <= i <= t.m:
-        raise IndexOutOfRange(f"x index {i} outside [1, {t.m}]")
-    lat = build_lattice(t.poset, budget)
-    probs = lat.marginals()[t.x_label(i)]
-    g_probs = tuple(probs[i + k - 1] for k in range(0, t.n + 1))
-    mean = sum((Fraction(k) * p for k, p in enumerate(g_probs)), Fraction(0))
-    return GStatistic(i, g_probs, mean)
+    f = position_distribution(t.poset, t.x_label(i), budget)
+    return GStatistic(i, f.probs[i - 1 : i + t.n], f.mean - i)
 
 
 def expected_g(t: TwoChainPoset, i: int, budget: int | None = None) -> Fraction:
@@ -184,9 +167,8 @@ def expected_g(t: TwoChainPoset, i: int, budget: int | None = None) -> Fraction:
 
 
 def g_tails(t: TwoChainPoset, i: int, budget: int | None = None) -> tuple[Fraction, Fraction]:
-    """(P(g >= E g), P(g <= E g)) for x_i, exact."""
-    dist = g_distribution(t, i, budget)
-    return mean_tails(dist.probs, dist.mean, first=0)
+    """(P(g >= E g), P(g <= E g)) for x_i, exact: f(x_i) = i + g."""
+    return grunbaum_check(t.poset, t.x_label(i), budget)
 
 
 def conditioned_psi(t: TwoChainPoset, i: int, j: int, budget: int | None = None) -> Fraction:

@@ -1,5 +1,6 @@
 """The array kernel against the dict kernel, brute force and its own bounds."""
 
+import itertools
 import math
 import random
 import time
@@ -290,6 +291,15 @@ def _no_levels(monkeypatch) -> None:
     monkeypatch.setattr(lattice, "_array_levels", walked)
 
 
+def _box_ideals(a: int, b: int, c: int) -> int:
+    """Ideals of the a x b x c box: MacMahon's count of plane partitions."""
+    count = Fraction(1)
+    for i, j, k in itertools.product(range(1, a + 1), range(1, b + 1), range(1, c + 1)):
+        count *= Fraction(i + j + k - 1, i + j + k - 2)
+    assert count.denominator == 1
+    return count.numerator
+
+
 def test_a_box_far_past_the_budget_is_refused_before_any_level(monkeypatch):
     # the 6x6x6 box: 216 elements and an 83-bit chain code (the dict
     # kernel's), with an ideal floor 34 times the default budget
@@ -302,6 +312,11 @@ def test_a_box_far_past_the_budget_is_refused_before_any_level(monkeypatch):
         build_lattice(p)
     assert time.perf_counter() - start < 0.5
     assert (info.value.nodes, info.value.budget) == (floor, lattice.DEFAULT_NODE_BUDGET)
+    # the refusal brackets the true size, and its message names the floor only
+    assert _box_ideals(4, 4, 4) == 232_848
+    assert floor <= _box_ideals(6, 6, 6) <= info.value.upper
+    assert round(_box_ideals(6, 6, 6), -10) == 1_480_000_000_000
+    assert str(info.value) == f"ideal lattice exceeded the node budget ({floor} > {lattice.DEFAULT_NODE_BUDGET})"
 
 
 def test_preflight_reports_the_floor_on_both_kernels(monkeypatch):

@@ -1,10 +1,17 @@
 import argparse
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from linext import cli
 from linext.cli import main
+from linext.families import chain, random_poset, young_diagram
+from linext import lattice
+from linext.lattice import PositionDistribution, SplitLattice, build_lattice, count_extensions
+from linext.poset import comparability_profile
+from linext.stats import balance, fraction_json
 
 
 def run(capsys, *argv):
@@ -64,6 +71,111 @@ def test_analyze_json_payload(capsys, vee_file):
     assert payload["width"] == 2
     assert payload["delta"] == ["1", "2"]
     assert set(payload["per_element"]) == {"a", "b", "c"}
+
+
+def _old_route_report(p, as_json: bool) -> str:
+    """``analyze --full`` output with every law read as Fractions from ``marginals()``.
+
+    The mean, variance and mode mass of each law are Fraction sums over
+    its probabilities, and each position is serialized from its Fraction.
+    """
+    profile = comparability_profile(p)
+    extensions = count_extensions(p)
+    report = None if p.is_chain() else balance(p)
+    marg = build_lattice(p).marginals()
+    stats = {}
+    for lab in p.labels:
+        probs = marg[lab]
+        mean = sum((k * q for k, q in enumerate(probs, 1)), Fraction(0))
+        var = sum((k * k * q for k, q in enumerate(probs, 1)), Fraction(0)) - mean * mean
+        stats[lab] = (mean, var, math.sqrt(var), max(probs))
+    sigma_arg = max(p.labels, key=lambda lab: (stats[lab][1], -p.index(lab)))
+    pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)))
+    if as_json:
+        payload = {
+            "elements": p.n,
+            "extensions": str(extensions),
+            "width": profile.width,
+            "antichain": list(profile.antichain),
+            "pi": profile.max_count,
+            "pi_argmax": pi_arg,
+            "sigma": stats[sigma_arg][2],
+            "sigma_argmax": sigma_arg,
+            "delta": None if report is None else fraction_json(report.delta),
+            "witness": None if report is None else list(report.witness),
+            "per_element": {
+                lab: {
+                    "mean": fraction_json(stats[lab][0]),
+                    "variance": fraction_json(stats[lab][1]),
+                    "sigma": stats[lab][2],
+                    "q": fraction_json(stats[lab][3]),
+                    "pi": profile.counts[lab],
+                    "positions": [fraction_json(v) for v in marg[lab]],
+                }
+                for lab in p.labels
+            },
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    def fmt(v):
+        return f"{v.numerator}/{v.denominator} ({float(v):.6g})"
+
+    lines = [
+        f"elements: {p.n}",
+        f"extensions: {extensions}",
+        f"width: {profile.width}  antichain {{{', '.join(profile.antichain)}}}",
+        f"pi: {profile.max_count}  (argmax {pi_arg})",
+    ]
+    if report is None:
+        lines.append("chain: balance not applicable")
+    else:
+        lines.append(f"delta: {fmt(report.delta)}  witness ({report.witness[0]}, {report.witness[1]})")
+    lines += [f"sigma: {stats[sigma_arg][2]:.6g}  (argmax {sigma_arg})", "", "element  mean  variance  sigma  q  pi"]
+    for lab in p.labels:
+        mean, var, sigma, q = stats[lab]
+        lines.append(f"{lab}  {fmt(mean)}  {fmt(var)}  {sigma:.6g}  {fmt(q)}  {profile.counts[lab]}")
+    return "\n".join(lines) + "\n"
+
+
+def _kernel(lat) -> str:
+    if isinstance(lat, SplitLattice):
+        return "split"
+    return "dict" if lat._arrays is None else "arrays"
+
+
+@pytest.mark.parametrize(
+    "kernel,make",
+    [
+        ("dict", lambda: random_poset(9, 0.3, seed=3)),
+        ("dict", lambda: chain(4)),
+        ("arrays", lambda: young_diagram((5, 4, 3, 2)).poset),
+        ("split", lambda: random_poset(30, 0.12, seed=20)),
+    ],
+    ids=["random9", "chain4", "young14", "random30"],
+)
+def test_analyze_full_is_byte_identical_to_the_fraction_route(capsys, tmp_path, kernel, make):
+    p = make()
+    assert _kernel(build_lattice(p)) == kernel
+    path = write_poset(tmp_path, "p.json", p.to_dict())
+    for flags, as_json in ((["--json", "--full"], True), (["--full"], False)):
+        code, out, _ = run(capsys, "analyze", path, *flags)
+        assert code == 0
+        assert out == _old_route_report(p, as_json)
+
+
+def test_analyze_builds_no_fraction_law(capsys, monkeypatch, tmp_path):
+    # the statistics and positions come from the integer counts
+    def built(self):
+        raise AssertionError("a Fraction law was built")
+
+    monkeypatch.setattr(PositionDistribution, "probs", property(built))
+    monkeypatch.setattr(lattice._Lattice, "marginals", built)
+    monkeypatch.setattr(lattice.DownsetLattice, "marginals", built)
+    for p in (young_diagram((5, 4, 3, 2)).poset, random_poset(30, 0.12, seed=20), chain(3)):
+        path = write_poset(tmp_path, "p.json", p.to_dict())
+        for flags in (["--json", "--full"], ["--full"]):
+            code, _, err = run(capsys, "analyze", path, *flags)
+            assert (code, err) == (0, "")
 
 
 def test_analyze_two_chain_file(capsys, tmp_path):
@@ -210,6 +322,25 @@ def test_sample_exact_determinism(capsys, vee_file):
     _, a, _ = run(capsys, "sample", vee_file, "--samples", "5", "--seed", "3")
     _, b, _ = run(capsys, "sample", vee_file, "--samples", "5", "--seed", "3")
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mc", "--samples", "0", "--burn-in", "-5"],
+        ["--mc", "--samples", "-2"],
+        ["--mc", "--burn-in", "-1"],
+        ["--samples", "0"],
+    ],
+)
+def test_sample_rejects_bad_counts_before_any_step(capsys, monkeypatch, vee_file, argv):
+    def stepped(*args):
+        raise AssertionError("the chain stepped")
+
+    monkeypatch.setattr(cli.mcmc, "_advance", stepped)
+    code, out, err = run(capsys, "sample", vee_file, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_sample_mc_is_labeled(capsys, vee_file):

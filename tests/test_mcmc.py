@@ -118,6 +118,20 @@ def test_zero_sample_counts_are_rejected():
         tv_distance_diagnostic(p, "z", 0)
 
 
+def test_negative_burn_in_is_rejected_before_any_step(monkeypatch):
+    import linext.mcmc
+
+    def stepped(*args):
+        raise AssertionError("the chain stepped")
+
+    p = chain_plus_point(4)
+    monkeypatch.setattr(linext.mcmc, "_advance", stepped)
+    with pytest.raises(ValueError, match="burn-in must be non-negative"):
+        estimate_pair_probability(p, "z", "c1", 100, burn_in=-50)
+    with pytest.raises(ValueError, match="burn-in must be non-negative"):
+        tv_distance_diagnostic(p, "z", 100, burn_in=-50)
+
+
 def test_steps_on_fewer_than_two_elements_draw_nothing():
     for p in (antichain(0), antichain(1)):
         state = initial_state(p, seed=1)

@@ -1,11 +1,28 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from linext.errors import NotApplicable
-from linext.families import antichain, chain, chain_plus_point, two_equal_chains
+from linext.errors import NotApplicable, UnknownElement
+from linext.families import (
+    antichain,
+    builtin_corpus,
+    chain,
+    chain_plus_point,
+    random_poset,
+    two_equal_chains,
+    young_diagram,
+)
+from linext.lattice import (
+    PositionDistribution,
+    SplitLattice,
+    all_position_distributions,
+    build_lattice,
+    position_distribution,
+)
 from linext.poset import Poset, max_incomparable_pair
 from linext.stats import (
+    PositionStatistics,
     average_variance,
     balance,
     balance_report_json,
@@ -14,7 +31,7 @@ from linext.stats import (
     position_statistics,
     sigma_q_product,
 )
-from oracles import brute_sorting_probability
+from oracles import brute_marginal, brute_sorting_probability
 from conftest import random_posets
 
 THIRD = Fraction(1, 3)
@@ -133,3 +150,65 @@ def test_balance_report_json_shape():
     assert payload["delta"] == ["1", "3"]
     assert payload["witness"] == ["c1", "z"]
     assert all(isinstance(v, list) for v in payload["per_element"].values())
+
+
+def _fraction_sums(probs):
+    """Mean, variance, mode mass, support and both mean tails of a law, by Fraction sums."""
+    mean = sum((k * q for k, q in enumerate(probs, 1)), Fraction(0))
+    second = sum((k * k * q for k, q in enumerate(probs, 1)), Fraction(0))
+    upper = sum((q for k, q in enumerate(probs, 1) if k >= mean), Fraction(0))
+    lower = sum((q for k, q in enumerate(probs, 1) if k <= mean), Fraction(0))
+    support = tuple(k for k, q in enumerate(probs, 1) if q > 0)
+    return mean, second - mean * mean, max(probs), support, (upper, lower)
+
+
+def _check_integer_laws(p: Poset, brute: bool = False) -> None:
+    """Every integer route to each law against Fraction sums over ``marginals()``."""
+    marg = build_lattice(p).marginals()
+    dists = all_position_distributions(p)
+    assert list(dists) == list(p.labels)
+    variances = []
+    for x in p.labels:
+        probs = marg[x]
+        if brute:
+            assert list(probs) == brute_marginal(p, x)
+        mean, var, q, support, tails = _fraction_sums(probs)
+        for dist in (dists[x], position_distribution(p, x), PositionDistribution.from_probs(x, probs)):
+            assert dist.element == x
+            assert dist.probs == probs
+            assert dist.mean == mean
+            assert dist.variance() == var
+            assert dist.support == support
+            st = PositionStatistics.from_distribution(dist)
+            assert (st.mean, st.variance, st.q) == (mean, var, q)
+            assert st.stddev == math.sqrt(var)
+        assert sum(dists[x].counts) == dists[x].total == build_lattice(p).extension_count
+        assert grunbaum_check(p, x) == tails
+        variances.append(var)
+    assert average_variance(p, p.labels) == sum(variances, Fraction(0)) / p.n
+
+
+def test_integer_laws_match_fraction_sums_and_brute_force():
+    for _, p in builtin_corpus():
+        _check_integer_laws(p, brute=p.n <= 8)
+    for p in random_posets(40, nmax=8, seed=31):
+        _check_integer_laws(p, brute=True)
+
+
+def test_integer_laws_match_fraction_sums_on_large_lattices():
+    split = random_poset(30, 0.12, seed=20)
+    young = young_diagram((5, 4, 3, 2)).poset
+    wide = young_diagram((13,) * 5).poset
+    assert isinstance(build_lattice(split), SplitLattice)
+    assert young.n >= 11 and build_lattice(young)._arrays is not None
+    assert wide.n > 64 and build_lattice(wide)._arrays is not None
+    for p in (split, young, wide):
+        _check_integer_laws(p)
+
+
+def test_a_law_of_an_unknown_element_is_refused():
+    p = chain_plus_point(3)
+    with pytest.raises(UnknownElement):
+        position_distribution(p, "nope")
+    with pytest.raises(UnknownElement):
+        average_variance(p, ["z", "nope"])

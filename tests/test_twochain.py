@@ -161,6 +161,15 @@ def test_g_tails_sum_exceeds_one():
     assert upper + lower >= 1  # mass at the mean is counted twice
 
 
+def test_g_tails_match_fraction_sums_over_g():
+    for t in (make_two_chain(3, 5, cross=[(1, 4)]), make_two_chain(4, 4, cross=[(2, 2)]), make_two_chain(5, 3)):
+        for i in range(1, t.m + 1):
+            g = g_distribution(t, i)
+            upper = sum((q for k, q in enumerate(g.probs) if k >= g.mean), Fraction(0))
+            lower = sum((q for k, q in enumerate(g.probs) if k <= g.mean), Fraction(0))
+            assert g_tails(t, i) == (upper, lower)
+
+
 def test_conditioned_psi_free_closed_form():
     # (8, 8) is built part by part, so its prefix counts are folded
     assert isinstance(build_lattice(make_two_chain(8, 8).poset), SplitLattice)

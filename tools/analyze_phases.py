@@ -1,0 +1,102 @@
+"""Time each phase of one ``linext analyze --json --full`` op, per poset file.
+
+The op runs through ``cli.main`` as the command line runs it, with the
+calls it makes wrapped in timers:
+
+- ``args``: building the argument parser (``build_parser``);
+- ``poset``: reading the file and building the poset (``_load_poset_file``);
+- ``profile``: the comparability profile (width, pi);
+- ``lattice``: building the ideal lattice (``count_extensions``);
+- ``pairs``: the pair sweep and the balance report (``balance``);
+- ``encode``: ``json.dumps`` of the payload;
+- ``laws``: the rest of the op, which is the position laws, the
+  per-element statistics and the payload.
+
+Every repeat loads the file again, so it builds a fresh poset and lattice.
+The printed times are medians over ``--reps`` repeats, in milliseconds.
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/analyze_phases.py young8x8.json random30.json --reps 15
+
+Times depend on the machine; compare runs taken on the same one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import statistics
+import time
+
+from linext import cli
+
+PHASES = ("args", "poset", "profile", "lattice", "pairs", "laws", "encode", "total")
+WRAPPED = {
+    "args": (cli, "build_parser"),
+    "poset": (cli, "_load_poset_file"),
+    "profile": (cli, "comparability_profile"),
+    "lattice": (cli, "count_extensions"),
+    "pairs": (cli, "balance"),
+    "encode": (json, "dumps"),
+}
+
+
+def _one_op(path: str) -> dict[str, float]:
+    """Phase times in seconds of one analyze op on ``path``."""
+    spent = dict.fromkeys(WRAPPED, 0.0)
+    kept = {name: getattr(owner, attr) for name, (owner, attr) in WRAPPED.items()}
+
+    def timed(name, fn):
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        return run
+
+    for name, (owner, attr) in WRAPPED.items():
+        setattr(owner, attr, timed(name, kept[name]))
+    try:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", "--json", "--full", path])
+        total = time.perf_counter() - start
+    finally:
+        for name, (owner, attr) in WRAPPED.items():
+            setattr(owner, attr, kept[name])
+    if code != 0:
+        raise SystemExit(f"analyze {path} exited with {code}")
+    spent["total"] = total
+    spent["laws"] = total - sum(spent[name] for name in WRAPPED)
+    return spent
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("files", nargs="+", help="poset files analyze reads")
+    parser.add_argument("--reps", type=int, default=15, help="repeats per file")
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
+    args = parser.parse_args()
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    report = {}
+    for path in args.files:
+        _one_op(path)  # warm the imports and caches the first op pays
+        runs = [_one_op(path) for _ in range(args.reps)]
+        report[path] = {
+            phase: round(1e3 * statistics.median(r[phase] for r in runs), 2) for phase in PHASES
+        }
+    if args.json:
+        print(json.dumps(report))
+        return
+    print("file  " + "  ".join(f"{phase}_ms" for phase in PHASES))
+    for path, row in report.items():
+        print(path + "  " + "  ".join(f"{row[phase]:.2f}" for phase in PHASES))
+
+
+if __name__ == "__main__":
+    main()
