@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -303,14 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full", action="store_true", help="per-element table")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     add_budget(sp)
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("generate", help="emit a family poset as JSON")
     sp.add_argument("family", choices=list(_FAMILIES))
     sp.add_argument("params", nargs="*")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--cross", default=None, help="two-chain cross pairs i:j,...")
-    sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("verify", help="run an inequality sweep, emit JSON lines")
     sp.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
@@ -324,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep the builtin corpus where the suite supports it",
     )
     add_budget(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("experiment", help="exact trend table for a family")
     sp.add_argument("family", choices=sorted(checks.TREND_FAMILIES))
     sp.add_argument("sizes", help="comma-separated sizes, e.g. 2,5,10,20")
     sp.add_argument("--csv", default=None, metavar="PATH", help="write CSV here")
     add_budget(sp)
-    sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("sample", help="print linear extensions, one per line")
     sp.add_argument("file")
@@ -342,19 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mc", action="store_true", help="approximate Markov chain")
     sp.add_argument("--burn-in", type=int, default=None, metavar="N")
     add_budget(sp)
-    sp.set_defaults(func=cmd_sample)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        # subcommand x runs cmd_x, looked up per call: the cached parser
+        # must not pin the function a later rebinding of cmd_x replaced
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetExceeded as exc:
         print(
             f"error: ideal lattice needs more than {exc.budget} nodes; "

@@ -13,13 +13,12 @@ The dict kernel, :func:`_walk`, generates the lattice level by level.  It
 carries each ideal's addable set (the minimal elements of the complement)
 and updates it from the upper covers of the element just added, so no
 pass tests elements that cannot come next.  The down pass is this walk
-with path counts; the up pass is the same walk over the dual order from
-the full set; the position counts (with the pair counts, when asked, in
-the same pass), ``edges`` and the exact sampler walk it again.  Addable
-sets are kept for the level being expanded, never for the whole
-lattice; the next level's ride in the low bits of its path counts.  It
-serves small lattices, and any poset the array kernel cannot hold
-(:func:`_arrays_fit`).
+with path counts, and the lattice keeps its levels with every ideal's
+addable set, one int per ideal.  The up pass is a reverse loop over
+those levels, and the position counts (with the pair counts, when asked,
+in the same pass) and ``edges`` read them too, so a lattice is walked
+once.  It serves small lattices, and any poset the array kernel cannot
+hold (:func:`_arrays_fit`).
 
 The array kernel, :func:`_array_levels`, serves lattices large enough to
 pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
@@ -38,8 +37,9 @@ float64, which is exact: an ideal has at most 64 edges in or out
 adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of
 the residues (De Loof, De Meyer and De Baets, "Exploiting the lattice of
 ideals representation of a poset", Fundam. Inform. 2006).  Ideals and
-counts as Python ints (``levels``, ``down``, ``up``, and so ``edges``
-and the sampler) are rebuilt on first use, in the dict kernel's order.
+counts as Python ints (``levels``, ``down``, ``up``, and so the sampler)
+are rebuilt on first use, in the dict kernel's order; ``edges`` reads the
+addable sets off the edge tables.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -179,16 +179,8 @@ def _steps(pred: Sequence[int], cand: Sequence[int]) -> list[list[tuple[int, int
     return steps
 
 
-def _walk(
-    n: int,
-    pred: Sequence[int],
-    cand: Sequence[int],
-    budget: int,
-    counts: dict[int, int] | None = None,
-    flip: int = 0,
-    known: Sequence[list[int]] | None = None,
-):
-    """Yield the lattice level by level as (ideals, addable sets) sequences.
+def _walk(n: int, pred: Sequence[int], cand: Sequence[int], budget: int, counts: dict[int, int]):
+    """Yield the lattice level by level as (ideals, addable sets) lists.
 
     The one successor kernel.  Elements are placed one at a time, x once
     everything in ``pred[x]`` is placed, and the addable set (the minimal
@@ -197,64 +189,45 @@ def _walk(
     So ``cand[x]`` must hold every c for which x can be the last element
     of ``pred[c]`` to be placed: the upper covers of x, plus v for each
     extra requirement x before v.  ``pred`` need not be closed: a cycle
-    leaves the full set unreached.  Only the level being expanded keeps
-    its addable sets in a list, one list object refilled in place for
-    each level, so a consumer must be done with a level before asking for
-    the next.  The next level's sets ride in the low bits of its path
-    counts, or without ``counts`` in a table of that level alone.
+    leaves the full set unreached.  Each level lists its ideals in order
+    of discovery, in new lists, so a consumer may keep them.
 
-    A level lists ``placed ^ flip`` for each ideal.  ``flip = 0`` walks
-    ideals; walking the dual order with ``flip`` = the full set keys each
-    of its ideals by its complement, an ideal of the poset, so that walk
-    runs down the poset's lattice from the top.  ``known`` (the levels of
-    an earlier walk of the same lattice) makes each level reuse those int
-    objects in that order; without it levels list ideals in order of
-    discovery.  With ``counts``, also sums path counts from the start at
-    the same keys: ``counts[flip]`` must hold the start count, and any
-    other key in it must map to None until the walk reaches it.  Raises
-    BudgetExceeded past ``budget`` ideals.
+    Sums path counts from the empty ideal into ``counts``, which must
+    hold ``{0: start count}``.  Raises BudgetExceeded past ``budget``
+    ideals.
     """
     steps = _steps(pred, cand)
-    inv = ~flip
     low = (1 << n) - 1
-    masks = [flip]
+    masks = [0]
     addables = [sum(1 << x for x in range(n) if not pred[x])]
     nodes = 1
-    for k in range(n):
+    for _ in range(n):
         yield masks, addables
-        # while a level is built, ``held`` maps each of its ideals to its
-        # path count shifted above the low n bits and its addable set in
-        # them (without ``counts``, a table of that level alone holds just
-        # the sets); an ideal not yet reached maps to None
-        held = {} if counts is None else counts
+        # while a level is built, ``counts`` maps each of its ideals to its
+        # path count shifted above the low n bits and its addable set in them
         found = []
         for mask, addable in zip(masks, addables):
-            d = counts[mask] << n if counts is not None else 0
+            d = counts[mask] << n
             rest = addable
             while rest:
                 b = rest & -rest
                 rest ^= b
-                new = mask ^ b
-                hit = held.get(new)
+                new = mask | b
+                hit = counts.get(new)
                 if hit is None:
-                    held[new] = d | _grow(addable, b, new ^ inv, steps[b.bit_length() - 1])
+                    counts[new] = d | _grow(addable, b, ~new, steps[b.bit_length() - 1])
                     nodes += 1
                     if nodes > budget:
                         raise BudgetExceeded(nodes, budget)
-                    if known is None:
-                        found.append(new)
-                elif counts is not None:
-                    held[new] = hit + d
-        masks = found if known is None else known[k + 1]
-        # one list object carries every level's addable sets, refilled in
-        # place so that two levels' sets are never held at once
-        addables.clear()
+                    found.append(new)
+                else:
+                    counts[new] = hit + d
+        masks = found
+        addables = []
         for m in masks:
-            v = held[m]
+            v = counts[m]
             addables.append(v & low)
-            if counts is not None:
-                counts[m] = v >> n
-        del held
+            counts[m] = v >> n
     yield masks, addables
 
 
@@ -689,33 +662,52 @@ class _Arrays:
         pos %= mods[:, :, None]
         return _crt(pos), (_crt(ahead) if pairs else None)
 
-    def exact(self) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
-        """Levels, down and up counts as the dict kernel lists them.
+    def _orders(self):
+        """Per level, its rows in the dict kernel's order.
 
         The dict kernel lists a level in order of discovery: by the
         position of the first ideal that reaches each one, then by the
-        element added.  Counts are rebuilt by CRT.
+        element added.
         """
         n = self.n
-        rank = np.zeros(1, dtype=np.int64)
-        order = rank
+        rank = order = np.zeros(1, dtype=np.int64)
+        yield order
+        for (src, starts, tgt), level in zip(self.edges, self.levels[1:]):
+            first = np.full(len(level), np.iinfo(np.int64).max)
+            x = np.repeat(np.arange(n), np.diff(starts))
+            np.minimum.at(first, tgt, rank[src] * n + x)
+            order = np.argsort(first)
+            rank = np.empty(len(level), dtype=np.int64)
+            rank[order] = np.arange(len(level))
+            yield order
+
+    def exact(self) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
+        """Levels, down and up counts as the dict kernel lists them.
+
+        Counts are rebuilt by CRT.
+        """
         levels: list[list[int]] = []
         down: dict[int, int] = {}
         up: dict[int, int] = {}
-        for size, level in enumerate(self.levels):
-            if size:
-                first = np.full(len(level), np.iinfo(np.int64).max)
-                src, starts, tgt = self.edges[size - 1]
-                x = np.repeat(np.arange(n), np.diff(starts))
-                np.minimum.at(first, tgt, rank[src] * n + x)
-                order = np.argsort(first)
-                rank = np.empty(len(level), dtype=np.int64)
-                rank[order] = np.arange(len(level))
-            masks = _ints(level[order])
+        for size, order in enumerate(self._orders()):
+            masks = _ints(self.levels[size][order])
             levels.append(masks)
             down.update(zip(masks, _crt(self.down[size][:, order])))
             up.update(zip(masks, _crt(self.up[size][:, order])))
         return levels, down, up
+
+    def addables(self) -> list[list[int]]:
+        """Each ideal's addable set, level by level in the order of :meth:`exact`.
+
+        The set of an ideal holds the elements on the edges that leave it.
+        """
+        found = []
+        for (src, starts, _), order in zip(self.edges, self._orders()):
+            sets = [0] * len(order)
+            for s, x in zip(src.tolist(), np.repeat(np.arange(self.n), np.diff(starts)).tolist()):
+                sets[s] |= 1 << x
+            found.append([sets[i] for i in order.tolist()])
+        return found + [[0]]
 
 
 class _Lattice:
@@ -783,27 +775,23 @@ class DownsetLattice(_Lattice):
             self.extension_count = self._arrays.total
             return
         self._arrays = None
-        full = (1 << n) - 1
         down: dict[int, int] = {0: 1}
-        levels = [masks for masks, _ in _walk(n, pred, poset._upper_cover_masks, budget, down)]
-        nodes = len(down)
-        # paths up from m are paths of the dual order from the complement
-        # of m; ``up`` and the walk reuse down's int objects
+        levels, addables = map(list, zip(*_walk(n, pred, poset._upper_cover_masks, budget, down)))
+        # up(I) sums up(I + x) over I's addable x, from the top level down;
+        # ``up`` reuses down's int objects
         up = dict.fromkeys(down)
-        up[full] = 1
-        dual = _walk(
-            n,
-            poset._succ_masks,
-            poset._lower_cover_masks,
-            nodes,
-            counts=up,
-            flip=full,
-            known=levels[::-1],
-        )
-        for _ in dual:
-            pass
+        up[(1 << n) - 1] = 1
+        for masks, sets in zip(levels[-2::-1], addables[-2::-1]):
+            for mask, addable in zip(masks, sets):
+                total = 0
+                while addable:
+                    b = addable & -addable
+                    addable ^= b
+                    total += up[mask | b]
+                up[mask] = total
         self._exact = (levels, down, up)
-        self.node_count = nodes
+        self._addables = addables
+        self.node_count = len(down)
         self.extension_count = up[0]
 
     def _ideals(self) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
@@ -828,16 +816,10 @@ class DownsetLattice(_Lattice):
         """``down[mask]``: extensions of the restriction to ``mask``, 0 off the ideals."""
         return self.down.get(mask, 0)
 
-    def _addable_levels(self):
-        """The lattice again, level by level, with each ideal's addable set."""
-        p = self.poset
-        return _walk(
-            p.n, p._pred_masks, p._upper_cover_masks, self.node_count, known=self.levels
-        )
-
     def edges(self):
         """Yield (ideal, added element index, extended ideal)."""
-        for masks, addables in self._addable_levels():
+        sets = self._addables if self._arrays is None else self._arrays.addables()
+        for masks, addables in zip(self.levels, sets):
             for mask, addable in zip(masks, addables):
                 while addable:
                     b = addable & -addable
@@ -869,7 +851,7 @@ class DownsetLattice(_Lattice):
         self._position_counts, self._pair_counts = run(pairs)
 
     def _walk_sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
-        """Position counts, and with ``pairs`` pair counts, from one re-walk.
+        """Position counts, and with ``pairs`` pair counts, from the stored levels.
 
         Every edge adds ``down * up`` to its element's count at the
         edge's level.  With ``pairs``, only incomparable pairs with x
@@ -883,7 +865,7 @@ class DownsetLattice(_Lattice):
         counts = [[0] * n for _ in range(n)]
         later = [m >> (x + 1) << (x + 1) for x, m in enumerate(p._incomp_masks)]
         down, up = self.down, self.up
-        for size, (masks, addables) in enumerate(self._addable_levels()):
+        for size, (masks, addables) in enumerate(zip(self.levels, self._addables)):
             for mask, addable in zip(masks, addables):
                 d = down[mask]
                 while addable:

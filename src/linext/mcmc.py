@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ComparablePair
-from .lattice import build_lattice
+from .lattice import position_distribution
 from .poset import Poset
 
 
@@ -217,7 +217,7 @@ def tv_distance_diagnostic(
     _check_samples(samples, burn_in)
     if burn_in is None:
         burn_in = default_burn_in(p)
-    exact = build_lattice(p, budget).marginals()[x]
+    exact = position_distribution(p, x, budget).probs
     state = initial_state(p, seed)
     _advance(state, burn_in, 0)
     counts = [0] * p.n

@@ -245,15 +245,6 @@ class Poset:
         return tuple(_cover_masks(self.lt))
 
     @cached_property
-    def _lower_cover_masks(self) -> tuple[int, ...]:
-        """Bitmask of the elements each element covers."""
-        lower = [0] * self.n
-        for x, m in enumerate(self._upper_cover_masks):
-            for y in _bits(m):
-                lower[y] |= 1 << x
-        return tuple(lower)
-
-    @cached_property
     def _cover_matrix(self) -> np.ndarray:
         return _unpack_masks(self._upper_cover_masks, self.n)
 

@@ -118,32 +118,39 @@ def phi_event(t: TwoChainPoset, j: int, i: int) -> EventSpec:
     return EventSpec(tuple(pairs))
 
 
+def _position_probability(t: TwoChainPoset, budget: int | None):
+    """``prob(label, k)``: P(label sits at position k + 1), from integer counts."""
+    lat = build_lattice(t.poset, budget)
+    rows, total, index = lat.position_counts(), lat.extension_count, t.poset.index
+    return lambda label, k: Fraction(rows[index(label)][k], total)
+
+
 def psi_probability(t: TwoChainPoset, i: int, j: int, budget: int | None = None) -> Fraction:
     """P(y_j before x_i before y_{j+1}): x_i sits at overall position i + j."""
     psi_event(t, i, j)  # same index checks as the event form
-    return build_lattice(t.poset, budget).marginals()[t.x_label(i)][i + j - 1]
+    return _position_probability(t, budget)(t.x_label(i), i + j - 1)
 
 
 def phi_probability(t: TwoChainPoset, j: int, i: int, budget: int | None = None) -> Fraction:
     """P(x_i before y_j before x_{i+1}): y_j sits at overall position i + j."""
     phi_event(t, j, i)  # same index checks as the event form
-    return build_lattice(t.poset, budget).marginals()[t.y_label(j)][i + j - 1]
+    return _position_probability(t, budget)(t.y_label(j), i + j - 1)
 
 
 def psi_table(t: TwoChainPoset, budget: int | None = None) -> dict[tuple[int, int], Fraction]:
     """All sandwich probabilities at once.
 
     Exactly j y-elements precede x_i precisely when x_i sits at overall
-    position i + j, so the whole table is read off the position marginals
+    position i + j, so the whole table is read off the position counts
     of one lattice rather than one augmented count per cell.
     """
-    marg = build_lattice(t.poset, budget).marginals()
-    return {(i, j): marg[t.x_label(i)][i + j - 1] for i in range(1, t.m + 1) for j in range(t.n + 1)}
+    prob = _position_probability(t, budget)
+    return {(i, j): prob(t.x_label(i), i + j - 1) for i in range(1, t.m + 1) for j in range(t.n + 1)}
 
 
 def phi_table(t: TwoChainPoset, budget: int | None = None) -> dict[tuple[int, int], Fraction]:
-    marg = build_lattice(t.poset, budget).marginals()
-    return {(j, i): marg[t.y_label(j)][j + i - 1] for j in range(1, t.n + 1) for i in range(t.m + 1)}
+    prob = _position_probability(t, budget)
+    return {(j, i): prob(t.y_label(j), j + i - 1) for j in range(1, t.n + 1) for i in range(t.m + 1)}
 
 
 @dataclass(frozen=True)

@@ -408,24 +408,47 @@ def test_pair_counts_fill_position_counts_in_one_rewalk(monkeypatch):
         _kernel(monkeypatch, arrays)
         p = young_diagram((4, 3, 3)).poset
         lat = DownsetLattice(p)
-        walks = []
-        addable = DownsetLattice._addable_levels
-        sweep = lattice._Arrays.sweep
+        sweeps = []
+        for owner, name in ((DownsetLattice, "_walk_sweep"), (lattice._Arrays, "sweep")):
+            run = getattr(owner, name)
 
-        def counted_walk(self):
-            walks.append("walk")
-            return addable(self)
+            def counted(self, pairs, run=run):
+                sweeps.append(pairs)
+                return run(self, pairs)
 
-        def counted_sweep(self, pairs):
-            walks.append("sweep")
-            return sweep(self, pairs)
-
-        monkeypatch.setattr(DownsetLattice, "_addable_levels", counted_walk)
-        monkeypatch.setattr(lattice._Arrays, "sweep", counted_sweep)
+            monkeypatch.setattr(owner, name, counted)
         lat.pair_counts()
         assert lat.position_counts() == DownsetLattice(p).position_counts()
-        assert len(walks) == 2  # one for pair_counts, one for the fresh lattice
+        assert sweeps == [True, False]  # one for pair_counts, one for the fresh lattice
         monkeypatch.undo()
+
+
+def test_a_dict_lattice_is_walked_once(monkeypatch):
+    # build, both sweeps and edges() all read the levels the build stored
+    _kernel(monkeypatch, False)
+    walks = []
+    walk = lattice._walk
+
+    def counted(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_walk", counted)
+    for p in (young_diagram((4, 3, 3)).poset, random_poset(12, 0.2, seed=3)):
+        walks.clear()
+        lat = DownsetLattice(_fresh(p))
+        assert lat._arrays is None
+        lat.position_counts()
+        lat.pair_counts()
+        pred = p._pred_masks
+        assert list(lat.edges()) == [
+            (m, x, m | 1 << x)
+            for level in lat.levels
+            for m in level
+            for x in range(p.n)
+            if not (m >> x & 1 or pred[x] & ~m)
+        ]
+        assert walks == [p.n]
 
 
 def test_moments_match_fraction_sums():

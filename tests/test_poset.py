@@ -92,10 +92,9 @@ def test_mask_tables_match_their_definition(n):
         lambda i, j: i != j and not lt[i, j] and not lt[j, i]
     )
     assert p._upper_cover_masks == mask(covers)
-    assert p._lower_cover_masks == mask(lambda i, j: covers(j, i))
     assert all(type(m) is int for m in p._incomp_masks)
     if n >= 64:  # the top byte of every table is in use
-        for table in (p._pred_masks, p._incomp_masks, p._lower_cover_masks):
+        for table in (p._pred_masks, p._incomp_masks):
             assert max(table).bit_length() == n
 
 
