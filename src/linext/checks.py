@@ -28,8 +28,9 @@ from .families import (
     _random_poset,
 )
 from .lattice import (
-    DownsetLattice,
+    DEFAULT_NODE_BUDGET,
     EventSpec,
+    _walk,
     build_lattice,
     conditional_probability,
     event_probability,
@@ -594,8 +595,9 @@ def random_cwsig_instance(rng: random.Random, nmax: int = 7):
     while True:
         k = rng.randint(2, nmax - 1)
         base = _random_poset(rng, k, rng.choice([0.2, 0.3, 0.5]))
-        lat = DownsetLattice(base)
-        ideals = [m for level in lat.levels for m in level]
+        # the draw below reads every ideal in _walk's order of discovery
+        walk = _walk(k, base._pred_masks, base._upper_cover_masks, DEFAULT_NODE_BUDGET, {0: 1})
+        ideals = [m for masks, _ in walk for m in masks]
         mask = rng.choice(ideals)
         lower = [base.labels[i] for i in range(k) if (mask >> i) & 1]
         upper = [lab for lab in base.labels if lab not in lower]

@@ -37,9 +37,9 @@ float64, which is exact: an ideal has at most 64 edges in or out
 adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of
 the residues (De Loof, De Meyer and De Baets, "Exploiting the lattice of
 ideals representation of a poset", Fundam. Inform. 2006).  Ideals and
-counts as Python ints (``levels``, ``down``, ``up``, and so the sampler)
-are rebuilt on first use, in the dict kernel's order; ``edges`` reads the
-addable sets off the edge tables.
+counts as Python ints (``levels``, ``down``, ``up``, and the addable sets
+``edges`` reads off the edge tables) are views in key order, built on
+first read; samples are unchanged because draws read ``up`` by mask.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -662,51 +662,17 @@ class _Arrays:
         pos %= mods[:, :, None]
         return _crt(pos), (_crt(ahead) if pairs else None)
 
-    def _orders(self):
-        """Per level, its rows in the dict kernel's order.
-
-        The dict kernel lists a level in order of discovery: by the
-        position of the first ideal that reaches each one, then by the
-        element added.
-        """
-        n = self.n
-        rank = order = np.zeros(1, dtype=np.int64)
-        yield order
-        for (src, starts, tgt), level in zip(self.edges, self.levels[1:]):
-            first = np.full(len(level), np.iinfo(np.int64).max)
-            x = np.repeat(np.arange(n), np.diff(starts))
-            np.minimum.at(first, tgt, rank[src] * n + x)
-            order = np.argsort(first)
-            rank = np.empty(len(level), dtype=np.int64)
-            rank[order] = np.arange(len(level))
-            yield order
-
-    def exact(self) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
-        """Levels, down and up counts as the dict kernel lists them.
-
-        Counts are rebuilt by CRT.
-        """
-        levels: list[list[int]] = []
-        down: dict[int, int] = {}
-        up: dict[int, int] = {}
-        for size, order in enumerate(self._orders()):
-            masks = _ints(self.levels[size][order])
-            levels.append(masks)
-            down.update(zip(masks, _crt(self.down[size][:, order])))
-            up.update(zip(masks, _crt(self.up[size][:, order])))
-        return levels, down, up
-
     def addables(self) -> list[list[int]]:
-        """Each ideal's addable set, level by level in the order of :meth:`exact`.
+        """Each ideal's addable set, level by level in key order (the rows' order).
 
         The set of an ideal holds the elements on the edges that leave it.
         """
         found = []
-        for (src, starts, _), order in zip(self.edges, self._orders()):
-            sets = [0] * len(order)
+        for (src, starts, _), level in zip(self.edges, self.levels):
+            sets = [0] * len(level)
             for s, x in zip(src.tolist(), np.repeat(np.arange(self.n), np.diff(starts)).tolist()):
                 sets[s] |= 1 << x
-            found.append([sets[i] for i in order.tolist()])
+            found.append(sets)
         return found + [[0]]
 
 
@@ -758,8 +724,10 @@ class DownsetLattice(_Lattice):
     A poset whose lattice is large enough and fits the array kernel
     (:func:`_arrays_win`) is built by that kernel (:class:`_Arrays`); any
     other by the dict kernel (:func:`_walk`).  Both give the same
-    exact answers.  On the array kernel, ``levels``, ``down`` and ``up``
-    are rebuilt as Python ints on first use and cached.
+    exact answers.  The dict kernel lists each level in order of
+    discovery.  On the array kernel, ``levels``, ``down``, ``up`` and the
+    addable sets are Python ints in key order, built on first read;
+    samples are unchanged because draws read ``up`` by mask.
     """
 
     def __init__(self, poset: Poset, budget: int | None = None):
@@ -770,7 +738,6 @@ class DownsetLattice(_Lattice):
         self._hold(poset)
         if _preflight(n, pred, budget):
             self._arrays: _Arrays | None = _Arrays(n, pred, budget)
-            self._exact = None
             self.node_count = self._arrays.nodes
             self.extension_count = self._arrays.total
             return
@@ -789,28 +756,32 @@ class DownsetLattice(_Lattice):
                     addable ^= b
                     total += up[mask | b]
                 up[mask] = total
-        self._exact = (levels, down, up)
-        self._addables = addables
+        # these shadow the array kernel's views below
+        self.levels, self.down, self.up, self._addables = levels, down, up, addables
         self.node_count = len(down)
         self.extension_count = up[0]
 
-    def _ideals(self) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
-        if self._exact is None:
-            self._exact = self._arrays.exact()
-        return self._exact
-
-    @property
+    @functools.cached_property
     def levels(self) -> list[list[int]]:
-        """Ideals by size, each level in order of discovery."""
-        return self._ideals()[0]
+        """Ideals by size: in order of discovery, or on the array kernel by key."""
+        return [_ints(level) for level in self._arrays.levels]
 
-    @property
+    @functools.cached_property
     def down(self) -> dict[int, int]:
-        return self._ideals()[1]
+        return self._by_mask(self._arrays.down)
 
-    @property
+    @functools.cached_property
     def up(self) -> dict[int, int]:
-        return self._ideals()[2]
+        return self._by_mask(self._arrays.up)
+
+    @functools.cached_property
+    def _addables(self) -> list[list[int]]:
+        return self._arrays.addables()
+
+    def _by_mask(self, residues: Sequence[np.ndarray]) -> dict[int, int]:
+        """Each ideal's mask to its exact count, from the array kernel's residues."""
+        masks = (m for level in self.levels for m in level)
+        return dict(zip(masks, _crt(np.concatenate(residues, axis=1))))
 
     def down_count(self, mask: int) -> int:
         """``down[mask]``: extensions of the restriction to ``mask``, 0 off the ideals."""
@@ -818,8 +789,7 @@ class DownsetLattice(_Lattice):
 
     def edges(self):
         """Yield (ideal, added element index, extended ideal)."""
-        sets = self._addables if self._arrays is None else self._arrays.addables()
-        for masks, addables in zip(self.levels, sets):
+        for masks, addables in zip(self.levels, self._addables):
             for mask, addable in zip(masks, addables):
                 while addable:
                     b = addable & -addable
@@ -1038,6 +1008,8 @@ class SplitLattice(_Lattice):
         it counts C(|m|; |m & P1|, ..., |m & Pk|) times the parts' down
         counts, each read at its part's mask renumbered through ``idx``.
         """
+        if mask >> self.poset.n:  # an element outside the ground set
+            return 0
         total = math.factorial(mask.bit_count())
         for idx, lat in self.parts:
             sub = sum(1 << k for k, x in enumerate(idx) if mask >> x & 1)

@@ -28,7 +28,7 @@ from linext.lattice import (
     event_probability,
     sample_extensions,
 )
-from linext.poset import Poset
+from linext.poset import Poset, disjoint_sum
 from oracles import brute_count, brute_marginal, brute_pair_counts, hook_length_count
 from conftest import random_posets
 
@@ -59,10 +59,11 @@ def _assert_same(monkeypatch, p: Poset, ideals: bool = True) -> None:
     assert arrays.position_counts() == walked.position_counts()
     assert arrays.marginals() == walked.marginals()
     if ideals:
-        assert arrays.levels == walked.levels
-        assert list(arrays.down.items()) == list(walked.down.items())
-        assert list(arrays.up.items()) == list(walked.up.items())
-        assert list(arrays.edges()) == list(walked.edges())
+        # the array kernel lists each level by key, the dict kernel by discovery
+        assert [sorted(level) for level in arrays.levels] == [sorted(level) for level in walked.levels]
+        assert arrays.down == walked.down
+        assert arrays.up == walked.up
+        assert sorted(arrays.edges()) == sorted(walked.edges())
 
 
 def test_primes_cover_every_count_bound_the_rule_admits():
@@ -263,6 +264,31 @@ def test_samples_are_the_same_on_both_kernels(monkeypatch):
             _kernel(monkeypatch, arrays)
             draws.append(sample_extensions(_fresh(p), 5, seed=8))
         assert draws[0] == draws[1]
+
+
+def test_array_kernel_samples_pinned():
+    # drawn when array-kernel lattices listed their ideals in the dict
+    # kernel's order; a draw reads ``up`` by mask, so key order keeps them
+    young = young_diagram((5, 4, 3, 2)).poset
+    r14 = random_poset(14, 0.2, seed=1)
+    split = disjoint_sum(random_poset(14, 0.2, seed=1), antichain(3))
+    assert build_lattice(young)._arrays is not None and build_lattice(r14)._arrays is not None
+    assert [part._arrays is not None for _, part in build_lattice(split).parts] == [True] + [False] * 4
+    assert sample_extensions(young, 3, seed=2) == [
+        ("1,1", "1,2", "1,3", "2,1", "1,4", "3,1", "2,2", "2,3", "3,2", "4,1", "1,5", "4,2", "2,4", "3,3"),
+        ("1,1", "2,1", "1,2", "3,1", "2,2", "3,2", "1,3", "2,3", "4,1", "1,4", "1,5", "3,3", "4,2", "2,4"),
+        ("1,1", "2,1", "3,1", "1,2", "2,2", "1,3", "2,3", "1,4", "1,5", "3,2", "3,3", "2,4", "4,1", "4,2"),
+    ]
+    assert sample_extensions(r14, 3, seed=7) == [
+        ("v1", "v7", "v14", "v12", "v2", "v5", "v11", "v4", "v9", "v10", "v6", "v13", "v3", "v8"),
+        ("v1", "v14", "v11", "v6", "v7", "v3", "v12", "v4", "v2", "v13", "v10", "v5", "v8", "v9"),
+        ("v14", "v11", "v6", "v1", "v7", "v3", "v12", "v4", "v8", "v9", "v2", "v13", "v5", "v10"),
+    ]
+    assert sample_extensions(split, 3, seed=11) == [
+        ("v14", "v12", "v11", "v6", "v1", "v13", "v7", "a2", "v4", "a3", "a1", "v10", "v3", "v2", "v9", "v8", "v5"),
+        ("v14", "v1", "v7", "v8", "v13", "v11", "v4", "a1", "v9", "v12", "v2", "v10", "v5", "v6", "v3", "a3", "a2"),
+        ("v14", "v1", "v11", "v7", "v6", "a3", "v3", "v8", "v12", "a1", "v4", "v10", "v5", "v9", "a2", "v13", "v2"),
+    ]
 
 
 def test_budget_raises_like_the_dict_kernel(monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from linext import checks
+from linext import checks, lattice
 from linext.checks import (
     BL2_EPSILON,
     GRUNBAUM_LOWER,
@@ -112,6 +112,32 @@ def test_cwsig_random_instances_hold():
         p, x, lower, upper = random_cwsig_instance(rng, nmax=7)
         rec = check_cwsig(p, x, lower, upper)
         assert rec.holds, rec
+
+
+def test_cwsig_stream_pinned_where_bases_reach_the_array_kernel(monkeypatch):
+    # each instance splits its base at an ideal drawn from _walk's order of
+    # discovery, whichever kernel would build the base's lattice
+    kernels = []
+    walk = checks._walk
+
+    def seen(n, pred, *args):
+        kernels.append(lattice._preflight(n, pred, lattice.DEFAULT_NODE_BUDGET))
+        return walk(n, pred, *args)
+
+    monkeypatch.setattr(checks, "_walk", seen)
+    records = run_suite("cwsig", count=40, nmax=16, seed=3)
+    assert sum(kernels) == 9
+    assert all(r.holds for r in records)
+    assert [r.instance for r in records] == [
+        "7d1c8c7a3c03", "bf302127696e", "b3018a901602", "c83d3303c4dd", "ddeaad473edc",
+        "6bcb4c8c4999", "62bc8ad50235", "6ca59a3cbc52", "973249013d6b", "bb434ba1e32e",
+        "b1de38138343", "13d30a14a486", "38707048a79d", "9405fc22d667", "5b8bcc9a74f3",
+        "dde9acb9acb0", "2ab214abc88e", "76f114f9e3dc", "e56feb7d91b7", "9e90c06ce386",
+        "ad9e4ee760d6", "740645220752", "96cbedae4be0", "5cd773a468db", "ec84b0beea6d",
+        "273f549914fb", "0a6b6db83666", "46c588f46889", "025fe61eb95e", "69a7883179dc",
+        "cddc6e0340c7", "8bc1fc9af036", "a84212823b74", "23d0985b672d", "8bce7915c44a",
+        "536dc1bd13ad", "60576e74729c", "7443b7ac6caf", "258a7bb58fcc", "e32c488408c4",
+    ]
 
 
 def test_grunbaum_pair_threshold_value():

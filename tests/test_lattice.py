@@ -654,14 +654,20 @@ def _scan_lattice(p):
     return levels, down, up, edges, pairs
 
 
-def _assert_matches_scan(p):
+def _assert_matches_scan(p, arrays: bool = False):
     lat = DownsetLattice(p)
     levels, down, up, edges, pairs = _scan_lattice(p)
-    # random_cwsig_instance draws from this order, so it is pinned too
-    assert lat.levels == levels
+    assert (lat._arrays is not None) == arrays
+    if not arrays:
+        # _walk lists each level in order of discovery, and
+        # random_cwsig_instance draws from _walk's order, so it is pinned too
+        assert lat.levels == levels
+        assert list(lat.edges()) == edges
+    else:  # the array kernel lists each level by key
+        assert [sorted(level) for level in lat.levels] == [sorted(level) for level in levels]
+        assert sorted(lat.edges()) == sorted(edges)
     assert lat.down == down
     assert lat.up == up
-    assert list(lat.edges()) == edges
     assert lat.pair_counts() == pairs
     assert lat.node_count == len(down)
 
@@ -679,7 +685,7 @@ def test_kernel_matches_scan_on_random_posets():
 def test_kernel_matches_scan_past_64_elements():
     p = young_diagram((13,) * 5).poset
     assert p.n == 65
-    _assert_matches_scan(p)
+    _assert_matches_scan(p, arrays=True)
 
 
 def test_up_counts_extensions_of_the_complement():
@@ -843,7 +849,8 @@ def _assert_down_count_folds(p):
     """The part-by-part down count against the whole lattice's ``down``.
 
     Reads every ideal, and every other mask up to 2^10 of them (else 300
-    drawn at random); returns how many masks off the ideals were read.
+    drawn at random), and three masks past the ground set; returns how many
+    masks of the ground set off the ideals were read.
     """
     whole = DownsetLattice(p)
     folded = _folded(p)
@@ -853,7 +860,8 @@ def _assert_down_count_folds(p):
     for m in whole.down:
         assert folded.down_count(m) == whole.down_count(m) == whole.down[m] > 0
     off = [m for m in masks if m not in whole.down]
-    for m in off:
+    # a mask with an element outside the ground set is no ideal either
+    for m in off + [1 << p.n, 1 << p.n | 1, (2 << p.n) - 1]:
         assert folded.down_count(m) == whole.down_count(m) == 0
     return len(off)
 

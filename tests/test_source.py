@@ -158,11 +158,13 @@ def test_one_lattice_kernel_per_regime():
     # the array regime merges each level's ideals in one np.unique step;
     # the dict regime grows addable sets in _walk, and the sampler's draw
     # follows one path with the same rule; a dict lattice is walked once,
-    # when it is built, and a constrained count is one more walk
+    # when it is built, a constrained count is one more walk, and the cwsig
+    # stream draws its split ideals in _walk's order
     tree = _tree("lattice.py")
     assert _callers(tree, "unique") == ["_array_levels"]
     assert sorted(set(_callers(tree, "_grow"))) == ["_walk", "draw"]
-    assert sorted(_callers(tree, "_walk")) == ["__init__", "_down_pass"]
+    walks = [fn for path in SOURCES for fn in _callers(ast.parse(path.read_text()), "_walk")]
+    assert sorted(walks) == ["__init__", "_down_pass", "random_cwsig_instance"]
 
 
 def test_kernel_regime_check_sees_the_pattern():
