@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from linext.mcmc import ChainState, _is_extension
 from linext.poset import Poset
 
 # Permutation tables are reused across thousands of oracle calls; key is n.
@@ -141,3 +142,30 @@ def matmul_reduction(lt) -> np.ndarray:
     """
     lt = np.asarray(lt, dtype=bool)
     return lt & ~((lt.astype(np.int32) @ lt.astype(np.int32)) > 0)
+
+
+def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]:
+    """The chain's step kernel as first written: ``randrange(n)`` draws the
+    slot and a shift of the incomparability mask tests the pair."""
+    p = state.poset
+    n, incomp = p.n, p._incomp_masks
+    order, pos, validate = state.order, state.pos, state.validate
+    coin, slot = state.rng.random, state.rng.randrange
+    state.steps += steps
+    if n < 2:
+        return []
+    swaps: list[tuple[int, int]] = []
+    for t in range(steps):
+        if coin() < 0.5:
+            continue
+        i = slot(n)
+        if i + 1 < n:
+            u, v = order[i], order[i + 1]
+            if (incomp[u] >> v) & 1:
+                order[i], order[i + 1] = v, u
+                pos[u], pos[v] = i + 1, i
+                if ((watch >> u) | (watch >> v)) & 1:
+                    swaps.append((t, i))
+                if validate and not _is_extension(p, order):
+                    raise RuntimeError("swap broke the extension")
+    return swaps

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linext.errors import ComparablePair
@@ -15,6 +17,7 @@ from linext.mcmc import (
     tv_distance_diagnostic,
 )
 from linext.poset import Poset
+from oracles import randrange_advance
 
 
 def test_initial_state_is_an_extension():
@@ -210,3 +213,45 @@ def test_validate_raises_through_the_kernel():
         state.pos[x] = k
     with pytest.raises(RuntimeError, match="broke the extension"):
         _advance(state, 200, 0)
+
+
+def _four_chains(seed: int) -> Poset:
+    """400 elements from covers: four chains of 100 with 40 climbing cross covers."""
+    rng = random.Random(seed)
+    covers = [(f"c{c}l{k}", f"c{c}l{k + 1}") for c in range(4) for k in range(99)]
+    for _ in range(40):
+        a, b = rng.sample(range(4), 2)
+        k = rng.randrange(99)
+        covers.append((f"c{a}l{k}", f"c{b}l{rng.randint(k + 1, min(k + 5, 99))}"))
+    return Poset.from_covers([f"c{c}l{k}" for c in range(4) for k in range(100)], covers)
+
+
+def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, validate: bool):
+    fast = initial_state(p, seed, validate)
+    slow = initial_state(p, seed, validate)
+    for steps in batches:
+        assert _advance(fast, steps, watch) == randrange_advance(slow, steps, watch)
+        assert (fast.order, fast.pos, fast.steps) == (slow.order, slow.pos, slow.steps)
+        assert fast.rng.getstate() == slow.rng.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33, 63, 64, 65])
+def test_kernel_matches_the_randrange_kernel(n):
+    # a draw of n.bit_length() bits is redrawn at n or past it: a power of
+    # two redraws about half its draws, one below a power of two almost none
+    for seed in range(3):
+        p = random_poset(n, 0.06, seed=seed)
+        # a column-major order reads the same through the flat view
+        if seed == 2:
+            p = Poset(p.labels, np.asfortranarray(p.lt))
+        rng = random.Random(seed)
+        for watch in (0, (1 << n) - 1, rng.getrandbits(n) if n else 0):
+            _assert_kernels_agree(p, seed, watch, (1, 0, 700, 333), validate=True)
+
+
+def test_kernel_matches_the_randrange_kernel_on_400_elements():
+    p = _four_chains(5)
+    a, b = p.index("c0l50"), p.index("c3l50")
+    for seed in (0, 7):
+        for watch in (0, 1 << a | 1 << b, (1 << p.n) - 1):
+            _assert_kernels_agree(p, seed, watch, (5000, 20_000), validate=False)

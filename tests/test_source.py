@@ -63,17 +63,21 @@ def _name_of(node) -> str | None:
     return None
 
 
-def _randrange_sites(tree) -> list[int]:
-    """Lines that call or bind ``randrange``: each one draws a chain slot."""
+#: Calls that draw a chain slot.
+DRAW_CALLS = {"getrandbits", "randrange"}
+
+
+def _draw_sites(tree) -> list[int]:
+    """Lines that call or bind a slot draw (``getrandbits`` or ``randrange``)."""
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) == "randrange"
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) in DRAW_CALLS
     ]
 
 
 #: Calls that take one chain step, or draw for one.
-STEP_CALLS = {"mc_step", "randrange", "random"}
+STEP_CALLS = {"mc_step", "random"} | DRAW_CALLS
 
 
 def _step_loops(tree) -> list[int]:
@@ -97,7 +101,7 @@ def _tree(name: str):
 def test_one_mc_step_kernel():
     # every chain run draws its slots in mcmc._advance and nowhere else
     tree = _tree("mcmc.py")
-    sites = _randrange_sites(tree)
+    sites = _draw_sites(tree)
     assert len(sites) == 1
     (kernel,) = [
         node for node in ast.walk(tree)
@@ -111,12 +115,14 @@ def test_mc_kernel_checks_see_the_pattern():
     tree = ast.parse(
         "i = rng.randrange(n)\n"
         "draw = state.rng.randrange\n"
+        "bits = state.rng.getrandbits\n"
         "for _ in range(k):\n    mcmc.mc_step(state)\n"
         "while True:\n    if rng.random() < 0.5:\n        break\n"
         "for _ in range(k):\n    mcmc._advance(state, s, 0)\n"
+        "while i >= n:\n    i = rng.getrandbits(9)\n"
     )
-    assert sorted(_randrange_sites(tree)) == [1, 2]
-    assert sorted(_step_loops(tree)) == [3, 5]
+    assert sorted(_draw_sites(tree)) == [1, 2, 3, 12]
+    assert sorted(_step_loops(tree)) == [4, 6, 11]
 
 
 def _matmul_sites(tree) -> list[int]:
