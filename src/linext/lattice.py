@@ -168,7 +168,15 @@ def _grow(addable: int, b: int, unplaced: int, step) -> int:
 
 def _steps(pred: Sequence[int], cand: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Per element x, (bit, pred mask) of every candidate in ``cand[x]``."""
-    return [[(1 << c, pred[c]) for c in _bits(m)] for m in cand]
+    steps = []
+    for m in cand:
+        step = []
+        while m:
+            c = m & -m
+            m ^= c
+            step.append((c, pred[c.bit_length() - 1]))
+        steps.append(step)
+    return steps
 
 
 def _walk(n: int, pred: Sequence[int], cand: Sequence[int], budget: int, counts: dict[int, int]):
@@ -654,24 +662,6 @@ class _Arrays:
         pos %= mods[:, :, None]
         return _crt(pos), (_crt(ahead) if pairs else None)
 
-    def down_count(self, mask: int) -> int:
-        """The down count of ideal ``mask``, 0 when ``mask`` is not an ideal.
-
-        Its level is sorted by mask when a row is one word, so one search
-        finds its row; wider rows are matched.  One CRT reads the count.
-        """
-        if mask >> self.n:  # an element outside the ground set, or negative
-            return 0
-        size = mask.bit_count()
-        level = self.levels[size]
-        row = np.array([mask >> s & _WORD for s in range(0, 64 * level.shape[1], 64)], dtype=np.uint64)
-        if len(row) == 1:
-            at = min(int(np.searchsorted(level[:, 0], row[0])), len(level) - 1)
-            hits = [at] if level[at, 0] == row[0] else []
-        else:
-            hits = np.flatnonzero((level == row).all(axis=1))
-        return _crt(self.down[size][:, hits])[0] if len(hits) else 0
-
     def addables(self) -> list[list[int]]:
         """Each ideal's addable set, level by level in key order (the rows' order).
 
@@ -795,14 +785,16 @@ class DownsetLattice(_Lattice):
 
     def down_count(self, mask: int) -> int:
         """``down[mask]``: extensions of the restriction to ``mask``, 0 off the ideals."""
-        return self.down.get(mask, 0) if self._arrays is None else self._arrays.down_count(mask)
+        return self.down.get(mask, 0)
 
     def edges(self):
         """Yield (ideal, added element index, extended ideal)."""
         for masks, addables in zip(self.levels, self._addables):
             for mask, addable in zip(masks, addables):
-                for x in _bits(addable):
-                    yield mask, x, mask | 1 << x
+                while addable:
+                    b = addable & -addable
+                    addable ^= b
+                    yield mask, b.bit_length() - 1, mask | b
 
     # named here too: benchmarks/tracing.py wraps it in this class's namespace
     marginals = _Lattice.marginals

@@ -148,28 +148,6 @@ def test_arrays_match_the_dict_kernel_past_64_elements(monkeypatch):
         _assert_same(monkeypatch, p)
 
 
-@pytest.mark.parametrize(
-    "p",
-    [young_diagram((8,) * 8).poset, random_poset(40, 0.1, seed=5)]
-    + [young_diagram((5,) * rows).poset for rows in (13, 16)],
-    ids=["young8x8", "random40", "young13x5", "young16x5"],
-)
-def test_down_count_reads_one_ideal_off_the_arrays(p):
-    # one search (or row match, past 64 elements) and one CRT per mask,
-    # before the masks' ``down`` dict is ever built; a flipped bit mostly
-    # leaves the ideals
-    lat = DownsetLattice(_fresh(p))
-    assert lat._arrays is not None
-    rng = random.Random(1)
-    ideals = rng.sample([m for level in lat.levels for m in level], 600)
-    masks = ideals + [m ^ 1 << rng.randrange(p.n) for m in ideals]
-    masks += [0, (1 << p.n) - 1, 1 << p.n, (1 << p.n) | 1, -1]
-    got = [lat.down_count(m) for m in masks]
-    assert "down" not in vars(lat)
-    assert got == [lat.down.get(m, 0) for m in masks]
-    assert sum(m not in lat.down for m in masks) > 300 and all(got[:600])
-
-
 def test_each_level_is_one_edge_table(monkeypatch):
     # chunks of 3 cut the levels into several build chunks, and each table
     # into several sweep chunks

@@ -226,9 +226,14 @@ def _four_chains(seed: int) -> Poset:
     return Poset.from_covers([f"c{c}l{k}" for c in range(4) for k in range(100)], covers)
 
 
-def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, validate: bool):
+def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, validate: bool, reverse=False):
     fast = initial_state(p, seed, validate)
     slow = initial_state(p, seed, validate)
+    if reverse:  # start from an order that is no extension
+        for state in (fast, slow):
+            state.order.reverse()
+            for k, x in enumerate(state.order):
+                state.pos[x] = k
     for steps in batches:
         assert _advance(fast, steps, watch) == randrange_advance(slow, steps, watch)
         assert (fast.order, fast.pos, fast.steps) == (slow.order, slow.pos, slow.steps)
@@ -241,7 +246,7 @@ def test_kernel_matches_the_randrange_kernel(n):
     # two redraws about half its draws, one below a power of two almost none
     for seed in range(3):
         p = random_poset(n, 0.06, seed=seed)
-        # a column-major order reads the same through the flat view
+        # the table is built in C order whatever the layout of lt
         if seed == 2:
             p = Poset(p.labels, np.asfortranarray(p.lt))
         rng = random.Random(seed)
@@ -255,3 +260,11 @@ def test_kernel_matches_the_randrange_kernel_on_400_elements():
     for seed in (0, 7):
         for watch in (0, 1 << a | 1 << b, (1 << p.n) - 1):
             _assert_kernels_agree(p, seed, watch, (5000, 20_000), validate=False)
+
+
+def test_kernel_matches_the_randrange_kernel_off_the_extensions():
+    # without validate, a state that is no extension steps as before: only
+    # incomparable neighbors swap, whichever of them comes first
+    p = random_poset(12, 0.3, seed=1)
+    for seed in range(4):
+        _assert_kernels_agree(p, seed, (1 << p.n) - 1, (500, 500), validate=False, reverse=True)
