@@ -77,8 +77,10 @@ def cmd_analyze(args) -> int:
     delta_report = None if p.is_chain() else balance(p, budget)
     dists = all_position_distributions(p, budget)
     stats = {lab: PositionStatistics.from_distribution(dists[lab]) for lab in p.labels}
-    sigma_arg = max(p.labels, key=lambda lab: (stats[lab].variance, -p.index(lab)))
-    pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)))
+    # the empty poset has no argmax: null in JSON, "-" in text, and sigma 0
+    sigma_arg = max(p.labels, key=lambda lab: (stats[lab].variance, -p.index(lab)), default=None)
+    pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)), default=None)
+    sigma = 0.0 if sigma_arg is None else stats[sigma_arg].stddev
 
     if args.json:
         payload = {
@@ -88,7 +90,7 @@ def cmd_analyze(args) -> int:
             "antichain": list(profile.antichain),
             "pi": profile.max_count,
             "pi_argmax": pi_arg,
-            "sigma": stats[sigma_arg].stddev,
+            "sigma": sigma,
             "sigma_argmax": sigma_arg,
             "delta": None if delta_report is None else fraction_json(delta_report.delta),
             "witness": None if delta_report is None else list(delta_report.witness),
@@ -111,13 +113,13 @@ def cmd_analyze(args) -> int:
     print(f"elements: {p.n}")
     print(f"extensions: {extensions}")
     print(f"width: {profile.width}  antichain {{{', '.join(profile.antichain)}}}")
-    print(f"pi: {profile.max_count}  (argmax {pi_arg})")
+    print(f"pi: {profile.max_count}  (argmax {'-' if pi_arg is None else pi_arg})")
     if delta_report is None:
         print("chain: balance not applicable")
     else:
         w = delta_report.witness
         print(f"delta: {_fmt(delta_report.delta)}  witness ({w[0]}, {w[1]})")
-    print(f"sigma: {stats[sigma_arg].stddev:.6g}  (argmax {sigma_arg})")
+    print(f"sigma: {sigma:.6g}  (argmax {'-' if sigma_arg is None else sigma_arg})")
     if args.full:
         print()
         print("element  mean  variance  sigma  q  pi")

@@ -22,24 +22,20 @@ hold (:func:`_arrays_fit`).
 
 The array kernel, :func:`_array_levels`, serves lattices large enough to
 pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
-level is sorted by a one-word key (the mask, or past 64 elements the
-chain code of :func:`_chain_code`).  One broadcast test over a chunk of
-the level and every element finds the edges; the chunk's targets, made
-unique by key, are merged into the next level by binary search, and the
-level's edges are kept as one table sorted by the element added.  Path
-counts are kept modulo primes below 2^31.  The down pass takes enough
-primes to exceed a bound on the extension count (n! over the chain
-cover), and the Chinese remainder theorem (CRT) rebuilds e(P) exactly
-from it.  Every other count is at most e(P), so the up pass and the
-sweeps keep only the primes that cover e(P).  Counts are summed in
-float64, which is exact: an ideal has at most 64 edges in or out
-(:func:`_arrays_fit`), so a sum stays below 2^6 2^31 < 2^53, and a sweep
-adds at most :data:`_CHUNK` edges at a time.  Each answer is one CRT of
-the residues (De Loof, De Meyer and De Baets, "Exploiting the lattice of
-ideals representation of a poset", Fundam. Inform. 2006).  Ideals and
-counts as Python ints (``levels``, ``down``, ``up``, and the addable sets
-``edges`` reads off the edge tables) are views in key order, built on
-first read; samples are unchanged because draws read ``up`` by mask.
+level is sorted by a one-word key (the mask, or past 64 elements the chain
+code of :func:`_chain_code`).  One broadcast test over a chunk of the level
+and every element finds the edges; one sort by target key groups them, and
+the chunk's targets are merged into the next level by binary search.  Path
+counts are kept modulo primes below 2^31: enough in the down pass to exceed
+a bound on e(P) (n! over the chain cover), so the Chinese remainder theorem
+(CRT) rebuilds e(P) exactly, and then only those that cover e(P), which
+bounds every other count.  The down, up and masked passes are int64 segment
+sums along grouped edges (:func:`_segment_sums`), below 2^6 2^31 = 2^37
+since an ideal has at most 64 edges in or out (:func:`_arrays_fit`).  Each
+answer is one CRT (De Loof, De Meyer and De Baets, "Exploiting the lattice
+of ideals representation of a poset", Fundam. Inform. 2006).  ``levels``,
+``down``, ``up`` and the addable sets are Python-int views in key order,
+built on first read; draws read ``up`` by mask, so samples are unchanged.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -74,7 +70,7 @@ bounded by a node budget and raises :class:`BudgetExceeded` past it,
 with the same (nodes, budget) from both kernels.  A poset whose ideal
 floor already passes the budget is refused before any level, reporting
 the floor; the array kernel checks after each chunk it merges, so a
-level past the budget is never gathered whole.  The budget bounds the
+level past the budget is never merged whole.  The budget bounds the
 nodes really built: for a split poset, the sum over its parts, each part
 built against what the earlier ones left.
 """
@@ -243,9 +239,8 @@ _PRIME_PRODUCT = math.prod(_PRIMES)
 #: ``_GARNER[j][i]``: the inverse of prime i modulo prime j (i < j).
 _GARNER = [[pow(p, -1, q) for p in _PRIMES[:j]] for j, q in enumerate(_PRIMES)]
 
-#: Rows of a level tested at once, and edges summed at once, by the array
-#: kernel: no temporary array grows past this many rows of n entries (k
-#: primes count as n here).
+#: Rows of a level tested and merged at once, and edges a sweep reads at
+#: once: no temporary array exceeds this many rows of n entries per count row.
 _CHUNK = 4096
 _WORD = (1 << 64) - 1
 
@@ -332,24 +327,24 @@ def _crt(res: np.ndarray) -> list:
     return value.tolist()
 
 
-def _gather(index: np.ndarray, pick: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
-    """Sums of ``counts`` along one level's edge table, mod each prime.
+def _segment_sums(counts: np.ndarray, runs: Sequence[tuple], m: int) -> np.ndarray:
+    """Sums of ``counts`` (k rows, one per prime, or r blocks of them) along edges, mod each prime.
 
-    ``out[..., j, i]`` sums ``counts[..., j, pick[e]]`` over the edges e
-    with ``index[e] == i``: targets and sources for the down pass, sources
-    and targets for the up pass.  ``counts`` holds k rows, one per prime,
-    or r blocks of them (shape (r, k, L)), all summed in one pass.  Sums
-    run in float64, :data:`_CHUNK` edges at a time.  Each is exact: an
-    ideal has at most 64 edges in or out (:func:`_arrays_fit`), and each
-    count is below 2^31, so every sum stays below 2^6 2^31 < 2^53.
+    A run, one chunk's edges, starts (pick, starts, into): group g sums
+    ``counts[..., pick[starts[g]:starts[g + 1]]]`` into ``out[..., into[g]]``
+    (into ``out[..., g]`` when the level is one run), and plain fancy
+    indexing adds a run, whose groups are distinct.  The int64 sums are
+    exact: an ideal has at most 64 edges in or out (:func:`_arrays_fit`)
+    and a count is below 2^31, so a sum stays below 2^37.
     """
-    rows = counts.reshape(-1, counts.shape[-1])
-    sums = np.zeros(len(rows) * m)
-    offset = np.arange(len(rows))[:, None] * m
-    for lo in range(0, len(index), _CHUNK):
-        at = (index[lo : lo + _CHUNK] + offset).ravel()
-        np.add.at(sums, at, rows[:, pick[lo : lo + _CHUNK]].astype(np.float64).ravel())
-    return sums.reshape(counts.shape[:-1] + (m,)).astype(np.int64) % _MODS[: counts.shape[-2]]
+    out = None if len(runs) == 1 else np.zeros(counts.shape[:-1] + (m,), dtype=np.int64)
+    for pick, starts, into, *_ in runs:
+        part = np.add.reduceat(counts.take(pick, axis=-1), starts, axis=-1)
+        if out is None:
+            out = part
+        else:
+            out[..., into] += part
+    return out % _MODS[: counts.shape[-2]]
 
 
 def _ints(rows: np.ndarray) -> list[int]:
@@ -379,22 +374,21 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
 
     ``ideals`` holds one row of W = ceil(n / 64) little-endian ``uint64``
     words per ideal, and ``counts[j]`` the path counts from the empty
-    ideal modulo prime j, for j < ``k``.  ``edges`` is the level's edge
-    table (src, starts, tgt), sorted by the element x added: edge e runs
-    from ideal ``src[e]`` of this level to ``tgt[e]`` of the next, and the
-    edges of x are ``starts[x]:starts[x + 1]``.  The last level (or the
-    first one no edge leaves, when ``pred`` has a cycle) comes with
-    ``edges`` None.  ``pred`` need not be closed.  x is addable to ideal I
-    when ``I & x == 0`` and ``I & pred[x] == pred[x]``, tested word by word
-    for every element against a chunk of the level at once.
+    ideal modulo prime j, for j < ``k``.  ``edges`` is (blocks, runs), one
+    of each per chunk of the level that edges leave, as
+    :func:`_segment_sums` reads them: a block (src, heads, into, x) groups
+    the chunk's edges by target (into ``into[g]`` from the sources
+    ``src[heads[g]:heads[g + 1]]``, adding ``x``), a run (tgt, starts,
+    span) by source, for the up pass of an acyclic ``pred``.  The last
+    level (or the first no edge leaves, on a cycle) has ``edges`` None.
+    x is addable to I when ``I & x == 0 and I & pred[x] == pred[x]``;
+    ``pred`` need not be closed.
 
-    A level is sorted by a one-word key: with one word the mask itself,
-    else the chain code (:func:`_chain_code`).  Either way a target's key
-    is its source's plus the stride of x.  Each chunk's targets go through
-    ``np.unique`` on their keys and are merged into the next level by
-    ``np.searchsorted``; the count is checked against ``budget`` after
-    every chunk, so BudgetExceeded is raised before the level past the
-    budget is whole, and only then are the chunks' edges joined.
+    A level is sorted by a one-word key, the mask or else the chain code
+    (:func:`_chain_code`); a target's key is its source's plus the stride of
+    x.  One sort of a chunk's edges by target key groups them and finds its
+    targets, merged into the next level by ``np.searchsorted`` (no level is
+    sorted whole), with the count checked against ``budget`` after each chunk.
     """
     width = max(1, -(-n // 64))
     elements, word, bit = _element_bits(n)
@@ -406,9 +400,9 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     )
     want = need.copy()
     want[word, elements] |= bit
-    need, want = list(need[:, :, None]), list(want[:, :, None])
+    need, want = list(need), list(want)
     stride = bit if width == 1 else np.array(_chain_code(n, pred)[0], dtype=np.uint64)
-    ids = np.min_scalar_type(n)  # element ids of the edges, as they wait for the merge
+    ids = np.min_scalar_type(n)  # element ids of the edges
     keys = np.zeros(1, dtype=np.uint64)
     level = keys[:, None] if width == 1 else np.zeros((1, width), dtype=np.uint64)
     # the level's words, one column each: with one word, its keys
@@ -419,15 +413,21 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
         found = []
         nxt = keys[:0]
         for lo in range(0, len(keys), _CHUNK):
-            ok = (words[0][lo : lo + _CHUNK] & want[0]) == need[0]
+            ok = (words[0][lo : lo + _CHUNK, None] & want[0]) == need[0]
             for j in range(1, width):
-                ok &= (words[j][lo : lo + _CHUNK] & want[j]) == need[j]
-            x, src = np.nonzero(ok)
-            if len(x) == 0:
+                ok &= (words[j][lo : lo + _CHUNK, None] & want[j]) == need[j]
+            edge = np.flatnonzero(ok)  # by source, then by element
+            if len(edge) == 0:
                 continue
+            src = edge // n
+            x = edge - src * n
+            starts = np.searchsorted(src, np.arange(len(ok)))  # each source's first edge
             src = (src + lo).astype(np.int32)
-            # ``into`` maps each edge to its target in ``new``
-            new, into = np.unique(keys[src] + stride[x], return_inverse=True)
+            key = keys[src] + stride[x]
+            order = np.argsort(key)
+            key = key[order]
+            head = np.concatenate(([True], key[1:] != key[:-1]))
+            new = key[head]
             if len(nxt):
                 at = np.searchsorted(nxt, new)
                 seen = nxt[np.minimum(at, len(nxt) - 1)] == new
@@ -437,28 +437,25 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
             if nodes + len(nxt) > budget:
                 # the dict kernel stops at the first ideal past the budget
                 raise BudgetExceeded(max(budget, 1) + 1, budget)
-            found.append((x.astype(ids), src, new, into.astype(np.int32)))
+            tgt = np.empty(len(key), dtype=np.int32)  # each edge's target in ``new``, by source
+            tgt[order] = np.cumsum(head) - 1
+            heads = np.flatnonzero(head).astype(np.int32)
+            found.append((src[order], heads, new, x[order].astype(ids), tgt, starts, lo))
         if not found:
             break
         nodes += len(nxt)
-        # the level's table: its chunks' edges, targets renumbered, by x
-        x, src, new, into = zip(*found)
-        tgt = [i if c is nxt else np.searchsorted(nxt, c).astype(np.int32)[i] for c, i in zip(new, into)]
-        x, src, tgt = map(np.concatenate, (x, src, tgt))
-        # each chunk's edges are sorted by x, so a lone chunk's table is
-        order = np.argsort(x, kind="stable") if len(found) > 1 else slice(None)
-        del found, new, into
-        starts = np.concatenate(([0], np.bincount(x, minlength=n).cumsum()))
-        if width == 1:
-            above = nxt[:, None]
-        else:  # each ideal of the next level is one edge's source plus its x
-            one = np.empty(len(nxt), dtype=np.int64)
-            one[tgt] = np.arange(len(tgt))
-            above, x = level[src[one]], x[one]
-            above[np.arange(len(nxt)), word[x]] |= bit[x]
-        src, tgt = src[order], tgt[order]
-        yield level, counts, (src, starts, tgt)
-        counts = _gather(tgt, src, counts, len(nxt))
+        above = nxt[:, None] if width == 1 else np.empty((len(nxt), width), dtype=np.uint64)
+        blocks, runs = [], []
+        for src, heads, new, x, tgt, starts, lo in found:
+            into = None if new is nxt else np.searchsorted(nxt, new).astype(np.int32)  # None: one chunk
+            blocks.append((src, heads, into, x))
+            runs.append((tgt if into is None else into[tgt], starts, slice(lo, lo + len(starts))))
+            if width > 1:  # each next ideal is its first edge's source plus x
+                rows, first = level[src[heads]], x[heads]
+                rows[np.arange(len(rows)), word[first]] |= bit[first]
+                above[slice(None) if into is None else into] = rows
+        yield level, counts, (blocks, runs)
+        counts = _segment_sums(counts, blocks, len(nxt))
         keys, level = nxt, above
         words = [keys] if width == 1 else list(level.T)
     yield level, counts, None
@@ -571,22 +568,23 @@ class _Arrays:
     """The array kernel's lattice: levels, edges and counts modulo primes.
 
     The down pass carries enough primes to exceed :func:`_count_bound`, so
-    its CRT gives e(P) exactly.  Every down, up, position or pair count
-    is at most e(P): an ideal's down times up counts extensions, and up
-    is at least 1.  So only the first ``k`` primes, the fewest whose
-    product exceeds e(P), are kept, and the up pass and the sweeps use
-    those.
+    its CRT gives e(P) exactly.  Every other count is at most e(P) (an
+    ideal's down times up counts extensions, and up is at least 1), so the
+    up pass and the sweeps keep the first ``k`` primes, the fewest whose
+    product exceeds e(P).
     """
 
     def __init__(self, n: int, pred: Sequence[int], budget: int):
-        levels, down, edges = zip(*_array_levels(n, pred, _primes_over(_count_bound(n, pred)), budget))
+        built = _array_levels(n, pred, _primes_over(_count_bound(n, pred)), budget)
+        levels, down, edges = map(list, zip(*built))
         total = _crt(down[-1][:, :1])[0]
         k = _primes_over(total)
-        down = [c[:k].copy() for c in down]
+        for size, c in enumerate(down):  # each wider copy is freed as it goes
+            down[size] = c[:k].copy()
         up = [None] * n + [np.ones((k, 1), dtype=np.int64)]
         for size in range(n - 1, -1, -1):
-            src, _, tgt = edges[size]
-            up[size] = _gather(src, tgt, up[size + 1], len(levels[size]))
+            edges[size], runs = edges[size]  # the edges by source serve this pass only
+            up[size] = _segment_sums(up[size + 1], runs, len(levels[size]))
         self.n = n
         self.k = k
         self.levels = levels
@@ -601,10 +599,9 @@ class _Arrays:
 
         The poset's ideals with each v also waiting for its u are the
         ideals here that hold u whenever they hold v.  So each count is the
-        down pass again over the stored edges, with the counts of every
-        other ideal zeroed after each level; each list is one block of k
-        rows, and one pass serves them all.  A count is at most e(P), so
-        the k primes cover it.
+        down pass again, the counts of every other ideal zeroed after each
+        level; each list is one block of k rows (k primes cover a count at
+        most e(P)), and one pass serves them all.
         """
         _, word, _ = _element_bits(self.n)
         ideals = np.concatenate(self.levels)
@@ -616,8 +613,8 @@ class _Arrays:
             row[0] = ~(has_v & lacks_u & 1).any(1)
         counts = np.ones((len(events), self.k, 1), dtype=np.int64)
         end = 1
-        for (src, _, tgt), level in zip(self.edges, self.levels[1:]):
-            counts = _gather(tgt, src, counts, len(level))
+        for blocks, level in zip(self.edges, self.levels[1:]):
+            counts = _segment_sums(counts, blocks, len(level))
             counts *= keep[:, :, end : end + len(level)]
             end += len(level)
         return _crt(counts[:, :, 0].T)
@@ -627,36 +624,40 @@ class _Arrays:
 
         Edge (I, x, I + x) of level t carries w = down(I) up(I + x) mod
         each prime: it adds w to x's count at position t + 1, and to (x, y)
-        for every y outside I + x.  A level's table is read :data:`_CHUNK`
-        edges at a time, and a chunk's edges of one x, adjacent in the
-        table, add up in one product: weights times the 0/1 matrix of the
-        elements outside each target, in float64.  That is exact: every
-        sum is below 2^12 2^31 = 2^43 < 2^53.
+        for every y outside I + x.  A block is sorted by x and read
+        :data:`_CHUNK` edges at a time; a chunk's edges of one x add up in
+        one float64 product, weights times the 0/1 matrix of the elements
+        outside each target, exact since every sum is below 2^12 2^31 < 2^53.
         """
         n, k = self.n, self.k
         mods = _MODS[:k]
         pos = np.zeros((k, n, n), dtype=np.int64)
         ahead = np.zeros((k, n, n), dtype=np.int64) if pairs else None
-        for size, (src, starts, tgt) in enumerate(self.edges):
+        for size, blocks in enumerate(self.edges):
             down, up, above = self.down[size], self.up[size + 1], self.levels[size + 1]
-            for lo in range(0, len(src), _CHUNK):
-                into = tgt[lo : lo + _CHUNK]
-                part = down[:, src[lo : lo + _CHUNK]] * up[:, into] % mods
-                cut = np.clip(starts - lo, 0, len(into))
-                xs = np.flatnonzero(cut[1:] > cut[:-1])
-                pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
-                if not pairs:
-                    continue
-                out = (~above[into]).astype("<u8")
-                rest = np.unpackbits(out.view(np.uint8).reshape(len(into), -1), axis=1, bitorder="little")
-                rest = rest[:, :n].astype(np.float64)
-                weights = part.astype(np.float64)
-                block = np.zeros((k, n, n))
-                bounds = cut.tolist()
-                for x in xs.tolist():
-                    a, b = bounds[x], bounds[x + 1]
-                    block[:, x] = weights[:, a:b] @ rest[a:b]
-                ahead += block.astype(np.int64)
+            for src, heads, targets, x in blocks:
+                order = np.argsort(x, kind="stable")
+                group = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(src))))[order]
+                src, tgt = src[order], group if targets is None else targets[group]
+                starts = np.concatenate(([0], np.bincount(x, minlength=n).cumsum()))
+                for lo in range(0, len(src), _CHUNK):
+                    into = tgt[lo : lo + _CHUNK]
+                    part = down.take(src[lo : lo + _CHUNK], axis=1) * up.take(into, axis=1) % mods
+                    cut = np.clip(starts - lo, 0, len(into))
+                    xs = np.flatnonzero(cut[1:] > cut[:-1])
+                    pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
+                    if not pairs:
+                        continue
+                    out = (~above[into]).astype("<u8").view(np.uint8).reshape(len(into), -1)
+                    rest = np.unpackbits(out, axis=1, bitorder="little")
+                    rest = rest[:, :n].astype(np.float64)
+                    weights = part.astype(np.float64)
+                    block = np.zeros((k, n, n))
+                    bounds = cut.tolist()
+                    for x in xs.tolist():
+                        a, b = bounds[x], bounds[x + 1]
+                        block[:, x] = weights[:, a:b] @ rest[a:b]
+                    ahead += block.astype(np.int64)
             if pairs:
                 ahead %= mods[:, :, None]
         pos %= mods[:, :, None]
@@ -668,10 +669,11 @@ class _Arrays:
         The set of an ideal holds the elements on the edges that leave it.
         """
         found = []
-        for (src, starts, _), level in zip(self.edges, self.levels):
+        for blocks, level in zip(self.edges, self.levels):
             sets = [0] * len(level)
-            for s, x in zip(src.tolist(), np.repeat(np.arange(self.n), np.diff(starts)).tolist()):
-                sets[s] |= 1 << x
+            for src, _, _, x in blocks:
+                for s, e in zip(src.tolist(), x.tolist()):
+                    sets[s] |= 1 << e
             found.append(sets)
         return found + [[0]]
 
@@ -722,12 +724,10 @@ class DownsetLattice(_Lattice):
     ``m`` to the full ground set.  ``up[0]`` is the extension count.
 
     A poset whose lattice is large enough and fits the array kernel
-    (:func:`_arrays_win`) is built by that kernel (:class:`_Arrays`); any
-    other by the dict kernel (:func:`_walk`).  Both give the same
-    exact answers.  The dict kernel lists each level in order of
-    discovery.  On the array kernel, ``levels``, ``down``, ``up`` and the
-    addable sets are Python ints in key order, built on first read;
-    samples are unchanged because draws read ``up`` by mask.
+    (:func:`_arrays_win`) is built by that kernel (:class:`_Arrays`), whose
+    ``levels``, ``down``, ``up`` and addable sets are views in key order;
+    any other by the dict kernel (:func:`_walk`), which lists each level in
+    order of discovery.  Both give the same exact answers.
     """
 
     def __init__(self, poset: Poset, budget: int | None = None):

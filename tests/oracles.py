@@ -169,3 +169,25 @@ def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[i
                 if validate and not _is_extension(p, order):
                     raise RuntimeError("swap broke the extension")
     return swaps
+
+
+#: Edges :func:`gather_float64` sums at once.
+GATHER_CHUNK = 4096
+
+
+def gather_float64(index: np.ndarray, pick: np.ndarray, counts: np.ndarray, mods: np.ndarray, m: int) -> np.ndarray:
+    """The array kernel's first accumulation: sums along one level's edges, mod each prime.
+
+    ``out[..., j, i]`` sums ``counts[..., j, pick[e]]`` over the edges e
+    with ``index[e] == i``, in any edge order, modulo ``mods[j]``.
+    ``counts`` holds k rows, one per prime, or r blocks of them.  Sums run
+    in float64 through ``np.add.at``, :data:`GATHER_CHUNK` edges at a time,
+    exact while every sum stays below 2^53.
+    """
+    rows = counts.reshape(-1, counts.shape[-1])
+    sums = np.zeros(len(rows) * m)
+    offset = np.arange(len(rows))[:, None] * m
+    for lo in range(0, len(index), GATHER_CHUNK):
+        at = (index[lo : lo + GATHER_CHUNK] + offset).ravel()
+        np.add.at(sums, at, rows[:, pick[lo : lo + GATHER_CHUNK]].astype(np.float64).ravel())
+    return sums.reshape(counts.shape[:-1] + (m,)).astype(np.int64) % mods[: counts.shape[-2]]

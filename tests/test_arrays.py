@@ -29,7 +29,7 @@ from linext.lattice import (
     sample_extensions,
 )
 from linext.poset import Poset, disjoint_sum
-from oracles import brute_count, brute_marginal, brute_pair_counts, hook_length_count
+from oracles import brute_count, brute_marginal, brute_pair_counts, gather_float64, hook_length_count
 from conftest import random_posets
 
 
@@ -149,8 +149,8 @@ def test_arrays_match_the_dict_kernel_past_64_elements(monkeypatch):
 
 
 def test_each_level_is_one_edge_table(monkeypatch):
-    # chunks of 3 cut the levels into several build chunks, and each table
-    # into several sweep chunks
+    # chunks of 3 cut the levels into several blocks, one per build chunk,
+    # and each block into several sweep chunks
     monkeypatch.setattr(lattice, "_CHUNK", 3)
     for p in (young_diagram((4, 3, 3, 1)).poset, _crossed_chains(3, 22)):
         arrays, walked = _both(monkeypatch, p)
@@ -160,15 +160,132 @@ def test_each_level_is_one_edge_table(monkeypatch):
         for mask, _, _ in walked.edges():
             per_level[mask.bit_count()] += 1
         assert len(tables) == p.n
-        assert max(len(level) for level in levels) > 3 and max(len(src) for src, _, _ in tables) > 6
-        for t, (src, starts, tgt) in enumerate(tables):
-            # starts partitions the table by the element added
-            assert len(starts) == p.n + 1 and starts[0] == 0 and starts[-1] == len(src) == len(tgt)
-            assert (np.diff(starts) >= 0).all()
-            x = np.repeat(np.arange(p.n), np.diff(starts))
-            for i, e, j in zip(src.tolist(), x.tolist(), tgt.tolist()):
-                assert levels[t + 1][j] == levels[t][i] | 1 << e
-            assert len(src) == per_level[t]
+        assert max(len(level) for level in levels) > 3 and max(sum(len(b[0]) for b in t) for t in tables) > 6
+        assert max(len(t) for t in tables) > 1
+        for t, blocks in enumerate(tables):
+            reached = []
+            for c, (src, heads, into, x) in enumerate(blocks):
+                # heads partitions the block into one group per target, and
+                # a lone block's groups are the next level in order
+                assert heads[0] == 0 and (np.diff(heads) > 0).all() and heads[-1] < len(src) == len(x)
+                if into is None:
+                    assert len(blocks) == 1 and len(heads) == len(levels[t + 1])
+                    into = np.arange(len(heads))
+                assert len(into) == len(heads) == len(set(into.tolist()))
+                reached += into.tolist()
+                # block c holds the edges leaving chunk c of the level
+                assert set(src.tolist()) == set(range(3 * c, min(3 * c + 3, len(levels[t]))))
+                tgt = np.repeat(into, np.diff(heads, append=len(src)))
+                for i, e, j in zip(src.tolist(), x.tolist(), tgt.tolist()):
+                    assert not levels[t][i] >> e & 1
+                    assert levels[t + 1][j] == levels[t][i] | 1 << e
+            assert sorted(set(reached)) == list(range(len(levels[t + 1])))
+            assert sum(len(b[0]) for b in blocks) == per_level[t]
+
+
+def _spy_segment_sums(monkeypatch) -> list[np.ndarray]:
+    """Every result of the segment-sum kernel, in call order."""
+    found: list[np.ndarray] = []
+    kernel = lattice._segment_sums
+
+    def spy(counts, runs, m):
+        out = kernel(counts, runs, m)
+        found.append(out.copy())  # the masked pass zeroes counts in place
+        return out
+
+    monkeypatch.setattr(lattice, "_segment_sums", spy)
+    return found
+
+
+def _key_order_edges(monkeypatch, p: Poset, levels: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level, the dict kernel's edges as (source, target) positions in key order."""
+    _kernel(monkeypatch, False)
+    at = [{m: i for i, m in enumerate(level)} for level in levels]
+    edges: list[list[tuple[int, int]]] = [[] for _ in levels[1:]]
+    for mask, _, new in DownsetLattice(_fresh(p)).edges():
+        t = mask.bit_count()
+        edges[t].append((at[t][mask], at[t + 1][new]))
+    return [tuple(np.array(e).T) for e in edges]
+
+
+def _assert_passes_match_the_float64_gather(monkeypatch, p: Poset, events) -> None:
+    # chunks of 3: most levels span several blocks, and some target is
+    # reached from more than one of them
+    monkeypatch.setattr(lattice, "_CHUNK", 3)
+    _kernel(monkeypatch, True)
+    calls = _spy_segment_sums(monkeypatch)
+    arrays = DownsetLattice(_fresh(p))._arrays
+    found = arrays.masked(events)
+    levels = [lattice._ints(level) for level in arrays.levels]
+    assert any(sum(len(b[1]) for b in blocks) > len(level) for blocks, level in zip(arrays.edges, levels[1:]))
+    edges = _key_order_edges(monkeypatch, p, levels)
+    k, mods = arrays.k, lattice._MODS
+    # the build's down pass carries every prime of the count bound
+    down = [np.ones((lattice._primes_over(lattice._count_bound(p.n, p._pred_masks)), 1), dtype=np.int64)]
+    for (src, tgt), level in zip(edges, levels[1:]):
+        down.append(gather_float64(tgt, src, down[-1], mods, len(level)))
+    up = [np.ones((k, 1), dtype=np.int64)]
+    for (src, tgt), level in zip(edges[::-1], levels[-2::-1]):
+        up.append(gather_float64(src, tgt, up[-1], mods, len(level)))
+    expected = down[1:] + up[1:]
+    counts = np.ones((len(events), k, 1), dtype=np.int64)
+    for (src, tgt), level in zip(edges, levels[1:]):
+        counts = gather_float64(tgt, src, counts, mods, len(level))
+        expected.append(counts)
+        # an ideal is kept unless it holds some v without its u
+        keep = [[not any(m >> v & 1 and not m >> u & 1 for u, v in pairs) for m in level] for pairs in events]
+        counts = counts * np.array(keep)[:, None, :]
+    assert len(calls) == len(expected) == 3 * p.n
+    for t, (got, want) in enumerate(zip(calls, expected)):
+        assert got.dtype == np.int64 and np.array_equal(got, want), t
+    assert all(np.array_equal(got, want[:k]) for got, want in zip(arrays.down, down))
+    assert all(np.array_equal(got, want) for got, want in zip(arrays.up, up[::-1]))
+    assert found == lattice._crt(counts[:, :, 0].T)
+
+
+def _open_events(p: Poset, rng: random.Random) -> list[list[tuple[int, int]]]:
+    free = [(u, v) for u in range(p.n) for v in range(p.n) if u != v and not p.lt[u, v] and not p.lt[v, u]]
+    return [[rng.choice(free) for _ in range(rng.randint(1, 3))] for _ in range(3)]
+
+
+def test_segment_sums_match_the_float64_gather_on_random_posets(monkeypatch):
+    rng = random.Random(18)
+    checked = 0
+    while checked < 10:
+        p = random_poset(rng.randint(11, 20), rng.choice([0.1, 0.15, 0.2, 0.3]), seed=rng.randrange(10**9))
+        if len(lattice._components(p)) == 1:
+            _assert_passes_match_the_float64_gather(monkeypatch, p, _open_events(p, rng))
+            checked += 1
+
+
+def test_segment_sums_match_the_float64_gather_past_64_elements(monkeypatch):
+    # two words per ideal, levels sorted by the chain code
+    rng = random.Random(64)
+    for p in (_crossed_chains(3, 22), two_equal_chains(33)):
+        assert p.n > 64
+        _assert_passes_match_the_float64_gather(monkeypatch, p, _open_events(p, rng))
+
+
+def test_segment_sums_match_the_float64_gather_up_to_a_refusal(monkeypatch):
+    # each level summed before the refusal matches the oracle
+    monkeypatch.setattr(lattice, "_CHUNK", 3)
+    p = young_diagram((4, 3, 3, 1)).poset
+    k = lattice._primes_over(lattice._count_bound(p.n, p._pred_masks))
+    levels = [lattice._ints(level) for level, _, _ in lattice._array_levels(p.n, p._pred_masks, k, 10**6)]
+    edges = _key_order_edges(monkeypatch, p, levels)
+    calls = _spy_segment_sums(monkeypatch)
+    for j in (2, 5, 8):
+        calls.clear()
+        budget = sum(len(level) for level in levels[: j + 1]) + 1
+        with pytest.raises(BudgetExceeded) as info:
+            for _ in lattice._array_levels(p.n, p._pred_masks, k, budget):
+                pass
+        assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
+        assert len(calls) == j
+        down = np.ones((k, 1), dtype=np.int64)
+        for got, (src, tgt), level in zip(calls, edges, levels[1:]):
+            down = gather_float64(tgt, src, down, lattice._MODS, len(level))
+            assert np.array_equal(got, down)
 
 
 def test_young_diagrams_past_64_cells_match_the_hook_formula():
@@ -401,13 +518,14 @@ def test_a_refused_level_stops_at_the_first_chunk_past_the_budget(monkeypatch):
     monkeypatch.setattr(lattice, "_CHUNK", chunk)
     sizes = [math.comb(n, t) for t in range(n + 1)]
     merged = []
-    unique = np.unique
+    argsort = np.argsort
 
     def counted(a, **kwargs):
         merged.append(len(a))
-        return unique(a, **kwargs)
+        return argsort(a, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counted)
+    # the merge sorts each chunk's edges by target once
+    monkeypatch.setattr(np, "argsort", counted)
     fifth = sorted(m for m in range(1 << n) if m.bit_count() == 5)
     for slack in (0, 200):
         # the first chunk of level 5 whose targets take the running count of

@@ -178,6 +178,24 @@ def test_analyze_builds_no_fraction_law(capsys, monkeypatch, tmp_path):
             assert (code, err) == (0, "")
 
 
+def test_analyze_empty_poset(capsys, tmp_path):
+    # one (empty) extension and no element to be an argmax
+    path = write_poset(tmp_path, "empty.json", {"labels": [], "covers": []})
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert "elements: 0" in out and "extensions: 1" in out
+    assert "pi: 0  (argmax -)" in out and "sigma: 0  (argmax -)" in out
+    for argv in (["--json"], ["--json", "--full"]):
+        code, out, _ = run(capsys, "analyze", path, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["elements"], payload["extensions"]) == (0, "1")
+        assert payload["pi_argmax"] is None and payload["sigma_argmax"] is None
+        assert payload["sigma"] == 0
+        assert payload.get("per_element", {}) == {}
+        assert ("per_element" in payload) == ("--full" in argv)
+
+
 def test_analyze_two_chain_file(capsys, tmp_path):
     path = write_poset(tmp_path, "tc.json", {"m": 2, "n": 2, "cross": [[2, 2]]})
     code, out, _ = run(capsys, "analyze", path)

@@ -161,13 +161,17 @@ def _callers(tree, name: str) -> list[str | None]:
 
 
 def test_one_lattice_kernel_per_regime():
-    # the array regime merges each level's ideals in one np.unique step;
+    # the array regime merges each level's ideals in _array_levels, one
+    # sort of each chunk's edges by target key and one insert per chunk
+    # (the sweep sorts its edges by element, and nothing else sorts);
     # the dict regime grows addable sets in _walk, and the sampler's draw
     # follows one path with the same rule; a dict lattice is walked once,
     # when it is built, a constrained count is one more walk, and the cwsig
     # stream draws its split ideals in _walk's order
     tree = _tree("lattice.py")
-    assert _callers(tree, "unique") == ["_array_levels"]
+    assert _callers(tree, "unique") == []
+    assert _callers(tree, "argsort") == ["_array_levels", "sweep"]
+    assert _callers(tree, "insert") == ["_array_levels"]
     assert sorted(set(_callers(tree, "_grow"))) == ["_walk", "draw"]
     walks = [fn for path in SOURCES for fn in _callers(ast.parse(path.read_text()), "_walk")]
     assert sorted(walks) == ["__init__", "_down_pass", "random_cwsig_instance"]
@@ -232,15 +236,15 @@ def test_string_dispatch_check_sees_the_pattern():
     assert _string_dispatch(tree) == ["a:name"]
 
 
-def _add_at_sites(tree) -> list[str | None]:
-    """The function around each use of ``add.at`` (None at module level)."""
+def _add_sites(tree, method: str) -> list[str | None]:
+    """The function around each use of ``add.<method>`` (None at module level)."""
     sites = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if (
                 isinstance(child, ast.Attribute)
-                and child.attr == "at"
+                and child.attr == method
                 and _name_of(child.value) == "add"
             ):
                 sites.append(owner)
@@ -252,14 +256,21 @@ def _add_at_sites(tree) -> list[str | None]:
 
 
 def test_one_accumulation_kernel():
-    # every pass of the array kernel sums along edges in lattice._gather,
-    # so a new pass cannot fork a second accumulation kernel
-    found = [
-        (path.name, owner)
-        for path in SOURCES
-        for owner in _add_at_sites(ast.parse(path.read_text(), filename=str(path)))
-    ]
-    assert found == [("lattice.py", "_gather")]
+    # every count pass of the array kernel (the build's down pass, the up
+    # pass and the masked pass) sums along edges in lattice._segment_sums,
+    # so a new pass cannot fork a second accumulation kernel; no add.at is
+    # left, and the only other segment sum adds the sweep's edge weights
+    found = {
+        method: [
+            (path.name, owner)
+            for path in SOURCES
+            for owner in _add_sites(ast.parse(path.read_text(), filename=str(path)), method)
+        ]
+        for method in ("at", "reduceat")
+    }
+    assert found["at"] == []
+    assert found["reduceat"] == [("lattice.py", "_segment_sums"), ("lattice.py", "sweep")]
+    assert sorted(_callers(_tree("lattice.py"), "_segment_sums")) == ["__init__", "_array_levels", "masked"]
 
 
 def test_accumulation_check_sees_the_pattern():
@@ -270,4 +281,5 @@ def test_accumulation_check_sees_the_pattern():
         "def low(s, i, w):\n    np.minimum.at(s, i, w)\n    np.add.reduceat(w, i)\n"
         "np.add.at(s, i, w)\n"
     )
-    assert _add_at_sites(tree) == ["_gather", "up", "sweep", None]
+    assert _add_sites(tree, "at") == ["_gather", "up", "sweep", None]
+    assert _add_sites(tree, "reduceat") == ["low"]
