@@ -35,7 +35,9 @@ since an ideal has at most 64 edges in or out (:func:`_arrays_fit`).  Each
 answer is one CRT (De Loof, De Meyer and De Baets, "Exploiting the lattice
 of ideals representation of a poset", Fundam. Inform. 2006).  ``levels``,
 ``down``, ``up`` and the addable sets are Python-int views in key order,
-built on first read; draws read ``up`` by mask, so samples are unchanged.
+built on first read; draws read ``up`` by mask (one total per step, then
+the children up to the chosen one), so samples are the same on both
+kernels.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -593,6 +595,7 @@ class _Arrays:
         self.edges = edges[:-1]
         self.total = total
         self.nodes = sum(len(level) for level in levels)
+        self._holds: dict[int, np.ndarray] = {}
 
     def masked(self, events: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
         """Per list of pairs (u, v), the extensions putting each u before its v.
@@ -601,16 +604,21 @@ class _Arrays:
         ideals here that hold u whenever they hold v.  So each count is the
         down pass again, the counts of every other ideal zeroed after each
         level; each list is one block of k rows (k primes cover a count at
-        most e(P)), and one pass serves them all.
+        most e(P)), and one pass serves them all.  Which ideals hold x is
+        one ``bool`` column, built the first time an event names x and kept
+        on the lattice, so only the elements events name cost memory.
         """
-        _, word, _ = _element_bits(self.n)
-        ideals = np.concatenate(self.levels)
-        keep = np.empty((len(events), 1, len(ideals)), dtype=bool)
-        for row, pairs in zip(keep, events):
-            u, v = np.array(pairs).T
-            has_v = ideals[:, word[v]] >> (v % 64).astype(np.uint64)
-            lacks_u = ~ideals[:, word[u]] >> (u % 64).astype(np.uint64)
-            row[0] = ~(has_v & lacks_u & 1).any(1)
+        holds = self._holds
+        new = {x for pairs in events for pair in pairs for x in pair}.difference(holds)
+        if new:
+            ideals = np.concatenate(self.levels)
+            for x in new:
+                word, shift = divmod(x, 64)
+                holds[x] = (ideals[:, word] & np.uint64(1 << shift)) != 0
+        keep = np.ones((len(events), 1, self.nodes), dtype=bool)
+        for row, pairs in zip(keep[:, 0], events):
+            for u, v in pairs:
+                row &= holds[u] >= holds[v]  # u held, or v not
         counts = np.ones((len(events), self.k, 1), dtype=np.int64)
         end = 1
         for blocks, level in zip(self.edges, self.levels[1:]):
@@ -871,7 +879,13 @@ class DownsetLattice(_Lattice):
 
         At each step the next element is drawn among the minimal elements
         of the complement with probability proportional to the number of
-        completions, which makes every full path equally likely.
+        completions, which makes every full path equally likely.  Those
+        weights sum to ``up[mask]``, so a step reads that total, draws r
+        below it as ``randrange`` does (``getrandbits`` of its bit length,
+        redrawn while r is not below it), and walks the addable elements in
+        ascending order, subtracting each ``up[mask | b]`` until r falls
+        below one: that child is taken, and the rest are not read.  Every
+        seed gives the extensions of ``randrange`` over the weight list.
         """
         pred = self.poset._pred_masks
         steps = _steps(pred, self.poset._upper_cover_masks)
@@ -879,23 +893,24 @@ class DownsetLattice(_Lattice):
         up = self.up
 
         def draw(rng: random.Random) -> list[int]:
+            bits = rng.getrandbits
             mask = 0
             addable = start
             order = []
             while addable:
-                choices = []
-                weights = []
+                total = up[mask]
+                k = total.bit_length()
+                r = bits(k)
+                while r >= total:
+                    r = bits(k)
                 rest = addable
-                while rest:
+                while True:
                     b = rest & -rest
-                    rest ^= b
-                    choices.append(b)
-                    weights.append(up[mask | b])
-                r = rng.randrange(sum(weights))
-                for b, w in zip(choices, weights):
+                    w = up[mask | b]
                     if r < w:
                         break
                     r -= w
+                    rest ^= b
                 x = b.bit_length() - 1
                 order.append(x)
                 mask |= b
@@ -1320,8 +1335,11 @@ def sample_extensions(
 
     A connected poset is drawn step by step from its lattice
     (:meth:`DownsetLattice.sampler`); a split poset draws each part, then
-    a uniform interleaving of the parts.
+    a uniform interleaving of the parts.  A negative ``count`` raises
+    ValueError before any lattice is built; 0 gives no extension.
     """
+    if count < 0:
+        raise ValueError(f"samples must be non-negative, got {count}")
     draw = build_lattice(p, budget).sampler()
     rng = random.Random(seed)
     labels = p.labels

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
+from linext.lattice import DownsetLattice, _grow, _steps
 from linext.mcmc import ChainState, _is_extension
 from linext.poset import Poset
 
@@ -169,6 +171,45 @@ def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[i
                 if validate and not _is_extension(p, order):
                     raise RuntimeError("swap broke the extension")
     return swaps
+
+
+def weight_list_sampler(lat: DownsetLattice):
+    """The exact sampler as first written, a drop-in for ``DownsetLattice.sampler``.
+
+    Each step lists the addable elements in ascending order with their
+    weights ``up[mask | b]``, draws ``randrange`` of the weights' sum and
+    scans the list for the chosen child.
+    """
+    pred = lat.poset._pred_masks
+    steps = _steps(pred, lat.poset._upper_cover_masks)
+    start = sum(1 << x for x in range(lat.poset.n) if not pred[x])
+    up = lat.up
+
+    def draw(rng: random.Random) -> list[int]:
+        mask = 0
+        addable = start
+        order = []
+        while addable:
+            choices = []
+            weights = []
+            rest = addable
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                choices.append(b)
+                weights.append(up[mask | b])
+            r = rng.randrange(sum(weights))
+            for b, w in zip(choices, weights):
+                if r < w:
+                    break
+                r -= w
+            x = b.bit_length() - 1
+            order.append(x)
+            mask |= b
+            addable = _grow(addable, b, ~mask, steps[x])
+        return order
+
+    return draw
 
 
 #: Edges :func:`gather_float64` sums at once.

@@ -383,6 +383,43 @@ def test_samples_are_the_same_on_both_kernels(monkeypatch):
         assert draws[0] == draws[1]
 
 
+def test_wide_count_samples_pinned():
+    # drawn by the weight-list sampler; e(P) >= 2^64 on both, so a step's
+    # total takes several words of the generator
+    young8x8 = young_diagram((8,) * 8).poset
+    young13x5 = young_diagram((13,) * 5).poset
+    assert [" ".join(s) for s in sample_extensions(young8x8, 2, seed=3)] == [
+        (
+            "1,1 2,1 3,1 1,2 2,2 1,3 1,4 1,5 1,6 4,1 5,1 3,2 4,2 2,3 3,3 6,1 "
+            "2,4 4,3 3,4 5,2 2,5 4,4 1,7 2,6 3,5 5,3 4,5 3,6 2,7 5,4 1,8 7,1 "
+            "2,8 6,2 5,5 8,1 6,3 6,4 3,7 7,2 3,8 7,3 6,5 4,6 7,4 5,6 4,7 8,2 "
+            "4,8 6,6 7,5 7,6 5,7 8,3 8,4 6,7 8,5 7,7 8,6 5,8 8,7 6,8 7,8 8,8"
+        ),
+        (
+            "1,1 1,2 1,3 2,1 2,2 3,1 2,3 3,2 1,4 4,1 3,3 1,5 5,1 4,2 4,3 2,4 "
+            "1,6 5,2 6,1 2,5 1,7 3,4 2,6 5,3 7,1 4,4 2,7 6,2 7,2 3,5 6,3 4,5 "
+            "5,4 1,8 5,5 3,6 7,3 8,1 6,4 7,4 8,2 2,8 6,5 8,3 4,6 7,5 3,7 4,7 "
+            "3,8 5,6 8,4 5,7 4,8 6,6 5,8 6,7 8,5 7,6 8,6 7,7 6,8 7,8 8,7 8,8"
+        ),
+    ]
+    assert [" ".join(s) for s in sample_extensions(young13x5, 2, seed=3)] == [
+        (
+            "1,1 2,1 3,1 1,2 1,3 2,2 1,4 1,5 2,3 1,6 3,2 2,4 3,3 1,7 2,5 4,1 "
+            "4,2 2,6 3,4 3,5 2,7 3,6 5,1 1,8 5,2 4,3 4,4 2,8 1,9 3,7 1,10 1,11 "
+            "5,3 3,8 4,5 4,6 2,9 4,7 1,12 2,10 5,4 5,5 2,11 1,13 4,8 3,9 3,10 3,11 "
+            "4,9 4,10 4,11 5,6 5,7 2,12 2,13 5,8 5,9 3,12 4,12 5,10 5,11 5,12 3,13 4,13 "
+            "5,13"
+        ),
+        (
+            "1,1 1,2 2,1 2,2 1,3 3,1 2,3 1,4 3,2 1,5 4,1 3,3 4,2 4,3 2,4 2,5 "
+            "1,6 2,6 3,4 1,7 1,8 3,5 5,1 4,4 3,6 5,2 2,7 3,7 4,5 2,8 5,3 4,6 "
+            "1,9 4,7 1,10 2,9 2,10 3,8 5,4 5,5 1,11 5,6 5,7 3,9 2,11 4,8 5,8 3,10 "
+            "1,12 4,9 3,11 2,12 3,12 1,13 2,13 5,9 4,10 5,10 4,11 3,13 4,12 5,11 4,13 5,12 "
+            "5,13"
+        ),
+    ]
+
+
 def test_array_kernel_samples_pinned():
     # drawn when array-kernel lattices listed their ideals in the dict
     # kernel's order; a draw reads ``up`` by mask, so key order keeps them

@@ -11,6 +11,7 @@ from linext.families import (
     chain,
     chain_plus_point,
     random_poset,
+    two_equal_chains,
     young_diagram,
 )
 from linext.lattice import (
@@ -37,6 +38,7 @@ from oracles import (
     brute_marginal,
     brute_pair_counts,
     brute_sorting_probability,
+    weight_list_sampler,
 )
 from conftest import count_constructions, random_posets
 from test_arrays import _kernel
@@ -723,6 +725,54 @@ def test_samples_pinned():
         ("a3", "a2", "a1", "a4"),
         ("a2", "a1", "a3", "a4"),
     ]
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_sampler_matches_the_weight_list_draw(monkeypatch):
+    # the draw below up[mask] and the early stop keep every seed's
+    # extensions: the weight-list loop is the reference
+    dict_young = young_diagram((4, 3, 2)).poset
+    young33 = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    young13x5 = young_diagram((13,) * 5).poset
+    young8x8 = young_diagram((8,) * 8).poset
+    split = disjoint_sum(young_diagram((5, 4, 3, 2)).poset, two_equal_chains(6))
+    posets = [dict_young, young33, young13x5, split, antichain(0), chain(1), young8x8]
+    posets += [antichain(2), antichain(4)]
+    assert build_lattice(dict_young)._arrays is None
+    assert build_lattice(young33)._arrays is not None and young33.n <= 64
+    assert build_lattice(young13x5)._arrays is not None and young13x5.n > 64
+    assert isinstance(build_lattice(split), SplitLattice)
+    assert build_lattice(young8x8).extension_count >= 1 << 64
+    fast = [[sample_extensions(p, 3, seed) for seed in range(50)] for p in posets]
+    monkeypatch.setattr(DownsetLattice, "sampler", weight_list_sampler)
+    for p, got in zip(posets, fast):
+        assert got == [sample_extensions(p, 3, seed) for seed in range(50)]
+    # antichain(2) draws below up = 2 from 2 bits, so some steps redraw
+    monkeypatch.undo()
+    rng = _CountingRandom(0)
+    draw = build_lattice(antichain(2)).sampler()
+    for _ in range(50):
+        draw(rng)
+    assert rng.calls > 50
+
+
+def test_negative_sample_count_is_refused_before_any_lattice(monkeypatch):
+    built = []
+    monkeypatch.setattr(lattice, "build_lattice", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="samples must be non-negative, got -2"):
+        sample_extensions(young_diagram((3, 2)).poset, -2)
+    assert built == []
+    monkeypatch.undo()
+    assert sample_extensions(young_diagram((3, 2)).poset, 0) == []
 
 
 def test_implied_pairs_read_the_cached_lattice(monkeypatch):
