@@ -34,6 +34,7 @@ from .lattice import (
     build_lattice,
     conditional_probability,
     event_probability,
+    position_distribution,
 )
 from .poset import (
     IncomparablePair,
@@ -41,7 +42,7 @@ from .poset import (
     comparability_profile,
     is_convex_in_grid,
 )
-from .stats import balance, fraction_json, mean_tails, position_statistics
+from .stats import average_variance, balance, fraction_json, mean_tails, position_statistics
 from .twochain import (
     TwoChainPoset,
     bl2_hypothesis,
@@ -256,8 +257,6 @@ def check_grunbaum_pair(p: Poset, u: str, v: str, budget: int | None = None) -> 
     tests/test_acceptance.py::test_08_two_sided_mean_tail_floor for the
     per-element bound on the order-polytope coordinate).
     """
-    from .lattice import position_distribution
-
     if not p.comparable(u, v):
         # the event below reads the pair counts, and their sweep fills the
         # position counts too: one sweep serves the means and the event
@@ -291,8 +290,6 @@ def check_grunbaum_tails(t: TwoChainPoset, i: int, budget: int | None = None) ->
     Sides whose centroid condition fails are skipped (the bound genuinely
     need not hold there; the note says which sides were checked).
     """
-    from .lattice import position_distribution
-
     # f(x_i) = i + g(x_i): g's mean and tails from f's law
     fx = position_distribution(t.poset, t.x_label(i), budget)
     mean_x = fx.mean
@@ -336,8 +333,6 @@ def check_avg_variance(
     normalization): a large incomparable partner set forces every element
     of the small side to have spread-out positions.
     """
-    from .stats import average_variance
-
     avg = average_variance(p, pair.a, budget)
     floor = Fraction(floor)
     return CheckRecord(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotAPartition, SizeBudgetExceeded
 from .poset import Poset, grid_poset
+from .twochain import make_two_chain
 
 DEFAULT_CELL_BUDGET = 200_000
 
@@ -66,8 +67,6 @@ def two_equal_chains(n: int) -> Poset:
     """Two disjoint chains of n elements each, no cross relations."""
     if n < 1:
         raise DomainError("need n >= 1")
-    from .twochain import make_two_chain
-
     return make_two_chain(n, n).poset
 
 

@@ -791,10 +791,6 @@ class DownsetLattice(_Lattice):
         masks = (m for level in self.levels for m in level)
         return dict(zip(masks, _crt(np.concatenate(residues, axis=1))))
 
-    def down_count(self, mask: int) -> int:
-        """``down[mask]``: extensions of the restriction to ``mask``, 0 off the ideals."""
-        return self.down.get(mask, 0)
-
     def edges(self):
         """Yield (ideal, added element index, extended ideal)."""
         for masks, addables in zip(self.levels, self._addables):
@@ -987,8 +983,8 @@ class SplitLattice(_Lattice):
     parts' orders are independent and uniformly interleaved.  It answers
     what :class:`DownsetLattice` answers without reading ideals:
     ``extension_count``, ``node_count`` (the nodes built, summed over the
-    parts), ``down_count``, ``position_counts``, ``marginals``,
-    ``pair_counts`` and ``sampler``.
+    parts), ``position_counts``, ``marginals``, ``pair_counts`` and
+    ``sampler``.
     """
 
     def __init__(self, poset: Poset, parts: list[list[int]], budget: int):
@@ -1015,21 +1011,6 @@ class SplitLattice(_Lattice):
         self.parts = built
         self.node_count = nodes
         self.extension_count = total
-
-    def down_count(self, mask: int) -> int:
-        """Extensions of the restriction to ``mask``, 0 when it is not an ideal.
-
-        The restriction is the disjoint sum of its parts' restrictions, so
-        it counts C(|m|; |m & P1|, ..., |m & Pk|) times the parts' down
-        counts, each read at its part's mask renumbered through ``idx``.
-        """
-        if mask >> self.poset.n:  # an element outside the ground set
-            return 0
-        total = math.factorial(mask.bit_count())
-        for idx, lat in self.parts:
-            sub = sum(1 << k for k, x in enumerate(idx) if mask >> x & 1)
-            total = total // math.factorial(sub.bit_count()) * lat.down_count(sub)
-        return total
 
     def position_counts(self) -> list[list[int]]:
         """``counts[x][k]`` = number of extensions placing x at position k + 1.
@@ -1113,23 +1094,6 @@ class SplitLattice(_Lattice):
         return draw
 
 
-def _cached(p: Poset, key: str, budget: int | None, make):
-    """``p._cache[key]``, made by ``make(p, budget)`` on first use.
-
-    The budget bounds the lattice whether it is built now or was cached by
-    an earlier call: a cached lattice larger than ``budget`` raises
-    BudgetExceeded just as building it would.
-    """
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    lat = p._cache.get(key)
-    if lat is None:
-        lat = p._cache[key] = make(p, budget)
-    elif lat.node_count > budget:
-        raise BudgetExceeded(lat.node_count, budget)
-    return lat
-
-
 #: Least lower bound on the whole lattice's size at which a poset that
 #: splits is built part by part.  Below it, setting up a subposet and a
 #: lattice per part costs more than the nodes the split saves (measured on
@@ -1157,13 +1121,6 @@ def _split(p: Poset) -> list[list[int]] | None:
     return parts if bound >= _SPLIT_MIN_IDEALS else None
 
 
-def _split_or_whole(p: Poset, budget: int):
-    parts = _split(p)
-    if parts is None:
-        return DownsetLattice(p, budget)
-    return SplitLattice(p, parts, budget)
-
-
 def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | SplitLattice:
     """Lattice of ``p`` for counts, laws, pair counts and samples, cached on ``p``.
 
@@ -1172,8 +1129,21 @@ def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | Split
     and the budget bounds the nodes built summed over them; a small one
     (whole lattice of fewer than :data:`_SPLIT_MIN_IDEALS` ideals by the
     bound of :func:`_split`) is built whole.
+
+    The budget bounds the lattice whether it is built now or was cached by
+    an earlier call: a cached lattice larger than ``budget`` raises
+    BudgetExceeded just as building it would.
     """
-    return _cached(p, "lattice", budget, _split_or_whole)
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    lat = p._cache.get("lattice")
+    if lat is None:
+        parts = _split(p)
+        lat = DownsetLattice(p, budget) if parts is None else SplitLattice(p, parts, budget)
+        p._cache["lattice"] = lat
+    elif lat.node_count > budget:
+        raise BudgetExceeded(lat.node_count, budget)
+    return lat
 
 
 def count_extensions(p: Poset, budget: int | None = None) -> int:

@@ -286,15 +286,6 @@ class Poset:
     def __repr__(self) -> str:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
-    def lattice(self, budget: int | None = None):
-        """Lattice of this poset, split into its parts when it has several (cached).
-
-        See :func:`linext.lattice.build_lattice`.
-        """
-        from .lattice import build_lattice
-
-        return build_lattice(self, budget)
-
 
 def disjoint_sum(p: Poset, q: Poset) -> Poset:
     """Disjoint union with no relations across the parts.

@@ -51,10 +51,6 @@ class TwoChainPoset:
     def is_free(self) -> bool:
         return not self.cross
 
-    def prefix_mask(self, a: int, b: int) -> int:
-        """Bitmask of the ideal holding the first a x's and first b y's."""
-        return ((1 << a) - 1) | (((1 << b) - 1) << self.m)
-
 
 def make_two_chain(m: int, n: int, cross=()) -> TwoChainPoset:
     """Build the poset; ``cross`` lists required pairs (i, j) with x_i < y_j.
@@ -181,20 +177,19 @@ def g_tails(t: TwoChainPoset, i: int, budget: int | None = None) -> tuple[Fracti
 def conditioned_psi(t: TwoChainPoset, i: int, j: int, budget: int | None = None) -> Fraction:
     """P(psi(i, j) | x_i before y_{j+1} and y_j before x_{i+1}).
 
-    Both events pin the lattice path near the prefix ideal (i, j):
-    the condition says the path visits it, the sandwich event says the
-    path enters it by adding x_i.  The ratio therefore reduces to a
-    quotient of two downward path counts.
+    Both chains are chains, so the condition says the first i + j places
+    hold x_1..x_i and y_1..y_j, and psi(i, j) says x_i is the last of
+    them.  The last is x_i or y_j, so the answer is read off the position
+    counts at place i + j: x_i's count over x_i's plus y_j's (none when
+    j = 0).
     """
-    if not 1 <= i <= t.m:
-        raise IndexOutOfRange(f"x index {i} outside [1, {t.m}]")
-    if not 0 <= j <= t.n:
-        raise IndexOutOfRange(f"y cut {j} outside [0, {t.n}]")
+    psi_event(t, i, j)  # same index checks as the event form
     lat = build_lattice(t.poset, budget)
-    denom = lat.down_count(t.prefix_mask(i, j))
+    rows, index, k = lat.position_counts(), t.poset.index, i + j - 1
+    num = rows[index(t.x_label(i))][k]
+    denom = num + (rows[index(t.y_label(j))][k] if j else 0)
     if denom == 0:
         raise ConditionNullEvent("the conditioning prefix is not reachable")
-    num = lat.down_count(t.prefix_mask(i - 1, j))
     return Fraction(num, denom)
 
 

@@ -29,7 +29,6 @@ from linext.lattice import (
     sorting_probability,
 )
 from linext.poset import Poset, disjoint_sum
-from linext.twochain import make_two_chain
 from oracles import (
     brute_conditional_probability,
     brute_count,
@@ -893,40 +892,6 @@ def test_split_budget_is_the_sum_of_the_parts():
     p = _three_parts()
     assert count_extensions(p, budget=nodes) == brute_count(p)
     assert build_lattice(p).node_count == nodes
-
-
-def _assert_down_count_folds(p):
-    """The part-by-part down count against the whole lattice's ``down``.
-
-    Reads every ideal, and every other mask up to 2^10 of them (else 300
-    drawn at random), and three masks past the ground set; returns how many
-    masks of the ground set off the ideals were read.
-    """
-    whole = DownsetLattice(p)
-    folded = _folded(p)
-    assert len(folded.parts) > 1
-    rng = random.Random(p.n)
-    masks = range(1 << p.n) if p.n <= 10 else [rng.getrandbits(p.n) for _ in range(300)]
-    for m in whole.down:
-        assert folded.down_count(m) == whole.down_count(m) == whole.down[m] > 0
-    off = [m for m in masks if m not in whole.down]
-    # a mask with an element outside the ground set is no ideal either
-    for m in off + [1 << p.n, 1 << p.n | 1, (2 << p.n) - 1]:
-        assert folded.down_count(m) == whole.down_count(m) == 0
-    return len(off)
-
-
-def test_split_down_count_matches_whole_on_corpus():
-    split = [p for _, p in builtin_corpus() if len(lattice._components(p)) > 1]
-    assert len(split) >= 8
-    # an antichain has no masks off its ideals; the others do
-    assert sum(_assert_down_count_folds(p) > 0 for p in split) >= 5
-
-
-def test_split_down_count_matches_whole_on_free_two_chains():
-    for m, n in ((1, 2), (2, 3), (3, 5), (6, 6), (8, 8), (5, 9)):
-        assert _assert_down_count_folds(make_two_chain(m, n).poset) > 0
-    assert _assert_down_count_folds(_three_parts()) > 0
 
 
 def _chi_square(observed, expected):

@@ -25,6 +25,39 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _function_imports(tree) -> list[int]:
+    """Lines of ``import`` statements inside a function body."""
+    return [
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_no_function_level_imports():
+    # the package's modules import one another without a cycle, so every
+    # import sits at the top of its module, where a cycle shows at once
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _function_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_function_import_check_sees_the_pattern():
+    tree = ast.parse(
+        "import math\n"
+        "def a():\n    from .lattice import build_lattice\n"
+        "class B:\n    def c(self):\n        def d():\n            import json\n"
+        "async def e():\n    import os\n"
+        "f = lambda: __import__('sys')\n"
+    )
+    assert sorted(set(_function_imports(tree))) == [3, 7, 9]
+
+
 def _is_free_bit_scan(node) -> bool:
     """``full & ~mask``, in either order: every element outside a set."""
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from linext.errors import DomainError, HypothesisNotSatisfied, IndexOutOfRange
+from linext.errors import ConditionNullEvent, DomainError, HypothesisNotSatisfied, IndexOutOfRange
 from linext.lattice import (
     DownsetLattice,
     SplitLattice,
     build_lattice,
+    conditional_probability,
     count_extensions,
     event_probability,
 )
@@ -31,7 +32,7 @@ from linext.twochain import (
     psi_table,
     random_two_chain,
 )
-from oracles import brute_event_probability
+from oracles import brute_conditional_probability, brute_event_probability
 from conftest import count_constructions
 
 
@@ -181,13 +182,54 @@ def test_conditioned_psi_free_closed_form():
 
 
 def test_conditioned_psi_matches_brute_conditional():
-    from oracles import brute_conditional_probability
-
     t = make_two_chain(3, 3)
     i, j = 2, 1
     ev = [("y1", "x2"), ("x2", "y2")]
     given = [("x2", "y2"), ("y1", "x3")]
     assert conditioned_psi(t, i, j) == brute_conditional_probability(t.poset, ev, given)
+
+
+def _prefix_pairs(t, i, j):
+    """The condition of :func:`conditioned_psi` as required pairs."""
+    pairs = []
+    if j < t.n:
+        pairs.append((t.x_label(i), t.y_label(j + 1)))
+    if j >= 1 and i < t.m:
+        pairs.append((t.y_label(j), t.x_label(i + 1)))
+    return pairs
+
+
+def _conditional_or_none(conditional, *args):
+    try:
+        return conditional(*args)
+    except (ConditionNullEvent, ZeroDivisionError):  # the oracle divides by 0
+        return None
+
+
+def test_conditioned_psi_matches_conditionals_with_cross_relations():
+    # every cell of crossed posets, against the engine's conditional and,
+    # up to 8 elements, the brute-force one; a prefix the cross relations
+    # rule out raises on every side
+    rng = random.Random(20)
+    nulls, edges = 0, set()
+    for k in range(150):
+        t = random_two_chain(rng, 5, 5, cross_prob=0.2 + 0.1 * (k % 6))
+        for i in range(1, t.m + 1):
+            for j in range(t.n + 1):
+                args = (t.poset, psi_event(t, i, j), _prefix_pairs(t, i, j))
+                want = _conditional_or_none(conditional_probability, *args)
+                if t.poset.n <= 8:
+                    brute = (t.poset, psi_event(t, i, j).required, args[2])
+                    assert _conditional_or_none(brute_conditional_probability, *brute) == want
+                if want is None:
+                    with pytest.raises(ConditionNullEvent):
+                        conditioned_psi(t, i, j)
+                    nulls += 1
+                    continue
+                assert conditioned_psi(t, i, j) == want
+                edges |= {edge for edge, hit in (("j=0", j == 0), ("j=n", j == t.n), ("i=m", i == t.m)) if hit}
+    assert nulls > 0
+    assert edges == {"j=0", "j=n", "i=m"}
 
 
 def test_bl1_variant_a():
