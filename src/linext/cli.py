@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import checks, families, mcmc
 from .errors import BudgetExceeded, LinextError
@@ -27,12 +28,6 @@ from .twochain import make_two_chain
 
 def _fmt(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
-
-
-def _ratio_json(num: int, den: int) -> list[str]:
-    """``fraction_json(Fraction(num, den))``, den > 0, without the Fraction."""
-    g = math.gcd(num, den)
-    return [str(num // g), str(den // g)]
 
 
 def _load_poset_file(path: str):
@@ -68,6 +63,40 @@ def _load_poset_file(path: str):
 # -- analyze --------------------------------------------------------------
 
 
+def _fraction_json(value: Fraction) -> str:
+    """``fraction_json(value)`` as ``json.dumps`` writes it in a ``per_element`` block."""
+    return f'[\n        "{value.numerator}",\n        "{value.denominator}"\n      ]'
+
+
+def _per_element_json(p: Poset, stats, counts, dists) -> str:
+    """``analyze --json --full``'s ``per_element`` value, written from the integer counts.
+
+    Byte for byte what ``json.dumps(payload, indent=2)`` writes at that key
+    for the dict of each element's mean, variance, sigma, q, pi and reduced
+    position ratios, without building the dict: each position row is one
+    gcd and one f-string.  Keys, non-``str`` labels included, are written
+    as the encoder writes them.
+    """
+    blocks = []
+    for lab in p.labels:
+        st, total = stats[lab], dists[lab].total
+        rows = []
+        for c in dists[lab].counts:
+            g = math.gcd(c, total)
+            rows.append(f'[\n          "{c // g}",\n          "{total // g}"\n        ]')
+        # the encoder writes a non-str key as it writes that value
+        key = encode_basestring_ascii(lab if isinstance(lab, str) else json.dumps(lab))
+        blocks.append(
+            f'    {key}: {{\n      "mean": {_fraction_json(st.mean)},\n'
+            f'      "variance": {_fraction_json(st.variance)},\n'
+            f'      "sigma": {st.stddev!r},\n      "q": {_fraction_json(st.q)},\n'
+            f'      "pi": {counts[lab]},\n      "positions": [\n        '
+            + ",\n        ".join(rows)
+            + "\n      ]\n    }"
+        )
+    return "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
+
+
 def cmd_analyze(args) -> int:
     p, _kind = _load_poset_file(args.file)
     budget = args.budget_nodes
@@ -95,19 +124,12 @@ def cmd_analyze(args) -> int:
             "delta": None if delta_report is None else fraction_json(delta_report.delta),
             "witness": None if delta_report is None else list(delta_report.witness),
         }
+        text = json.dumps(payload, indent=2)
         if args.full:
-            payload["per_element"] = {
-                lab: {
-                    "mean": fraction_json(stats[lab].mean),
-                    "variance": fraction_json(stats[lab].variance),
-                    "sigma": stats[lab].stddev,
-                    "q": fraction_json(stats[lab].q),
-                    "pi": profile.counts[lab],
-                    "positions": [_ratio_json(c, dists[lab].total) for c in dists[lab].counts],
-                }
-                for lab in p.labels
-            }
-        print(json.dumps(payload, indent=2))
+            block = _per_element_json(p, stats, profile.counts, dists)
+            # the last key goes in before the closing "\n}"
+            text = f'{text[:-2]},\n  "per_element": {block}\n}}'
+        print(text)
         return 0
 
     print(f"elements: {p.n}")

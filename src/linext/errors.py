@@ -32,7 +32,9 @@ class NotApplicable(LinextError):
 class BudgetExceeded(LinextError):
     """The ideal lattice grew past the configured node budget.
 
-    Refused before any level, ``upper`` bounds the lattice's size.
+    ``upper`` bounds the refused lattice's size: the number of chain codes
+    of the poset (summed over the parts of a split one), or the size of a
+    lattice already built.
     """
 
     def __init__(self, nodes: int, budget: int, upper: int | None = None):

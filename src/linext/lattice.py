@@ -216,7 +216,7 @@ def _walk(n: int, pred: Sequence[int], cand: Sequence[int], budget: int, counts:
                     counts[new] = d | _grow(addable, b, ~new, steps[b.bit_length() - 1])
                     nodes += 1
                     if nodes > budget:
-                        raise BudgetExceeded(nodes, budget)
+                        raise BudgetExceeded(nodes, budget, _chain_code(n, pred)[1])
                     found.append(new)
                 else:
                     counts[new] = hit + d
@@ -438,7 +438,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
                 nxt = new
             if nodes + len(nxt) > budget:
                 # the dict kernel stops at the first ideal past the budget
-                raise BudgetExceeded(max(budget, 1) + 1, budget)
+                raise BudgetExceeded(max(budget, 1) + 1, budget, _chain_code(n, pred)[1])
             tgt = np.empty(len(key), dtype=np.int32)  # each edge's target in ``new``, by source
             tgt[order] = np.cumsum(head) - 1
             heads = np.flatnonzero(head).astype(np.int32)
@@ -997,7 +997,12 @@ class SplitLattice(_Lattice):
             try:
                 lat = DownsetLattice(part, budget - nodes)
             except BudgetExceeded as exc:
-                raise BudgetExceeded(nodes + exc.nodes, budget) from None
+                # the parts' chain codes bound the nodes summed over them
+                upper = sum(
+                    _chain_code(len(i), poset.subposet(poset.labels[k] for k in i)._pred_masks)[1]
+                    for i in parts
+                )
+                raise BudgetExceeded(nodes + exc.nodes, budget, upper) from None
             part._cache["lattice"] = lat
             nodes += lat.node_count
             built.append((idx, lat))
@@ -1142,7 +1147,7 @@ def build_lattice(p: Poset, budget: int | None = None) -> DownsetLattice | Split
         lat = DownsetLattice(p, budget) if parts is None else SplitLattice(p, parts, budget)
         p._cache["lattice"] = lat
     elif lat.node_count > budget:
-        raise BudgetExceeded(lat.node_count, budget)
+        raise BudgetExceeded(lat.node_count, budget, lat.node_count)
     return lat
 
 

@@ -499,6 +499,26 @@ def test_a_box_far_past_the_budget_is_refused_before_any_level(monkeypatch):
     assert str(info.value) == f"ideal lattice exceeded the node budget ({floor} > {lattice.DEFAULT_NODE_BUDGET})"
 
 
+def test_refusals_raised_mid_build_carry_an_upper_bound():
+    # half each lattice's size is past its ideal floor and its first level,
+    # so the level walk refuses, at budget + 1 nodes where the preflight
+    # would report the floor; ``upper`` bounds the lattice as the preflight
+    # refusal's does (chain codes, summed over a split poset's parts)
+    for kernel, p in (
+        ("dict", young_diagram((3, 3, 2)).poset),
+        ("arrays", young_diagram((8,) * 8).poset),
+        ("split", random_poset(30, 0.12, seed=20)),
+    ):
+        lat = build_lattice(_fresh(p))
+        split = isinstance(lat, lattice.SplitLattice)
+        assert kernel == ("split" if split else "dict" if lat._arrays is None else "arrays")
+        budget = lat.node_count // 2
+        with pytest.raises(BudgetExceeded) as info:
+            build_lattice(_fresh(p), budget)
+        assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
+        assert info.value.upper >= lat.node_count
+
+
 def test_preflight_reports_the_floor_on_both_kernels(monkeypatch):
     p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
     floor = lattice._ideal_floor(p.n, p._pred_masks)

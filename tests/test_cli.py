@@ -7,10 +7,10 @@ import pytest
 
 from linext import cli
 from linext.cli import main
-from linext.families import chain, random_poset, young_diagram
+from linext.families import antichain, chain, random_poset, young_diagram
 from linext import lattice
 from linext.lattice import PositionDistribution, SplitLattice, build_lattice, count_extensions
-from linext.poset import comparability_profile
+from linext.poset import Poset, comparability_profile
 from linext.stats import balance, fraction_json
 
 
@@ -73,11 +73,12 @@ def test_analyze_json_payload(capsys, vee_file):
     assert set(payload["per_element"]) == {"a", "b", "c"}
 
 
-def _old_route_report(p, as_json: bool) -> str:
-    """``analyze --full`` output with every law read as Fractions from ``marginals()``.
+def _old_route_report(p, as_json: bool, full: bool = True) -> str:
+    """``analyze`` output with every law read as Fractions from ``marginals()``.
 
     The mean, variance and mode mass of each law are Fraction sums over
-    its probabilities, and each position is serialized from its Fraction.
+    its probabilities, and each position is serialized from its Fraction;
+    the JSON report is ``json.dumps`` of the whole payload.
     """
     profile = comparability_profile(p)
     extensions = count_extensions(p)
@@ -89,8 +90,8 @@ def _old_route_report(p, as_json: bool) -> str:
         mean = sum((k * q for k, q in enumerate(probs, 1)), Fraction(0))
         var = sum((k * k * q for k, q in enumerate(probs, 1)), Fraction(0)) - mean * mean
         stats[lab] = (mean, var, math.sqrt(var), max(probs))
-    sigma_arg = max(p.labels, key=lambda lab: (stats[lab][1], -p.index(lab)))
-    pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)))
+    sigma_arg = max(p.labels, key=lambda lab: (stats[lab][1], -p.index(lab)), default=None)
+    pi_arg = max(p.labels, key=lambda lab: (profile.counts[lab], -p.index(lab)), default=None)
     if as_json:
         payload = {
             "elements": p.n,
@@ -99,11 +100,13 @@ def _old_route_report(p, as_json: bool) -> str:
             "antichain": list(profile.antichain),
             "pi": profile.max_count,
             "pi_argmax": pi_arg,
-            "sigma": stats[sigma_arg][2],
+            "sigma": 0.0 if sigma_arg is None else stats[sigma_arg][2],
             "sigma_argmax": sigma_arg,
             "delta": None if report is None else fraction_json(report.delta),
             "witness": None if report is None else list(report.witness),
-            "per_element": {
+        }
+        if full:
+            payload["per_element"] = {
                 lab: {
                     "mean": fraction_json(stats[lab][0]),
                     "variance": fraction_json(stats[lab][1]),
@@ -113,8 +116,7 @@ def _old_route_report(p, as_json: bool) -> str:
                     "positions": [fraction_json(v) for v in marg[lab]],
                 }
                 for lab in p.labels
-            },
-        }
+            }
         return json.dumps(payload, indent=2) + "\n"
 
     def fmt(v):
@@ -150,17 +152,43 @@ def _kernel(lat) -> str:
         ("dict", lambda: chain(4)),
         ("arrays", lambda: young_diagram((5, 4, 3, 2)).poset),
         ("split", lambda: random_poset(30, 0.12, seed=20)),
+        ("dict", lambda: Poset.from_dict({"labels": [3, 1, 4, 2], "covers": [[3, 4], [1, 4]]})),
+        (
+            "split",
+            lambda: Poset.from_dict(
+                {"labels": [1, 2, 'x"y', "\u00fc", 2.5, None, False], "covers": [[1, 'x"y'], [None, 2.5]]}
+            ),
+        ),
+        (
+            "dict",
+            lambda: Poset.from_dict(
+                {
+                    "labels": ['q"', "b\\s", "c\x01t", "\u00fc\u2603", "\U0001f600"],
+                    "covers": [['q"', "c\x01t"]],
+                }
+            ),
+        ),
+        ("dict", lambda: chain(1)),
+        ("split", lambda: antichain(14)),
+        ("dict", lambda: Poset.from_dict({"labels": [], "covers": []})),
     ],
-    ids=["random9", "chain4", "young14", "random30"],
+    ids=[
+        "random9", "chain4", "young14", "random30", "int_labels", "mixed_labels",
+        "escaped_labels", "one", "antichain14", "empty",
+    ],
 )
 def test_analyze_full_is_byte_identical_to_the_fraction_route(capsys, tmp_path, kernel, make):
     p = make()
     assert _kernel(build_lattice(p)) == kernel
     path = write_poset(tmp_path, "p.json", p.to_dict())
-    for flags, as_json in ((["--json", "--full"], True), (["--full"], False)):
+    runs = [(["--json", "--full"], True, True), (["--json"], True, False)]
+    # the text report joins labels as str and has no argmax of nothing
+    if p.n and all(isinstance(lab, str) for lab in p.labels):
+        runs.append((["--full"], False, True))
+    for flags, as_json, full in runs:
         code, out, _ = run(capsys, "analyze", path, *flags)
         assert code == 0
-        assert out == _old_route_report(p, as_json)
+        assert out == _old_route_report(p, as_json, full)
 
 
 def test_analyze_builds_no_fraction_law(capsys, monkeypatch, tmp_path):

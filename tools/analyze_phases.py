@@ -8,9 +8,11 @@ calls it makes wrapped in timers:
 - ``profile``: the comparability profile (width, pi);
 - ``lattice``: building the ideal lattice (``count_extensions``);
 - ``pairs``: the pair sweep and the balance report (``balance``);
-- ``encode``: ``json.dumps`` of the payload;
+- ``encode``: writing the report, which is ``json.dumps`` of the payload
+  head and the per-element block written from the integer counts
+  (``_per_element_json``);
 - ``laws``: the rest of the op, which is the position laws, the
-  per-element statistics and the payload.
+  per-element statistics and the payload head.
 
 Every repeat loads the file again, so it builds a fresh poset and lattice.
 The printed times are medians over ``--reps`` repeats, in milliseconds.
@@ -33,45 +35,52 @@ import time
 from linext import cli
 
 PHASES = ("args", "poset", "profile", "lattice", "pairs", "laws", "encode", "total")
-WRAPPED = {
-    "args": (cli, "build_parser"),
-    "poset": (cli, "_load_poset_file"),
-    "profile": (cli, "comparability_profile"),
-    "lattice": (cli, "count_extensions"),
-    "pairs": (cli, "balance"),
-    "encode": (json, "dumps"),
-}
+#: (phase, owner, attribute) of each wrapped call; a phase may wrap several
+WRAPPED = (
+    ("args", cli, "build_parser"),
+    ("poset", cli, "_load_poset_file"),
+    ("profile", cli, "comparability_profile"),
+    ("lattice", cli, "count_extensions"),
+    ("pairs", cli, "balance"),
+    ("encode", json, "dumps"),
+    ("encode", cli, "_per_element_json"),
+)
 
 
 def _one_op(path: str) -> dict[str, float]:
     """Phase times in seconds of one analyze op on ``path``."""
-    spent = dict.fromkeys(WRAPPED, 0.0)
-    kept = {name: getattr(owner, attr) for name, (owner, attr) in WRAPPED.items()}
+    spent = {name: 0.0 for name, _, _ in WRAPPED}
+    kept = [getattr(owner, attr) for _, owner, attr in WRAPPED]
+    inside: set[str] = set()
 
     def timed(name, fn):
         def run(*args, **kwargs):
+            if name in inside:  # a call within the phase's own time
+                return fn(*args, **kwargs)
+            inside.add(name)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 spent[name] += time.perf_counter() - start
+                inside.discard(name)
 
         return run
 
-    for name, (owner, attr) in WRAPPED.items():
-        setattr(owner, attr, timed(name, kept[name]))
+    for (name, owner, attr), fn in zip(WRAPPED, kept):
+        setattr(owner, attr, timed(name, fn))
     try:
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["analyze", "--json", "--full", path])
         total = time.perf_counter() - start
     finally:
-        for name, (owner, attr) in WRAPPED.items():
-            setattr(owner, attr, kept[name])
+        for (_, owner, attr), fn in zip(WRAPPED, kept):
+            setattr(owner, attr, fn)
     if code != 0:
         raise SystemExit(f"analyze {path} exited with {code}")
+    spent["laws"] = total - sum(spent.values())
     spent["total"] = total
-    spent["laws"] = total - sum(spent[name] for name in WRAPPED)
     return spent
 
 
