@@ -134,7 +134,7 @@ def cmd_analyze(args) -> int:
 
     print(f"elements: {p.n}")
     print(f"extensions: {extensions}")
-    print(f"width: {profile.width}  antichain {{{', '.join(profile.antichain)}}}")
+    print(f"width: {profile.width}  antichain {{{', '.join(map(str, profile.antichain))}}}")
     print(f"pi: {profile.max_count}  (argmax {'-' if pi_arg is None else pi_arg})")
     if delta_report is None:
         print("chain: balance not applicable")

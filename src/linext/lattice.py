@@ -80,6 +80,7 @@ built against what the earlier ones left.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import weakref
@@ -244,6 +245,9 @@ _GARNER = [[pow(p, -1, q) for p in _PRIMES[:j]] for j, q in enumerate(_PRIMES)]
 #: Rows of a level tested and merged at once, and edges a sweep reads at
 #: once: no temporary array exceeds this many rows of n entries per count row.
 _CHUNK = 4096
+#: The source ideals the sweep sums before it reduces its int64 counts: an
+#: entry gains less than 2^31 per ideal, so it stays below 2^63.
+_INT64_IDEALS = 1 << 32
 _WORD = (1 << 64) - 1
 
 
@@ -313,8 +317,9 @@ def _crt(res: np.ndarray) -> list:
 
     ``res[j]`` holds the residues modulo prime j, in any shape; the values
     come back as nested lists of Python ints in that shape.  Garner's
-    mixed-radix digits are computed on the arrays, and only the final
-    combination runs on Python ints.
+    mixed-radix digits are computed on the arrays, and joined two by two in
+    int64 (d + p d' < 2^62 + 2^31, where d' is the digit of the next
+    prime); only the rest of the combination runs on Python ints.
     """
     digits = []
     for j, r in enumerate(res):
@@ -323,9 +328,14 @@ def _crt(res: np.ndarray) -> list:
         for i, d in enumerate(digits):
             t = (t - d) % q * _GARNER[j][i] % q
         digits.append(t)
-    value = digits[-1].astype(object)
-    for j in range(len(digits) - 2, -1, -1):
-        value = value * _PRIMES[j] + digits[j]
+    words = [
+        digits[j] + _PRIMES[j] * digits[j + 1] if j + 1 < len(digits) else digits[j]
+        for j in range(0, len(digits), 2)
+    ]
+    *low, top = words
+    value = top.astype(object) if low else top
+    for j in range(len(low) - 1, -1, -1):
+        value = value * (_PRIMES[2 * j] * _PRIMES[2 * j + 1]) + low[j]
     return value.tolist()
 
 
@@ -632,44 +642,118 @@ class _Arrays:
 
         Edge (I, x, I + x) of level t carries w = down(I) up(I + x) mod
         each prime: it adds w to x's count at position t + 1, and to (x, y)
-        for every y outside I + x.  A block is sorted by x and read
-        :data:`_CHUNK` edges at a time; a chunk's edges of one x add up in
-        one float64 product, weights times the 0/1 matrix of the elements
-        outside each target, exact since every sum is below 2^12 2^31 < 2^53.
+        for every y outside I + x.  The edges come in bands (:meth:`_bands`),
+        each sorted by x and then by level and read :data:`_CHUNK` edges at
+        a time.  A chunk's edges of one (x, level) add up in one int64
+        segment sum, and its edges of one x in one float64 product, weights
+        times the 0/1 matrix of the elements outside each target (unpacked
+        as uint8, each product casting its rows), exact since every sum is
+        below 2^12 2^31 < 2^53.
+
+        The int64 sums are reduced modulo the primes once, at the end, and
+        rebuilt in one CRT call.  An entry gains less than 2^31 per ideal of
+        a band's source levels, so it stays exact while the ideals counted
+        are at most :data:`_INT64_IDEALS` (2^32); past that the sums are
+        reduced before the next band.
         """
         n, k = self.n, self.k
         mods = _MODS[:k]
         pos = np.zeros((k, n, n), dtype=np.int64)
         ahead = np.zeros((k, n, n), dtype=np.int64) if pairs else None
-        for size, blocks in enumerate(self.edges):
-            down, up, above = self.down[size], self.up[size + 1], self.levels[size + 1]
-            for src, heads, targets, x in blocks:
-                order = np.argsort(x, kind="stable")
-                group = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(src))))[order]
-                src, tgt = src[order], group if targets is None else targets[group]
-                starts = np.concatenate(([0], np.bincount(x, minlength=n).cumsum()))
-                for lo in range(0, len(src), _CHUNK):
-                    into = tgt[lo : lo + _CHUNK]
-                    part = down.take(src[lo : lo + _CHUNK], axis=1) * up.take(into, axis=1) % mods
-                    cut = np.clip(starts - lo, 0, len(into))
-                    xs = np.flatnonzero(cut[1:] > cut[:-1])
-                    pos[:, xs, size] += np.add.reduceat(part, cut[xs], axis=1)
-                    if not pairs:
-                        continue
-                    out = (~above[into]).astype("<u8").view(np.uint8).reshape(len(into), -1)
-                    rest = np.unpackbits(out, axis=1, bitorder="little")
-                    rest = rest[:, :n].astype(np.float64)
-                    weights = part.astype(np.float64)
-                    block = np.zeros((k, n, n))
-                    bounds = cut.tolist()
-                    for x in xs.tolist():
-                        a, b = bounds[x], bounds[x + 1]
-                        block[:, x] = weights[:, a:b] @ rest[a:b]
-                    ahead += block.astype(np.int64)
-            if pairs:
-                ahead %= mods[:, :, None]
+        held = 0  # source ideals summed since the last reduction
+        for down, up, above, first, span, src, tgt, cell in map(self._band, self._bands()):
+            # each cell's edges become one run; a stable sort of small ints is a radix sort
+            order = np.argsort(cell, kind="stable")
+            src, tgt = src[order], tgt[order]
+            starts = np.concatenate(([0], np.bincount(cell, minlength=n * span).cumsum()))
+            if held + down.shape[1] > _INT64_IDEALS:
+                pos %= mods[:, :, None]
+                if pairs:
+                    ahead %= mods[:, :, None]
+                held = 1  # a reduced entry is below 2^31, as one ideal's share
+            held += down.shape[1]
+            for lo in range(0, len(src), _CHUNK):
+                into = tgt[lo : lo + _CHUNK]
+                part = down.take(src[lo : lo + _CHUNK], axis=1) * up.take(into, axis=1) % mods
+                cut = np.clip(starts - lo, 0, len(into))
+                cells = np.flatnonzero(cut[1:] > cut[:-1])
+                xs, t = np.divmod(cells, span)
+                pos[:, xs, t + first] += np.add.reduceat(part, cut[cells], axis=1)
+                if not pairs:
+                    continue
+                out = (~above[into]).astype("<u8").view(np.uint8).reshape(len(into), -1)
+                rest = np.unpackbits(out, axis=1, bitorder="little")[:, :n]
+                weights = part.astype(np.float64)
+                ends = cut[::span]  # each element's edges, from ends[x] to ends[x + 1]
+                bounds = ends.tolist()
+                block = np.zeros((k, n, n))
+                for x in np.flatnonzero(ends[1:] > ends[:-1]).tolist():
+                    a, b = bounds[x], bounds[x + 1]
+                    np.matmul(weights[:, a:b], rest[a:b], out=block[:, x])
+                ahead += block.astype(np.int64)
         pos %= mods[:, :, None]
-        return _crt(pos), (_crt(ahead) if pairs else None)
+        if not pairs:
+            return _crt(pos), None
+        ahead %= mods[:, :, None]
+        pos, ahead = _crt(np.stack((pos, ahead), axis=1))
+        return pos, ahead
+
+    def _bands(self):
+        """The (level, block) pieces of each band the sweep reads, in level order.
+
+        Consecutive levels join one band until it holds :data:`_CHUNK`
+        edges; a level that alone holds that many is a band per stored
+        block, so a large level costs what its blocks cost.
+        """
+        pieces, edges = [], 0
+        for size, blocks in enumerate(self.edges):
+            count = sum(len(block[0]) for block in blocks)
+            if count >= _CHUNK:
+                if pieces:
+                    yield pieces
+                    pieces, edges = [], 0
+                yield from ([(size, block)] for block in blocks)
+                continue
+            pieces += [(size, block) for block in blocks]
+            edges += count
+            if edges >= _CHUNK:
+                yield pieces
+                pieces, edges = [], 0
+        if pieces:
+            yield pieces
+
+    def _band(self, pieces: list[tuple[int, tuple]]):
+        """A band's counts, ideals and edges, from its pieces (:meth:`_bands`).
+
+        It is (down, up, above, first, span, src, tgt, cell): the down
+        counts of its levels first to first + span - 1, and the up counts
+        and ideals of the levels after them, side by side (a level's own
+        arrays when the band has one level); then per edge its source in
+        ``down``, its target in ``up`` and ``above``, and its cell
+        x span + (level - first).
+        """
+        first, last = pieces[0][0], pieces[-1][0]
+        span = last - first + 1
+        if span == 1:
+            down, up, above = self.down[first], self.up[first + 1], self.levels[first + 1]
+        else:
+            down = np.concatenate(self.down[first : last + 1], axis=1)
+            up = np.concatenate(self.up[first + 1 : last + 2], axis=1)
+            above = np.concatenate(self.levels[first + 1 : last + 2])
+        # level first + t starts at column at[t] of down, at[t + 1] - at[1] of up
+        at = [0, *itertools.accumulate(len(level) for level in self.levels[first : last + 2])]
+        cell_type = np.min_scalar_type(self.n * span)
+        srcs, tgts, cells = [], [], []
+        for size, (src, heads, targets, x) in pieces:
+            t = size - first
+            group = np.arange(len(heads), dtype=np.int32) if targets is None else targets
+            tgt = np.repeat(group, np.diff(heads, append=len(src)))
+            srcs.append(src + at[t] if t else src)
+            tgts.append(tgt + (at[t + 1] - at[1]) if t else tgt)
+            cells.append(x if span == 1 else x.astype(cell_type) * span + t)
+        if len(pieces) == 1:
+            return down, up, above, first, span, srcs[0], tgts[0], cells[0]
+        return down, up, above, first, span, *map(np.concatenate, (srcs, tgts, cells))
 
     def addables(self) -> list[list[int]]:
         """Each ideal's addable set, level by level in key order (the rows' order).

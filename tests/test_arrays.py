@@ -359,6 +359,83 @@ def test_small_chunks_give_the_same_answers(monkeypatch):
         _assert_same(monkeypatch, p)
 
 
+def _band_pieces(monkeypatch) -> list[list[list[tuple[int, int]]]]:
+    """Per sweep, the (level, edges) of each piece of every band it reads."""
+    sweeps = []
+    bands = lattice._Arrays._bands
+
+    def spy(self):
+        sweeps.append([])
+        for pieces in bands(self):
+            sweeps[-1].append([(size, len(block[0])) for size, block in pieces])
+            yield pieces
+
+    monkeypatch.setattr(lattice._Arrays, "_bands", spy)
+    return sweeps
+
+
+def _levels(band) -> set[int]:
+    return {size for size, _ in band}
+
+
+def _alone(bands) -> list[int]:
+    return [band[0][0] for band in bands if len(band) == 1]
+
+
+def _swept(monkeypatch, p: Poset, build: int, sweep: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Position and pair counts of ``p`` on the array kernel, built in chunks
+    of ``build`` and swept in chunks of ``sweep``.  Each comes from its own
+    lattice, so the position counts are the position-only sweep's."""
+    _kernel(monkeypatch, True)
+    monkeypatch.setattr(lattice, "_CHUNK", build)
+    for_positions, for_pairs = build_lattice(_fresh(p)), build_lattice(_fresh(p))
+    monkeypatch.setattr(lattice, "_CHUNK", sweep)
+    return for_positions.position_counts(), for_pairs.pair_counts()
+
+
+def _three_below_one(prefix: str) -> Poset:
+    labels = [f"{prefix}{i}" for i in range(4)]
+    return Poset.from_covers(labels, [(low, labels[3]) for low in labels[:3]])
+
+
+@pytest.mark.parametrize("reduce_past", [lattice._INT64_IDEALS, 1])
+def test_bands_match_brute_force(monkeypatch, reduce_past):
+    # reduce_past 1 reduces the int64 sums before every band
+    monkeypatch.setattr(lattice, "_INT64_IDEALS", reduce_past)
+    sweeps = _band_pieces(monkeypatch)
+    split = disjoint_sum(_three_below_one("a"), _three_below_one("b"))  # parts of 4, built part by part
+    posets = [split] + random_posets(40, nmax=8, seed=31)
+    # (build chunk, sweep chunk) and the bands each must read in some sweep
+    for build, sweep, shape in (
+        # a band of several levels
+        (4096, 4096, lambda bands: any(len(_levels(band)) > 1 for band in bands)),
+        # a level that fills a band alone
+        (4096, 5, lambda bands: any(len(band) == 1 and band[0][1] >= 5 for band in bands)),
+        # a level of several stored blocks, a band per block
+        (2, 2, lambda bands: len(_alone(bands)) > len(set(_alone(bands)))),
+        # a level of several stored blocks in a band with other levels
+        (2, 64, lambda bands: any(1 < len(_levels(band)) < len(band) for band in bands)),
+    ):
+        sweeps.clear()
+        for p in posets:
+            total = brute_count(p)
+            positions = [[int(q * total) for q in brute_marginal(p, x)] for x in p.labels]
+            assert _swept(monkeypatch, p, build, sweep) == (positions, brute_pair_counts(p))
+        assert any(shape(bands) for bands in sweeps), (build, sweep)
+
+
+@pytest.mark.parametrize("reduce_past", [lattice._INT64_IDEALS, 1])
+def test_bands_match_the_dict_kernel_past_64_elements_and_on_a_split_part(monkeypatch, reduce_past):
+    # young13x5 keys its levels by the chain code; random30 splits into parts of 29 and 1
+    monkeypatch.setattr(lattice, "_INT64_IDEALS", reduce_past)
+    for p in (young_diagram((13,) * 5).poset, random_poset(30, 0.12, seed=20)):
+        _kernel(monkeypatch, False)
+        walked = build_lattice(_fresh(p))
+        want = walked.position_counts(), walked.pair_counts()
+        for build, sweep in ((4096, 4096), (64, 512), (64, 64)):
+            assert _swept(monkeypatch, p, build, sweep) == want, (build, sweep)
+
+
 def test_event_counts_match_the_dict_kernel(monkeypatch):
     rng = random.Random(43)
     posets = random_posets(400, nmax=9, seed=44) + [young_diagram((4, 4, 3)).poset]
