@@ -3,7 +3,8 @@
 Subcommands: ``analyze`` a poset file, ``generate`` family posets,
 ``verify`` inequality sweeps, ``experiment`` trend tables, ``sample``
 linear extensions.  Exit codes: 0 success, 1 a theorem-backed check
-failed, 2 usage or parse error, 3 node budget exceeded.
+failed, 2 usage or parse error, 3 node budget exceeded, 141 the reader
+closed the output pipe (as shells report a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -381,7 +383,21 @@ def main(argv=None) -> int:
     try:
         # subcommand x runs cmd_x, looked up per call: the cached parser
         # must not pin the function a later rebinding of cmd_x replaced
-        return globals()[f"cmd_{args.command}"](args)
+        status = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the rest of the output has nowhere to go: send it to devnull, so
+        # the interpreter's final flush of stdout raises nothing
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # not a file, as in a test's capture
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     except BudgetExceeded as exc:
         print(
             f"error: ideal lattice needs more than {exc.budget} nodes; "

@@ -56,11 +56,8 @@ def chain_plus_point(n: int) -> Poset:
     """
     if n < 2:
         raise DomainError("need n >= 2 for a chain plus a point")
-    labels = [f"c{i}" for i in range(1, n)] + ["z"]
-    lt = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        lt[i, i + 1 : n - 1] = True
-    return Poset(labels, lt)
+    cs = [f"c{i}" for i in range(1, n)]
+    return Poset.from_covers(cs + ["z"], zip(cs, cs[1:]))
 
 
 def two_equal_chains(n: int) -> Poset:

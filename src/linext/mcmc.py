@@ -35,14 +35,13 @@ class ChainState:
     pos: list[int]  # position of each element index
     steps: int
     rng: random.Random
-    validate: bool = False
 
 
 def default_burn_in(p: Poset) -> int:
     return 10 * p.n**3
 
 
-def initial_state(p: Poset, seed: int | None = None, validate: bool = False) -> ChainState:
+def initial_state(p: Poset, seed: int | None = None) -> ChainState:
     """Deterministic start: smallest-index topological order."""
     waiting = p.lt.sum(axis=0)  # predecessors not yet placed
     ready = np.flatnonzero(waiting == 0).tolist()  # sorted, so a heap
@@ -57,14 +56,7 @@ def initial_state(p: Poset, seed: int | None = None, validate: bool = False) -> 
     pos = [0] * p.n
     for k, x in enumerate(order):
         pos[x] = k
-    return ChainState(p, order, pos, 0, random.Random(seed), validate)
-
-
-def _is_extension(p: Poset, order: list[int]) -> bool:
-    pos = [0] * p.n
-    for k, x in enumerate(order):
-        pos[x] = k
-    return all(pos[p.index(u)] < pos[p.index(v)] for u, v in p.covers)
+    return ChainState(p, order, pos, 0, random.Random(seed))
 
 
 def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]:
@@ -76,7 +68,7 @@ def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]
     fewer than two elements no swap exists, so the steps draw nothing.
     """
     p = state.poset
-    n, order, pos, validate = p.n, state.order, state.pos, state.validate
+    n, order, pos = p.n, state.order, state.pos
     coin, bits = state.rng.random, state.rng.getrandbits
     state.steps += steps
     if n < 2:
@@ -99,8 +91,6 @@ def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]
                 pos[u], pos[v] = i + 1, i
                 if u in watched or v in watched:
                     swaps.append((t, i))
-                if validate and not _is_extension(p, order):
-                    raise RuntimeError("swap broke the extension")
     return swaps
 
 

@@ -558,13 +558,11 @@ def grid_poset(points: Sequence[tuple[int, ...]]) -> Poset:
     if len(set(pts)) != len(pts):
         raise DuplicateLabel("grid points must be distinct")
     pts = sorted(pts)
-    n = len(pts)
-    lt = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if a != b and all(x <= y for x, y in zip(a, b)):
-                lt[i, j] = True
-    return Poset([grid_point_label(q) for q in pts], lt)
+    # one row per point: the empty set has no first point to take d from
+    at = np.array(pts).reshape(len(pts), len(pts[0]) if pts else 0)
+    lt = (at[:, None] <= at[None]).all(axis=2)
+    np.fill_diagonal(lt, False)  # distinct points, so i != j is a != b
+    return Poset._closed(tuple(grid_point_label(q) for q in pts), lt)
 
 
 def is_convex_in_grid(points: Sequence[tuple[int, ...]]) -> GridOrderCheck:
@@ -572,8 +570,9 @@ def is_convex_in_grid(points: Sequence[tuple[int, ...]]) -> GridOrderCheck:
 
     The set is convex when every point of the ambient grid lying strictly
     between two of its points (in the product order) also belongs to it,
-    and an ideal when it is closed downward.  Both checks enumerate the
-    relevant coordinate boxes, so they are meant for desk-scale sets.
+    and an ideal when it is closed downward.  The convexity check
+    enumerates the box between each comparable pair, so it is meant for
+    desk-scale sets; the ideal check looks one step down each axis.
     """
     pts = [tuple(q) for q in points]
     pset = set(pts)
@@ -600,13 +599,13 @@ def is_convex_in_grid(points: Sequence[tuple[int, ...]]) -> GridOrderCheck:
         if not convex:
             break
 
-    ideal = True
-    for b in pts:
-        for mid in itertools.product(*(range(1, y + 1) for y in b)):
-            if mid != b and mid not in pset:
-                ideal = False
-                break
-        if not ideal:
-            break
+    # closed downward exactly when each point's step down every axis stays
+    # in the set (induction on the coordinate sum)
+    ideal = all(
+        b[:k] + (c - 1,) + b[k + 1 :] in pset
+        for b in pts
+        for k, c in enumerate(b)
+        if c > 1
+    )
 
     return GridOrderCheck(convex, ideal, poset)

@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     ConditionNullEvent,
     DomainError,
@@ -55,8 +53,9 @@ class TwoChainPoset:
 def make_two_chain(m: int, n: int, cross=()) -> TwoChainPoset:
     """Build the poset; ``cross`` lists required pairs (i, j) with x_i < y_j.
 
-    The stored matrix is the transitive closure, so x_i < y_j holds exactly
-    when some required pair (i0, j0) has i <= i0 and j >= j0.
+    The two chains' covers and the cross pairs are closed by
+    :meth:`Poset.from_covers`, so x_i < y_j holds exactly when some
+    required pair (i0, j0) has i <= i0 and j >= j0.
     """
     if m < 1 or n < 1:
         raise DomainError("both chains need at least one element")
@@ -66,24 +65,11 @@ def make_two_chain(m: int, n: int, cross=()) -> TwoChainPoset:
             raise IndexOutOfRange(f"cross x index {i} outside [1, {m}]")
         if not 1 <= j <= n:
             raise IndexOutOfRange(f"cross y index {j} outside [1, {n}]")
-    labels = [f"x{i}" for i in range(1, m + 1)] + [f"y{j}" for j in range(1, n + 1)]
-    size = m + n
-    lt = np.zeros((size, size), dtype=bool)
-    for a in range(m):
-        for b in range(a + 1, m):
-            lt[a, b] = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            lt[m + a, m + b] = True
-    reach = 0  # largest i with x_i below y_j, accumulated over increasing j
-    best_at = {}
-    for i, j in cross:
-        best_at[j] = max(best_at.get(j, 0), i)
-    for j in range(1, n + 1):
-        reach = max(reach, best_at.get(j, 0))
-        for i in range(1, reach + 1):
-            lt[i - 1, m + j - 1] = True
-    return TwoChainPoset(m, n, cross, Poset(labels, lt))
+    xs = [f"x{i}" for i in range(1, m + 1)]
+    ys = [f"y{j}" for j in range(1, n + 1)]
+    covers = [*zip(xs, xs[1:]), *zip(ys, ys[1:])]
+    covers += [(xs[i - 1], ys[j - 1]) for i, j in cross]
+    return TwoChainPoset(m, n, cross, Poset.from_covers(xs + ys, covers))
 
 
 def psi_event(t: TwoChainPoset, i: int, j: int) -> EventSpec:

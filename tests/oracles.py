@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from linext.lattice import DownsetLattice, _grow, _steps
-from linext.mcmc import ChainState, _is_extension
+from linext.mcmc import ChainState
 from linext.poset import Poset
 
 # Permutation tables are reused across thousands of oracle calls; key is n.
@@ -151,7 +151,7 @@ def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[i
     slot and a shift of the incomparability mask tests the pair."""
     p = state.poset
     n, incomp = p.n, p._incomp_masks
-    order, pos, validate = state.order, state.pos, state.validate
+    order, pos = state.order, state.pos
     coin, slot = state.rng.random, state.rng.randrange
     state.steps += steps
     if n < 2:
@@ -168,8 +168,6 @@ def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[i
                 pos[u], pos[v] = i + 1, i
                 if ((watch >> u) | (watch >> v)) & 1:
                     swaps.append((t, i))
-                if validate and not _is_extension(p, order):
-                    raise RuntimeError("swap broke the extension")
     return swaps
 
 
@@ -232,3 +230,57 @@ def gather_float64(index: np.ndarray, pick: np.ndarray, counts: np.ndarray, mods
         at = (index[lo : lo + GATHER_CHUNK] + offset).ravel()
         np.add.at(sums, at, rows[:, pick[lo : lo + GATHER_CHUNK]].astype(np.float64).ravel())
     return sums.reshape(counts.shape[:-1] + (m,)).astype(np.int64) % mods[: counts.shape[-2]]
+
+
+# -- builders as first written: a closed matrix by hand, checked by Poset() --
+
+
+def reach_two_chain(m: int, n: int, cross) -> Poset:
+    """``make_two_chain``'s poset from its first closure loop.
+
+    Each y_j lies above x_1, ..., x_reach, where reach is the largest i
+    paired with some j0 <= j; the chains are closed by filling the upper
+    triangles.
+    """
+    size = m + n
+    lt = np.zeros((size, size), dtype=bool)
+    lt[:m, :m] = np.triu(np.ones((m, m), dtype=bool), k=1)
+    lt[m:, m:] = np.triu(np.ones((n, n), dtype=bool), k=1)
+    best_at: dict[int, int] = {}
+    for i, j in cross:
+        best_at[j] = max(best_at.get(j, 0), i)
+    reach = 0
+    for j in range(1, n + 1):
+        reach = max(reach, best_at.get(j, 0))
+        lt[:reach, m + j - 1] = True
+    labels = [f"x{i}" for i in range(1, m + 1)] + [f"y{j}" for j in range(1, n + 1)]
+    return Poset(labels, lt)
+
+
+def looped_chain_plus_point(n: int) -> Poset:
+    """``chain_plus_point(n)`` with its chain's rows filled one by one."""
+    labels = [f"c{i}" for i in range(1, n)] + ["z"]
+    lt = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        lt[i, i + 1 : n - 1] = True
+    return Poset(labels, lt)
+
+
+def pairwise_grid_poset(points) -> Poset:
+    """``grid_poset`` by comparing every ordered pair of sorted points."""
+    pts = sorted(tuple(q) for q in points)
+    lt = np.zeros((len(pts), len(pts)), dtype=bool)
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            lt[i, j] = a != b and all(x <= y for x, y in zip(a, b))
+    return Poset([",".join(map(str, q)) for q in pts], lt)
+
+
+def box_ideal(points) -> bool:
+    """Downward closure by listing every point of each box [1, b]."""
+    pset = {tuple(q) for q in points}
+    return all(
+        mid in pset
+        for b in pset
+        for mid in itertools.product(*(range(1, y + 1) for y in b))
+    )

@@ -1,7 +1,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +315,58 @@ def test_generate_is_deterministic(capsys):
     _, first, _ = run(capsys, "generate", "random", "7", "0.4", "--seed", "9")
     _, second, _ = run(capsys, "generate", "random", "7", "0.4", "--seed", "9")
     assert first == second
+
+
+def test_generate_young_of_the_empty_partition(capsys):
+    code, out, err = run(capsys, "generate", "young", "")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"labels": [], "covers": []}
+
+
+def test_a_closed_pipe_exits_141(capsys, monkeypatch):
+    def closed(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_generate", closed)
+    assert run(capsys, "generate", "chain", "3") == (141, "", "")
+
+
+def _linext(argv, stdout, buffered: bool) -> subprocess.Popen:
+    """``python -m linext`` in a child, its stdout block-buffered or not."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "linext", *argv]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_verify_into_a_closed_pipe_exits_141_without_a_traceback():
+    # more output than a pipe holds, so writes still pend when it closes
+    with _linext(["verify", "all", "--random", "600", "--n", "6"], subprocess.PIPE, True) as proc:
+        assert proc.stdout.readline().startswith(b'{"check": ')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        status = proc.wait(timeout=120)
+    assert status == 141
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_output_to_a_pipe_without_a_reader_exits_141_quietly(buffered):
+    # output that fits the buffer fails only when flushed, at the latest
+    # by the interpreter on exit, which must find nothing left to write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        with _linext(["generate", "chain", "3"], write, buffered) as proc:
+            err = proc.stderr.read().decode()
+            status = proc.wait(timeout=120)
+    finally:
+        os.close(write)
+    assert (status, err) == (141, "")
 
 
 def test_verify_emits_sorted_records(capsys):

@@ -17,7 +17,7 @@ from linext.families import (
 )
 from linext.lattice import count_extensions
 from linext.poset import comparability_profile
-from oracles import brute_count, hook_length_count
+from oracles import brute_count, hook_length_count, looped_chain_plus_point, pairwise_grid_poset
 
 
 def test_chain_basics():
@@ -136,3 +136,26 @@ def test_builtin_corpus_shape():
     assert all(p.n <= 9 for _, p in members)
     assert any(p.is_chain() for _, p in members)
     assert any(p.is_antichain() for _, p in members)
+
+
+def test_chain_plus_point_matches_the_row_loop():
+    for n in range(2, 13):
+        assert chain_plus_point(n) == looped_chain_plus_point(n)
+
+
+def test_grid_families_match_the_pairwise_order():
+    shapes = [young_diagram(lam) for lam in all_partitions(9)]
+    shapes.append(young_diagram((8,) * 8))
+    for outer in all_partitions(7):
+        shapes.append(skew_diagram(outer, ()))
+        for inner in all_partitions(sum(outer) - 1):
+            if len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer)):
+                shapes.append(skew_diagram(outer, inner))
+    for a in range(1, 5):
+        for b in range(a, 5):
+            for c in range(b, 5):
+                shapes.append(grid_ideal(3, [(a, b, c)]))
+    shapes += [tripod(dim, ell) for dim in (1, 2, 3, 4) for ell in (1, 2, 4)]
+    assert len(shapes) > 200
+    for shape in shapes:
+        assert shape.poset == pairwise_grid_poset(shape.cells), shape.cells

@@ -20,32 +20,24 @@ from linext.poset import Poset
 from oracles import randrange_advance
 
 
+def _is_extension(p: Poset, order: list[int]) -> bool:
+    ranks = {x: k for k, x in enumerate(order)}
+    return all(ranks[p.index(u)] < ranks[p.index(v)] for u, v in p.covers)
+
+
 def test_initial_state_is_an_extension():
     for seed in range(5):
         p = random_poset(8, 0.4, seed=seed)
-        state = initial_state(p)
-        ranks = {i: k for k, i in enumerate(state.order)}
-        for u, v in p.covers:
-            assert ranks[p.index(u)] < ranks[p.index(v)]
+        assert _is_extension(p, initial_state(p).order)
 
 
 def test_steps_preserve_the_extension_property():
     p = random_poset(7, 0.35, seed=99)
-    state = initial_state(p, seed=1, validate=True)  # raises inside on violation
+    state = initial_state(p, seed=1)
     for _ in range(4000):
         mc_step(state)
+        assert _is_extension(p, state.order)
     assert state.steps == 4000
-
-
-def test_validate_raises_on_a_broken_extension():
-    p = Poset.from_covers("abcd", [("a", "b")])
-    state = initial_state(p, seed=3, validate=True)
-    state.order.reverse()  # b now precedes a
-    for k, x in enumerate(state.order):
-        state.pos[x] = k
-    with pytest.raises(RuntimeError, match="broke the extension"):
-        for _ in range(200):
-            mc_step(state)
 
 
 def test_pos_array_stays_inverse_of_order():
@@ -205,16 +197,6 @@ def test_kernel_reports_only_watched_swaps():
     assert at == watched.pos[2]
 
 
-def test_validate_raises_through_the_kernel():
-    p = Poset.from_covers("abcd", [("a", "b")])
-    state = initial_state(p, seed=3, validate=True)
-    state.order.reverse()  # b now precedes a
-    for k, x in enumerate(state.order):
-        state.pos[x] = k
-    with pytest.raises(RuntimeError, match="broke the extension"):
-        _advance(state, 200, 0)
-
-
 def _four_chains(seed: int) -> Poset:
     """400 elements from covers: four chains of 100 with 40 climbing cross covers."""
     rng = random.Random(seed)
@@ -226,9 +208,9 @@ def _four_chains(seed: int) -> Poset:
     return Poset.from_covers([f"c{c}l{k}" for c in range(4) for k in range(100)], covers)
 
 
-def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, validate: bool, reverse=False):
-    fast = initial_state(p, seed, validate)
-    slow = initial_state(p, seed, validate)
+def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, reverse=False):
+    fast = initial_state(p, seed)
+    slow = initial_state(p, seed)
     if reverse:  # start from an order that is no extension
         for state in (fast, slow):
             state.order.reverse()
@@ -238,6 +220,7 @@ def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, validate: bo
         assert _advance(fast, steps, watch) == randrange_advance(slow, steps, watch)
         assert (fast.order, fast.pos, fast.steps) == (slow.order, slow.pos, slow.steps)
         assert fast.rng.getstate() == slow.rng.getstate()
+        assert reverse or _is_extension(p, fast.order)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33, 63, 64, 65])
@@ -251,7 +234,7 @@ def test_kernel_matches_the_randrange_kernel(n):
             p = Poset(p.labels, np.asfortranarray(p.lt))
         rng = random.Random(seed)
         for watch in (0, (1 << n) - 1, rng.getrandbits(n) if n else 0):
-            _assert_kernels_agree(p, seed, watch, (1, 0, 700, 333), validate=True)
+            _assert_kernels_agree(p, seed, watch, (1, 0, 700, 333))
 
 
 def test_kernel_matches_the_randrange_kernel_on_400_elements():
@@ -259,12 +242,12 @@ def test_kernel_matches_the_randrange_kernel_on_400_elements():
     a, b = p.index("c0l50"), p.index("c3l50")
     for seed in (0, 7):
         for watch in (0, 1 << a | 1 << b, (1 << p.n) - 1):
-            _assert_kernels_agree(p, seed, watch, (5000, 20_000), validate=False)
+            _assert_kernels_agree(p, seed, watch, (5000, 20_000))
 
 
 def test_kernel_matches_the_randrange_kernel_off_the_extensions():
-    # without validate, a state that is no extension steps as before: only
-    # incomparable neighbors swap, whichever of them comes first
+    # a state that is no extension steps as before: only incomparable
+    # neighbors swap, whichever of them comes first
     p = random_poset(12, 0.3, seed=1)
     for seed in range(4):
-        _assert_kernels_agree(p, seed, (1 << p.n) - 1, (500, 500), validate=False, reverse=True)
+        _assert_kernels_agree(p, seed, (1 << p.n) - 1, (500, 500), reverse=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -18,7 +19,7 @@ from linext.poset import (
 )
 from linext.families import antichain, chain, random_poset
 from linext.lattice import augmented_poset
-from oracles import brute_width, matmul_reduction, warshall_closure
+from oracles import box_ideal, brute_width, matmul_reduction, pairwise_grid_poset, warshall_closure
 from conftest import random_posets
 
 
@@ -331,3 +332,40 @@ def test_convexity_verdicts():
     skew = [(1, 2), (2, 1), (2, 2)]
     verdict = is_convex_in_grid(skew)
     assert verdict.convex and not verdict.ideal
+
+
+def test_grid_poset_matches_the_pairwise_order():
+    # non-convex sets, where unit steps between cells would miss relations
+    sets = [[(1, 1), (3, 3)], [(1, 2), (2, 1)], [(2, 5), (1, 1), (3, 2), (1, 7)]]
+    sets += [[], [(1,)], [(4,), (2,), (9,)], [(1, 1, 1), (2, 2, 2), (1, 3, 1)]]
+    rng = random.Random(31)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        grid = list(itertools.product(range(1, 5), repeat=d))
+        sets.append(rng.sample(grid, rng.randint(0, min(len(grid), 12))))
+    for pts in sets:
+        assert grid_poset(pts) == pairwise_grid_poset(pts), pts
+
+
+def test_grid_poset_of_no_points_is_empty():
+    p = grid_poset([])
+    assert (p.labels, p.lt.shape) == ((), (0, 0))
+
+
+def test_ideal_verdicts_match_the_box_enumeration():
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        grid = list(itertools.product(range(1, 5), repeat=d))
+        if rng.random() < 0.5:  # a random set: almost never an ideal
+            pts = rng.sample(grid, rng.randint(0, min(len(grid), 10)))
+        else:  # an ideal, perhaps with one point taken out
+            gens = rng.sample(grid, rng.randint(1, 3))
+            pts = [q for q in grid if any(all(a <= b for a, b in zip(q, g)) for g in gens)]
+            if rng.random() < 0.5:
+                pts.remove(rng.choice(pts))
+        verdict = is_convex_in_grid(pts).ideal
+        assert verdict == box_ideal(pts), pts
+        verdicts.append(verdict)
+    assert 150 < sum(verdicts) < 450

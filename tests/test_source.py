@@ -220,6 +220,28 @@ def test_kernel_regime_check_sees_the_pattern():
     assert _callers(tree, "_grow") == ["draw", None]
 
 
+def test_no_validated_round_trips():
+    # the package closes its own posets once, through Poset.from_covers or,
+    # when closed by construction, Poset._closed; the checking constructor
+    # Poset(labels, lt) is for matrices from outside
+    found = [
+        f"{path.name}:{fn}"
+        for path in SOURCES
+        for fn in _callers(ast.parse(path.read_text(), filename=str(path)), "Poset")
+    ]
+    assert found == []
+
+
+def test_validated_round_trip_check_sees_the_pattern():
+    tree = ast.parse(
+        "def a(labels, lt):\n    return Poset(labels, lt)\n"
+        "def b(x, y):\n    return poset.Poset(x, y)\n"
+        "Poset._closed(labels, lt)\nPoset.from_covers(labels, covers)\n"
+        "TwoChainPoset(1, 2, cross, p)\nPoset(labels, lt)\n"
+    )
+    assert _callers(tree, "Poset") == ["a", "b", None]
+
+
 def _string_dispatch(tree, limit: int = 3) -> list[str]:
     """Functions that compare one name with more than ``limit`` string
     constants through ``==``: an if/elif chain a lookup table should hold."""

@@ -32,7 +32,7 @@ from linext.twochain import (
     psi_table,
     random_two_chain,
 )
-from oracles import brute_conditional_probability, brute_event_probability
+from oracles import brute_conditional_probability, brute_event_probability, reach_two_chain
 from conftest import count_constructions
 
 
@@ -53,6 +53,28 @@ def test_cross_relations_are_closed_upward():
     assert not p.less("x3", "y4")
     assert t.cross == frozenset({(2, 2)})
     assert not t.is_free
+
+
+def test_builder_matches_the_reach_loop():
+    # covers closed by from_covers against the first construction, and the
+    # docstring's rule: x_i < y_j exactly when some cross pair (i0, j0)
+    # has i <= i0 and j >= j0
+    rng = random.Random(23)
+    cases = [(1, 1, []), (1, 1, [(1, 1)]), (1, 6, []), (7, 1, [])]
+    for m, n in ((1, 8), (8, 1), (3, 5), (8, 8)):
+        cases.append((m, n, [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]))
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        cases.append((m, n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    for m, n, cross in cases:
+        t = make_two_chain(m, n, cross)
+        assert t.poset == reach_two_chain(m, n, cross)
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                x, y = t.x_label(i), t.y_label(j)
+                assert t.poset.less(x, y) == any(i <= i0 and j >= j0 for i0, j0 in cross)
+                assert not t.poset.less(y, x)
 
 
 def test_cross_indices_are_validated():
