@@ -41,9 +41,10 @@ kernels.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
-lattice's ``pair_counts``, one sweep that answers every pair at once.
-Two or more, and every count :func:`conditional_probability` makes,
-are counted on the ideals that hold u whenever they hold v.  When the
+lattice's ``pair_counts``, one sweep that answers every pair at once,
+and :func:`conditional_probability` reads it there when the sweep is
+already made.  Two or more, and every other conditional count, are
+counted on the ideals that hold u whenever they hold v.  When the
 poset caches an array-kernel lattice within the budget, that is one
 masked down pass over its stored edges, the counts of every other ideal
 zeroed, with a block of rows per pair set (a conditional's two counts
@@ -1281,11 +1282,12 @@ def _event_counts(
     """Extensions of ``p`` that put every ``u`` before its ``v``, per event.
 
     Pairs the poset already orders are dropped, and an event with none
-    left is the cached count.  With ``sweep`` (for
-    :func:`event_probability`), one pair (u, v) left is read from the
+    left is the cached count.  One pair (u, v) left is read from the
     cached lattice's ``pair_counts``, a sweep that answers every pair of
-    the poset at once under the same budget as the count; a pair the
-    poset orders the other way, or u == v, counts 0 without it.  Every
+    the poset at once under the same budget as the count: with ``sweep``
+    (for :func:`event_probability`), or when a lattice within ``budget``
+    already holds them.  A pair the poset orders the other way, or u == v,
+    counts 0 without them.  Every
     other event is counted on the poset's own ideals with each v also
     waiting for its u.  When ``p`` already caches an array-kernel
     :class:`DownsetLattice` within ``budget``, those counts share one
@@ -1298,7 +1300,9 @@ def _event_counts(
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
     lat = p._cache.get("lattice")
-    arrays = lat._arrays if isinstance(lat, DownsetLattice) and lat.node_count <= budget else None
+    held = lat is not None and lat.node_count <= budget
+    arrays = lat._arrays if held and isinstance(lat, DownsetLattice) else None
+    sweep = sweep or (held and lat._pair_counts is not None)
     counts: list[int | None] = []
     masked = []
     for pairs in events:
@@ -1356,7 +1360,8 @@ def conditional_probability(
 
     Both counts, the condition's and the condition's with the event's,
     come from one masked pass when ``p`` caches an array-kernel lattice
-    within the budget (:func:`_event_counts`).  Otherwise a count with an
+    within the budget (:func:`_event_counts`), and a count of one open
+    pair from pair counts it already holds.  Otherwise a count with an
     open pair is a constrained down pass, even with just one, so the
     budget bounds only the augmented lattices walked: reading the
     poset's whole lattice for a lone ``given`` pair would hold the budget

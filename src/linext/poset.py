@@ -2,7 +2,8 @@
 
 The ground set is an ordered tuple of unique string labels.  The strict
 order is stored as a dense boolean matrix that is always transitively
-closed; covers are recovered by transitive reduction on demand.  Posets are
+closed.  :meth:`Poset.from_covers` keeps its generators and closed bitsets;
+other posets derive their bitsets from the matrix on first use.  Posets are
 immutable once built, so derived structure (masks, profiles, the ideal
 lattice) is cached on the instance and instances can be shared freely
 between threads.
@@ -34,34 +35,39 @@ EXACT_PAIR_SEARCH_LIMIT = 20
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Smallest transitive relation containing ``rel`` (boolean matrix).
-
-    Orders the elements by Kahn's algorithm, then sets each element's
-    successor bitset to the OR of ``succ[j] | 1 << j`` over its generators
-    j, in reverse topological order.  Raises CycleDetected when ``rel`` has
-    a cycle, a self-loop included.
-    """
+    """Smallest transitive relation containing ``rel`` (boolean matrix)."""
     rel = np.asarray(rel, dtype=bool)
-    n = len(rel)
     gen = _row_masks(rel)
-    indegree = rel.sum(axis=0).tolist()
-    order = [i for i in range(n) if not indegree[i]]
+    order = _kahn_order(gen, rel.sum(axis=0).tolist())
+    return _unpack_masks(_reach(reversed(order), gen), len(rel))
+
+
+def _kahn_order(out: Sequence[int], indegree: list[int]) -> list[int]:
+    """Kahn's order of the generators ``out[i]`` above each i, using up the
+    counts ``indegree`` of those below; CycleDetected on a cycle or self-loop."""
+    order = [i for i, d in enumerate(indegree) if not d]
     for i in order:  # grows while it is read: Kahn's queue
-        for j in _bits(gen[i]):
+        for j in _bits(out[i]):
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
-    if len(order) < n:
+    if len(order) < len(out):
         raise CycleDetected("relation contains a cycle")
-    succ = [0] * n
-    for i in reversed(order):
+    return order
+
+
+def _reach(walk: Iterable[int], gen: Sequence[int]) -> list[int]:
+    """Per element, the OR of ``reach[j] | 1 << j`` over its generators j,
+    visiting elements in ``walk``, which puts each after its generators."""
+    reach = [0] * len(gen)
+    for i in walk:
         closed, rest = 0, gen[i]
         while rest:
             low = rest & -rest
-            closed |= succ[low.bit_length() - 1] | low
-            rest &= ~closed  # a reached j brings its closed successors along
-        succ[i] = closed
-    return _unpack_masks(succ, n)
+            closed |= reach[low.bit_length() - 1] | low
+            rest &= ~closed  # a reached j brings its closed reach along
+        reach[i] = closed
+    return reach
 
 
 def transitive_reduction(lt: np.ndarray) -> np.ndarray:
@@ -169,18 +175,23 @@ class Poset:
                 raise DuplicateLabel(f"label {lab!r} appears twice")
             index[lab] = i
         n = len(labels)
-        rel = np.zeros((n, n), dtype=bool)
+        out, into = [0] * n, [0] * n
         for lo, hi in covers:
             if lo not in index:
                 raise UnknownElement(f"unknown element {lo!r} in cover")
             if hi not in index:
                 raise UnknownElement(f"unknown element {hi!r} in cover")
-            rel[index[lo], index[hi]] = True
+            out[index[lo]] |= 1 << index[hi]
+            into[index[hi]] |= 1 << index[lo]
         try:
-            closed = transitive_closure(rel)
+            order = _kahn_order(out, [m.bit_count() for m in into])
         except CycleDetected:
             raise CycleDetected("cover relation generates a cycle") from None
-        return cls._closed(labels, closed)
+        succ = _reach(reversed(order), out)
+        poset = cls._closed(labels, _unpack_masks(succ, n))
+        poset._succ_masks = tuple(succ)
+        poset._cache["generators"] = (out, into, order)  # for pred and covers
+        return poset
 
     @classmethod
     def from_dict(cls, data: dict) -> "Poset":
@@ -216,14 +227,15 @@ class Poset:
 
     @cached_property
     def covers(self) -> tuple[tuple[Label, Label], ...]:
-        pairs = np.argwhere(self._cover_matrix)
-        return tuple(
-            (self.labels[i], self.labels[j]) for i, j in pairs.tolist()
-        )
+        labels, masks = self.labels, self._upper_cover_masks
+        return tuple((labels[i], labels[j]) for i, m in enumerate(masks) for j in _bits(m))
 
     @cached_property
     def _pred_masks(self) -> tuple[int, ...]:
         """Bitmask of strict predecessors per element, for lattice sweeps."""
+        if "generators" in self._cache:
+            _, into, order = self._cache["generators"]
+            return tuple(_reach(order, into))
         return _row_masks(self.lt.T)
 
     @cached_property
@@ -242,7 +254,11 @@ class Poset:
     @cached_property
     def _upper_cover_masks(self) -> tuple[int, ...]:
         """Bitmask of the elements covering each element."""
-        return tuple(_cover_masks(self.lt))
+        if "generators" not in self._cache:
+            return tuple(_cover_masks(self.lt))
+        # every cover is a generator: a j above i with nothing between them
+        out, pred, succ = self._cache["generators"][0], self._pred_masks, self._succ_masks
+        return tuple(sum(1 << j for j in _bits(g) if not pred[j] & s) for g, s in zip(out, succ))
 
     @cached_property
     def _cover_matrix(self) -> np.ndarray:

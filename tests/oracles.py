@@ -16,7 +16,8 @@ import numpy as np
 
 from linext.lattice import DownsetLattice, _grow, _steps
 from linext.mcmc import ChainState
-from linext.poset import Poset
+from linext.errors import CycleDetected, DuplicateLabel, UnknownElement
+from linext.poset import Poset, _bits, _cover_masks, _row_masks, _unpack_masks
 
 # Permutation tables are reused across thousands of oracle calls; key is n.
 _PERMS: dict[int, np.ndarray] = {}
@@ -284,3 +285,70 @@ def box_ideal(points) -> bool:
         for b in pset
         for mid in itertools.product(*(range(1, y + 1) for y in b))
     )
+
+
+# -- from_covers as first written: a boolean matrix, closed, then repacked --
+
+
+def matrix_closure(rel) -> np.ndarray:
+    """``transitive_closure`` as first written, on the matrix itself.
+
+    Kahn's order from the column sums, then each successor bitset as the
+    OR of ``succ[j] | 1 << j`` over its generators j, in reverse order.
+    """
+    rel = np.asarray(rel, dtype=bool)
+    n = len(rel)
+    gen = _row_masks(rel)
+    indegree = rel.sum(axis=0).tolist()
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:
+        for j in _bits(gen[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        raise CycleDetected("relation contains a cycle")
+    succ = [0] * n
+    for i in reversed(order):
+        for j in _bits(gen[i]):
+            succ[i] |= succ[j] | 1 << j
+    return _unpack_masks(succ, n)
+
+
+def matrix_from_covers(labels, covers) -> dict:
+    """What ``from_covers`` derived through a boolean matrix, as first written.
+
+    The same checks with the same messages, in the same order; ``lt`` by
+    :func:`matrix_closure`; the successor and predecessor tables packed
+    from the rows of ``lt`` and of its transpose; the upper covers by the
+    renumbering reduction; ``covers`` in ``argwhere``'s row-major order of
+    the cover matrix.
+    """
+    labels = tuple(labels)
+    index = {}
+    for i, lab in enumerate(labels):
+        if lab in index:
+            raise DuplicateLabel(f"label {lab!r} appears twice")
+        index[lab] = i
+    n = len(labels)
+    rel = np.zeros((n, n), dtype=bool)
+    for lo, hi in covers:
+        if lo not in index:
+            raise UnknownElement(f"unknown element {lo!r} in cover")
+        if hi not in index:
+            raise UnknownElement(f"unknown element {hi!r} in cover")
+        rel[index[lo], index[hi]] = True
+    try:
+        lt = matrix_closure(rel)
+    except CycleDetected:
+        raise CycleDetected("cover relation generates a cycle") from None
+    cover = tuple(_cover_masks(lt))
+    cover_matrix = _unpack_masks(cover, n)
+    return {
+        "lt": lt,
+        "_succ_masks": _row_masks(lt),
+        "_pred_masks": _row_masks(lt.T),
+        "_upper_cover_masks": cover,
+        "_cover_matrix": cover_matrix,
+        "covers": tuple((labels[i], labels[j]) for i, j in np.argwhere(cover_matrix).tolist()),
+    }

@@ -618,6 +618,95 @@ def test_masked_route_keeps_the_budget_of_the_down_pass():
     assert "lattice" not in fresh._cache
 
 
+# -- a conditional's one open pair from pair counts the lattice already holds --
+
+
+def _one_pair_conditionals(p, rng, count):
+    """``count`` (event, given) pairs whose given leaves one pair open.
+
+    The open pair (x, y) stands alone, beside a pair p orders, or twice;
+    or the given is a pair against the order, or u == v (both null).
+    """
+    labels = p.labels
+    free = [(x, y) for x in labels for y in labels if x != y and not p.comparable(x, y)]
+    ordered = [(x, y) for x in labels for y in labels if p.less(x, y)]
+    out = []
+    for k in range(count):
+        x, y = rng.choice(free)
+        given = [[(x, y)], [(x, y), (x, y)], [(x, y)], [(x, x)], [(x, y)]][k % 5]
+        if ordered and k % 5 == 2:
+            given.insert(rng.randrange(2), rng.choice(ordered))
+        elif ordered and k % 5 == 4:
+            given = [rng.choice(ordered)[::-1]]
+        event = [rng.choice(free + ordered) for _ in range(rng.randint(1, 2))]
+        out.append((event, given))
+    return out
+
+
+def _open_pairs_walked(monkeypatch, p):
+    """The number of open pairs of each ``_down_pass`` and ``masked`` count."""
+    down_pass = lattice._down_pass
+    masked = lattice._Arrays.masked
+    walked = []
+
+    def counting(n, pred, cand, budget):
+        walked.append(sum((q & ~was).bit_count() for q, was in zip(pred, p._pred_masks)))
+        return down_pass(n, pred, cand, budget)
+
+    def counting_masked(self, sets):
+        walked.extend(len(pairs) for pairs in sets)
+        return masked(self, sets)
+
+    monkeypatch.setattr(lattice, "_down_pass", counting)
+    monkeypatch.setattr(lattice._Arrays, "masked", counting_masked)
+    return walked
+
+
+def _conditional_or_null(p, event, given, budget=None):
+    try:
+        return conditional_probability(p, event, given, budget)
+    except ConditionNullEvent:
+        return None
+
+
+@pytest.mark.parametrize("arrays", [False, True])
+def test_conditionals_read_pair_counts_the_lattice_holds(monkeypatch, arrays):
+    # against the constrained route (no lattice cached) and the brute-force
+    # oracle, on either kernel and on split lattices; a conditional never
+    # starts the pair sweep, and once it is made no count of one open
+    # pair is walked
+    rng = random.Random(38)
+    kinds = set()
+    posets = [p for p in random_posets(80, nmax=8, seed=39) if not p.is_chain()]
+    for p in posets + [_three_parts()]:
+        _kernel(monkeypatch, arrays)
+        queries = _one_pair_conditionals(p, rng, 5)
+        fresh = Poset.from_dict(p.to_dict())
+        expected = [_conditional_or_null(fresh, event, given) for event, given in queries]
+        assert "lattice" not in fresh._cache
+        for (event, given), want in zip(queries, expected):
+            if want is None:
+                assert brute_event_probability(p, given) == 0
+            else:
+                assert want == brute_conditional_probability(p, event, given)
+        lat = build_lattice(p)
+        kinds.add(type(lat).__name__ if isinstance(lat, SplitLattice) else lat._arrays is not None)
+        assert [_conditional_or_null(p, e, g) for e, g in queries] == expected
+        assert lat._pair_counts is None
+        lat.pair_counts()
+        walked = _open_pairs_walked(monkeypatch, p)
+        assert [_conditional_or_null(p, e, g) for e, g in queries] == expected
+        assert 1 not in walked
+        if isinstance(lat, DownsetLattice):
+            # past the budget the cached counts are not read (a split
+            # lattice's budget is its parts', below what the walk holds)
+            del walked[:]
+            _conditional_or_null(p, *queries[0], budget=lat.node_count - 1)
+            assert walked[0] == 1
+        monkeypatch.undo()
+    assert kinds == {arrays, "SplitLattice"}
+
+
 # -- the successor kernel against a scan of every unplaced element ----------
 
 

@@ -19,7 +19,14 @@ from linext.poset import (
 )
 from linext.families import antichain, chain, random_poset
 from linext.lattice import augmented_poset
-from oracles import box_ideal, brute_width, matmul_reduction, pairwise_grid_poset, warshall_closure
+from oracles import (
+    box_ideal,
+    brute_width,
+    matmul_reduction,
+    matrix_from_covers,
+    pairwise_grid_poset,
+    warshall_closure,
+)
 from conftest import random_posets
 
 
@@ -201,6 +208,88 @@ def test_guard_messages_are_unchanged():
         Poset.from_covers(["x", "y", "x"], [])
     with pytest.raises(UnknownElement, match="unknown element 'z' in cover"):
         Poset.from_covers("ab", [("a", "b"), ("z", "a")])
+
+
+def _generator_sets(n: int, rng: random.Random) -> list[list[tuple[int, int]]]:
+    """Seeded generator sets on n elements, as index pairs.
+
+    None at all; random pairs up a hidden order, redundant, then repeated;
+    a chain given by every one of its relations; two chains with empty, full
+    and random cross sets (x below y).
+    """
+    rank = rng.sample(range(n), n)
+    by_rank = sorted(range(n), key=rank.__getitem__)
+    pairs = _acyclic_pairs(n, rng)
+    xs, ys = by_rank[: n // 2], by_rank[n // 2 :]
+    chains = list(zip(xs, xs[1:])) + list(zip(ys, ys[1:]))
+    return [
+        [],
+        pairs + pairs[: n // 2] + pairs[::3],
+        [(a, b) for k, a in enumerate(by_rank) for b in by_rank[k + 1 :]],
+        chains,
+        chains + [(x, y) for x in xs for y in ys],
+        chains + [(x, y) for x in xs for y in ys if rng.random() < 3 / n],
+    ]
+
+
+TABLES = ("_succ_masks", "_pred_masks", "_upper_cover_masks", "covers")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 130, 400])
+def test_from_covers_matches_the_matrix_route(n):
+    # the tables from_covers keeps from its closure equal what closing a
+    # boolean matrix and packing it back derives, under shuffled labels and
+    # shuffled, redundant, repeated generators
+    rng = random.Random(1000 + n)
+    for gens in _generator_sets(n, rng):
+        labels = [f"e{i}" for i in range(n)]
+        rng.shuffle(labels)
+        rng.shuffle(gens)
+        covers = [(labels[i], labels[j]) for i, j in gens]
+        p = Poset.from_covers(labels, covers)
+        ref = matrix_from_covers(labels, covers)
+        assert p.lt.dtype == bool and not p.lt.flags.writeable
+        assert np.array_equal(p.lt, ref["lt"])
+        assert np.array_equal(p._cover_matrix, ref["_cover_matrix"])
+        for name in TABLES:
+            assert getattr(p, name) == ref[name], name
+        assert all(type(m) is int for name in TABLES[:3] for m in getattr(p, name))
+        # a poset with no generators at hand derives the same tables from lt
+        q = Poset._closed(tuple(labels), ref["lt"])
+        assert q == p and all(getattr(q, name) == ref[name] for name in TABLES)
+
+
+def _rejection(build, labels, covers):
+    try:
+        build(labels, covers)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+def test_from_covers_rejects_as_the_matrix_route():
+    ring = [(f"e{i}", f"e{(i + 1) % 400}") for i in range(400)]
+    long = ([f"e{i}" for i in range(400)], ring + [("e0", "e7"), ("e3", "e90")])
+    cases = [
+        ("a", [("a", "a")]),  # self-loop
+        ("abc", [("a", "b"), ("c", "c")]),
+        ("abc", [("a", "b"), ("b", "a")]),  # 2-cycle
+        ("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]),
+        long,  # long cycle with chords
+        ("ab", [("a", "b"), ("z", "a")]),  # unknown lo
+        ("ab", [("a", "z")]),  # unknown hi
+        ("ab", [("y", "z")]),  # both unknown: lo is named
+        ("ab", [("a", "a"), ("b", "z")]),  # unknown wins over a cycle read first
+        (["x", "y", "x"], []),  # duplicate label
+        (["x", "y", "x"], [("q", "x")]),  # duplicate before unknown
+        (["x", "x"], [("x", "x")]),  # duplicate before self-loop
+    ]
+    seen = set()
+    for labels, covers in cases:
+        got = _rejection(Poset.from_covers, labels, covers)
+        assert got == _rejection(matrix_from_covers, labels, covers)
+        seen.add(got[0])
+    assert seen == {CycleDetected, UnknownElement, DuplicateLabel}
 
 
 def test_augmented_poset_is_none_on_contradictions():

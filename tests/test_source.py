@@ -178,19 +178,24 @@ def test_dense_product_check_sees_the_pattern():
     assert sorted(_matmul_sites(tree)) == [1, 2, 3]
 
 
-def _callers(tree, name: str) -> list[str | None]:
-    """The innermost enclosing function of every call to ``name``, in order."""
+def _enclosing(tree, test) -> list[str | None]:
+    """The innermost function around each node that passes ``test``, in order."""
     found: list[str | None] = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _name_of(child.func) == name:
+            if test(child):
                 found.append(fn)
-            inner = child.name if isinstance(child, ast.FunctionDef) else fn
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
             visit(child, inner)
 
     visit(tree, None)
     return found
+
+
+def _callers(tree, name: str) -> list[str | None]:
+    """The innermost enclosing function of every call to ``name``, in order."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Call) and _name_of(node.func) == name)
 
 
 def test_one_lattice_kernel_per_regime():
@@ -338,3 +343,76 @@ def test_accumulation_check_sees_the_pattern():
     )
     assert _add_sites(tree, "at") == ["_gather", "up", "sweep", None]
     assert _add_sites(tree, "reduceat") == ["low"]
+
+
+def _is_kahn_loop(node) -> bool:
+    """``for i in order: ... order.append(j)``: a queue read while it grows."""
+    if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)):
+        return False
+    return any(
+        isinstance(call, ast.Call)
+        and _name_of(call.func) == "append"
+        and isinstance(call.func, ast.Attribute)
+        and _name_of(call.func.value) == node.iter.id
+        for call in ast.walk(node)
+    )
+
+
+def _subscripted(node) -> str | None:
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+        return node.value.id
+    return None
+
+
+def _is_reach_loop(node) -> bool:
+    """A loop that ORs entries of a table into the entries it writes there:
+    a closure, each element's reach built from reaches already found."""
+    if not isinstance(node, (ast.For, ast.While)):
+        return False
+    written, ored = set(), set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Assign):
+            written |= {_subscripted(t) for t in child.targets}
+        elif isinstance(child, ast.AugAssign):
+            written.add(_subscripted(child.target))
+            if isinstance(child.op, ast.BitOr):
+                ored |= {_subscripted(x) for x in ast.walk(child.value)}
+    return bool((written & ored) - {None})
+
+
+def test_one_closure_routine():
+    # the package closes an order with one Kahn loop, in poset._kahn_order,
+    # and one reach loop, in poset._reach, for transitive_closure and
+    # Poset.from_covers (whose predecessors _pred_masks reaches on first use)
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    assert [fn for tree in trees for fn in _enclosing(tree, _is_kahn_loop)] == ["_kahn_order"]
+    assert [fn for tree in trees for fn in _enclosing(tree, _is_reach_loop)] == ["_reach"]
+    assert sorted(fn for tree in trees for fn in _callers(tree, "_kahn_order")) == [
+        "from_covers",
+        "transitive_closure",
+    ]
+    assert sorted(fn for tree in trees for fn in _callers(tree, "_reach")) == [
+        "_pred_masks",
+        "from_covers",
+        "transitive_closure",
+    ]
+
+
+def test_closure_routine_checks_see_the_pattern():
+    tree = ast.parse(
+        "def kahn(out, order):\n    for i in order:\n        for j in out[i]:\n"
+        "            order.append(j)\n"
+        "def reach(order, gen, succ):\n    for i in reversed(order):\n"
+        "        for j in gen[i]:\n            succ[i] |= succ[j] | 1 << j\n"
+        "def close(order, gen):\n    reach = [0] * len(gen)\n    for i in order:\n"
+        "        closed, rest = 0, gen[i]\n        while rest:\n"
+        "            closed |= reach[rest.bit_length() - 1]\n            rest &= ~closed\n"
+        "        reach[i] = closed\n"
+        "def reduce(succ, covers):\n    for x, s in enumerate(succ):\n"
+        "        beyond = 0\n        while s:\n            beyond |= succ[x]\n            s = 0\n"
+        "        covers[x] = beyond\n"
+        "def other(order, seen):\n    for i in order:\n        seen.append(i)\n"
+        "    stack = [0]\n    while stack:\n        stack.append(stack.pop())\n"
+    )
+    assert _enclosing(tree, _is_kahn_loop) == ["kahn"]
+    assert sorted(set(_enclosing(tree, _is_reach_loop))) == ["close", "reach"]
