@@ -299,10 +299,10 @@ def cmd_sample(args) -> int:
         mcmc._advance(state, burn, 0)
         for _ in range(count):
             mcmc._advance(state, spacing, 0)
-            print(" ".join(p.labels[i] for i in state.order))
+            print(" ".join(str(p.labels[i]) for i in state.order))
         return 0
     for ext in sample_extensions(p, count, args.seed, args.budget_nodes):
-        print(" ".join(ext))
+        print(" ".join(map(str, ext)))
     return 0
 
 

@@ -35,9 +35,9 @@ since an ideal has at most 64 edges in or out (:func:`_arrays_fit`).  Each
 answer is one CRT (De Loof, De Meyer and De Baets, "Exploiting the lattice
 of ideals representation of a poset", Fundam. Inform. 2006).  ``levels``,
 ``down``, ``up`` and the addable sets are Python-int views in key order,
-built on first read; draws read ``up`` by mask (one total per step, then
-the children up to the chosen one), so samples are the same on both
-kernels.
+built on first read.  Draws walk index tables over either kernel's stored
+out-edges (one total per step, then the children up to the chosen one),
+so samples are the same on both kernels and read none of those views.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -392,7 +392,9 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
     :func:`_segment_sums` reads them: a block (src, heads, into, x) groups
     the chunk's edges by target (into ``into[g]`` from the sources
     ``src[heads[g]:heads[g + 1]]``, adding ``x``), a run (tgt, starts,
-    span) by source, for the up pass of an acyclic ``pred``.  The last
+    span, x) by source, for the up pass of an acyclic ``pred`` and the
+    sampler: each edge's target in the next level and its element, by
+    source and then by element, and each source's first edge.  The last
     level (or the first no edge leaves, on a cycle) has ``edges`` None.
     x is addable to I when ``I & x == 0 and I & pred[x] == pred[x]``;
     ``pred`` need not be closed.
@@ -433,8 +435,9 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
             if len(edge) == 0:
                 continue
             src = edge // n
-            x = edge - src * n
-            starts = np.searchsorted(src, np.arange(len(ok)))  # each source's first edge
+            x = (edge - src * n).astype(ids)
+            # each source's first edge
+            starts = np.searchsorted(src, np.arange(len(ok))).astype(np.int32)
             src = (src + lo).astype(np.int32)
             key = keys[src] + stride[x]
             order = np.argsort(key)
@@ -453,18 +456,18 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
             tgt = np.empty(len(key), dtype=np.int32)  # each edge's target in ``new``, by source
             tgt[order] = np.cumsum(head) - 1
             heads = np.flatnonzero(head).astype(np.int32)
-            found.append((src[order], heads, new, x[order].astype(ids), tgt, starts, lo))
+            found.append((src[order], heads, new, x[order], tgt, starts, x, lo))
         if not found:
             break
         nodes += len(nxt)
         above = nxt[:, None] if width == 1 else np.empty((len(nxt), width), dtype=np.uint64)
         blocks, runs = [], []
-        for src, heads, new, x, tgt, starts, lo in found:
+        for src, heads, new, by_target, tgt, starts, x, lo in found:
             into = None if new is nxt else np.searchsorted(nxt, new).astype(np.int32)  # None: one chunk
-            blocks.append((src, heads, into, x))
-            runs.append((tgt if into is None else into[tgt], starts, slice(lo, lo + len(starts))))
+            blocks.append((src, heads, into, by_target))
+            runs.append((tgt if into is None else into[tgt], starts, slice(lo, lo + len(starts)), x))
             if width > 1:  # each next ideal is its first edge's source plus x
-                rows, first = level[src[heads]], x[heads]
+                rows, first = level[src[heads]], by_target[heads]
                 rows[np.arange(len(rows)), word[first]] |= bit[first]
                 above[slice(None) if into is None else into] = rows
         yield level, counts, (blocks, runs)
@@ -577,6 +580,15 @@ def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | N
     return _crt(counts[:, :1])[0] if size == n else 0
 
 
+def _index_type(edges: int) -> type:
+    """The sampler's index type for a lattice of ``edges`` edges.
+
+    Every ideal but the empty one has an edge in, so ``edges`` also bounds
+    the ideal indices, and no index wraps.
+    """
+    return np.int32 if edges < 1 << 31 else np.int64
+
+
 class _Arrays:
     """The array kernel's lattice: levels, edges and counts modulo primes.
 
@@ -594,16 +606,16 @@ class _Arrays:
         k = _primes_over(total)
         for size, c in enumerate(down):  # each wider copy is freed as it goes
             down[size] = c[:k].copy()
+        self.edges = [blocks for blocks, _ in edges[:-1]]
+        self.runs = [runs for _, runs in edges[:-1]]
         up = [None] * n + [np.ones((k, 1), dtype=np.int64)]
         for size in range(n - 1, -1, -1):
-            edges[size], runs = edges[size]  # the edges by source serve this pass only
-            up[size] = _segment_sums(up[size + 1], runs, len(levels[size]))
+            up[size] = _segment_sums(up[size + 1], self.runs[size], len(levels[size]))
         self.n = n
         self.k = k
         self.levels = levels
         self.down = down
         self.up = up
-        self.edges = edges[:-1]
         self.total = total
         self.nodes = sum(len(level) for level in levels)
         self._holds: dict[int, np.ndarray] = {}
@@ -756,6 +768,25 @@ class _Arrays:
             return down, up, above, first, span, srcs[0], tgts[0], cells[0]
         return down, up, above, first, span, *map(np.concatenate, (srcs, tgts, cells))
 
+    def tables(self) -> tuple[list[int], memoryview, memoryview, memoryview]:
+        """The sampler's tables (:meth:`DownsetLattice.sampler`), ideals in key order.
+
+        Every up count comes from one CRT, and the edges are the runs the
+        up pass read, offset to the concatenated ideals and edges.
+        """
+        tot = _crt(np.concatenate(self.up, axis=1))
+        index = _index_type(sum(len(run[0]) for runs in self.runs for run in runs))
+        first, et, ex = [], [], []
+        edges, above = 0, 1  # edges before a run, and the first ideal of the level above it
+        for runs, level in zip(self.runs, self.levels[1:]):
+            for tgt, starts, _, x in runs:
+                first.append(starts.astype(index) + edges)
+                et.append(tgt.astype(index) + above)
+                ex.append(x)
+                edges += len(tgt)
+            above += len(level)
+        return tot, *(memoryview(np.concatenate(a)) for a in (first, et, ex))
+
     def addables(self) -> list[list[int]]:
         """Each ideal's addable set, level by level in key order (the rows' order).
 
@@ -871,6 +902,32 @@ class DownsetLattice(_Lattice):
     def _addables(self) -> list[list[int]]:
         return self._arrays.addables()
 
+    @functools.cached_property
+    def _tables(self) -> tuple[list[int], memoryview, memoryview, memoryview]:
+        """The sampler's tables, built on its first call (see :meth:`sampler`)."""
+        return self._walk_tables() if self._arrays is None else self._arrays.tables()
+
+    def _walk_tables(self) -> tuple[list[int], memoryview, memoryview, memoryview]:
+        """The sampler's tables from the dict kernel's levels, addable sets and ``up``."""
+        ideals = list(itertools.chain.from_iterable(self.levels))
+        at = dict(zip(ideals, itertools.count()))
+        tot = list(map(self.up.__getitem__, ideals))
+        first, et, ex = [], [], []
+        for masks, sets in zip(self.levels, self._addables):
+            for mask, addable in zip(masks, sets):
+                first.append(len(et))
+                while addable:
+                    b = addable & -addable
+                    addable ^= b
+                    et.append(at[mask | b])
+                    ex.append(b.bit_length() - 1)
+        index = _index_type(len(et))
+        ids = np.min_scalar_type(len(self.levels) - 1)
+        return (
+            tot,
+            *(memoryview(np.array(a, dtype=t)) for a, t in ((first, index), (et, index), (ex, ids))),
+        )
+
     def _by_mask(self, residues: Sequence[np.ndarray]) -> dict[int, int]:
         """Each ideal's mask to its exact count, from the array kernel's residues."""
         masks = (m for level in self.levels for m in level)
@@ -960,42 +1017,41 @@ class DownsetLattice(_Lattice):
 
         At each step the next element is drawn among the minimal elements
         of the complement with probability proportional to the number of
-        completions, which makes every full path equally likely.  Those
-        weights sum to ``up[mask]``, so a step reads that total, draws r
+        completions, which makes every full path equally likely.  The draw
+        walks index tables, built on the first call and kept on the
+        lattice: per ideal, its exact up count ``tot`` and its first
+        out-edge, and per edge, its target ideal ``et`` and its element
+        ``ex``, each ideal's edges ascending by element.  A step from ideal
+        s reads ``tot[s]``, which its children's counts sum to, draws r
         below it as ``randrange`` does (``getrandbits`` of its bit length,
-        redrawn while r is not below it), and walks the addable elements in
-        ascending order, subtracting each ``up[mask | b]`` until r falls
-        below one: that child is taken, and the rest are not read.  Every
-        seed gives the extensions of ``randrange`` over the weight list.
+        redrawn while r is not below it), and walks s's edges subtracting
+        each ``tot[et[e]]`` until r falls below one: that edge is taken,
+        and the rest are not read.  So every seed gives the extensions of
+        ``randrange`` over the weight list, on either kernel, and a draw
+        reads no mask, nor the ``up``, ``down`` or ``levels`` views.
         """
-        pred = self.poset._pred_masks
-        steps = _steps(pred, self.poset._upper_cover_masks)
-        start = sum(1 << x for x in range(self.poset.n) if not pred[x])
-        up = self.up
+        n = len(self._order[0])
+        tot, first, et, ex = self._tables
 
         def draw(rng: random.Random) -> list[int]:
             bits = rng.getrandbits
-            mask = 0
-            addable = start
             order = []
-            while addable:
-                total = up[mask]
+            s = 0
+            for _ in range(n):
+                total = tot[s]
                 k = total.bit_length()
                 r = bits(k)
                 while r >= total:
                     r = bits(k)
-                rest = addable
-                while True:
-                    b = rest & -rest
-                    w = up[mask | b]
-                    if r < w:
-                        break
+                e = first[s]
+                s = et[e]
+                w = tot[s]
+                while r >= w:
                     r -= w
-                    rest ^= b
-                x = b.bit_length() - 1
-                order.append(x)
-                mask |= b
-                addable = _grow(addable, b, ~mask, steps[x])
+                    e += 1
+                    s = et[e]
+                    w = tot[s]
+                order.append(ex[e])
             return order
 
         return draw
@@ -1404,7 +1460,9 @@ def sample_extensions(
     """
     if count < 0:
         raise ValueError(f"samples must be non-negative, got {count}")
+    if count == 0:
+        return []
     draw = build_lattice(p, budget).sampler()
     rng = random.Random(seed)
-    labels = p.labels
-    return [tuple(labels[x] for x in draw(rng)) for _ in range(count)]
+    label = p.labels.__getitem__
+    return [tuple(map(label, draw(rng))) for _ in range(count)]

@@ -493,6 +493,19 @@ def test_sample_mc_is_pinned_per_seed(capsys, tmp_path, argv, expected):
     assert out == expected
 
 
+@pytest.mark.parametrize("argv", [[], ["--mc"]])
+def test_sample_prints_labels_that_are_not_str(capsys, tmp_path, argv):
+    path = write_poset(tmp_path, "p.json", {"labels": [1, 2, "x"], "covers": [[1, 2]]})
+    code, out, _ = run(capsys, "sample", path, "--samples", "6", "--seed", "1", *argv)
+    assert code == 0
+    lines = out.splitlines()[1:] if argv else out.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        order = line.split(" ")
+        assert sorted(order) == ["1", "2", "x"]
+        assert order.index("1") < order.index("2")
+
+
 def test_sample_mc_on_an_empty_poset(capsys, tmp_path):
     # no adjacent pair exists, so no seed may draw a slot
     path = write_poset(tmp_path, "empty.json", {"labels": [], "covers": []})

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linext import lattice
@@ -853,6 +854,81 @@ def test_sampler_matches_the_weight_list_draw(monkeypatch):
     assert rng.calls > 50
 
 
+def _lattices(lat) -> list[DownsetLattice]:
+    """``lat`` itself, or the lattices of its parts."""
+    return [part for _, part in lat.parts] if isinstance(lat, SplitLattice) else [lat]
+
+
+def _assert_draws_match_the_weight_list(monkeypatch, p: Poset, seeds=range(6), count=4) -> None:
+    """Table draws equal the weight-list draws, seed by seed, in extensions and generator state.
+
+    An array lattice's draws build none of its Python-int views.
+    """
+    lat = build_lattice(p)
+    runs = []
+    for oracle in (False, True):
+        with monkeypatch.context() as m:
+            if oracle:
+                m.setattr(DownsetLattice, "sampler", weight_list_sampler)
+            got = []
+            for seed in seeds:
+                rng = random.Random(seed)
+                draw = lat.sampler()
+                got.append(([draw(rng) for _ in range(count)], rng.getstate()))
+            runs.append(got)
+        if not oracle:
+            for part in _lattices(lat):
+                if part._arrays is not None:
+                    assert {"up", "down", "levels"}.isdisjoint(vars(part))
+    assert runs[0] == runs[1]
+
+
+def test_table_draws_match_the_weight_list_on_the_corpus(monkeypatch):
+    for _, p in builtin_corpus():
+        assert all(part._arrays is None for part in _lattices(build_lattice(p)))
+        _assert_draws_match_the_weight_list(monkeypatch, p)
+
+
+def test_table_draws_match_the_weight_list_on_array_lattices(monkeypatch):
+    young33 = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    random30 = random_poset(30, 0.12, seed=20)
+    young13x5 = young_diagram((13,) * 5).poset
+    young8x8 = young_diagram((8,) * 8).poset
+    assert build_lattice(young33)._arrays is not None and young33.n <= 64
+    parts = build_lattice(random30).parts
+    assert [part._arrays is not None for idx, part in parts if len(idx) == 29] == [True]
+    assert build_lattice(young13x5)._arrays is not None and young13x5.n > 64
+    assert build_lattice(young8x8).extension_count >= 1 << 64
+    for p in (young33, random30, young13x5, young8x8):
+        _assert_draws_match_the_weight_list(monkeypatch, p)
+
+
+def test_table_draws_match_the_weight_list_on_levels_of_several_runs(monkeypatch):
+    monkeypatch.setattr(lattice, "_CHUNK", 16)
+    for p in (young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset, young_diagram((6,) * 12).poset):
+        arrays = build_lattice(p)._arrays
+        assert arrays is not None and max(len(runs) for runs in arrays.runs) > 1
+        _assert_draws_match_the_weight_list(monkeypatch, p)
+
+
+def test_table_draws_match_the_weight_list_on_a_split_poset(monkeypatch):
+    split = disjoint_sum(disjoint_sum(young_diagram((5, 4, 3, 2)).poset, two_equal_chains(6)), antichain(2))
+    lat = build_lattice(split)
+    assert isinstance(lat, SplitLattice)
+    assert sorted(part._arrays is not None for _, part in lat.parts) == [False] * 4 + [True]
+    _assert_draws_match_the_weight_list(monkeypatch, split)
+
+
+def test_sampler_index_type_holds_every_index():
+    assert lattice._index_type((1 << 31) - 1) is np.int32
+    assert lattice._index_type(1 << 31) is np.int64
+    for p in (young_diagram((4, 3, 2)).poset, young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset):
+        lat = build_lattice(p)
+        tot, first, et, ex = lat._tables
+        assert (first.format, et.format, ex.format) == ("i", "i", "B")
+        assert len(tot) == lat.node_count and len(et) == len(ex) == sum(1 for _ in lat.edges())
+
+
 def test_negative_sample_count_is_refused_before_any_lattice(monkeypatch):
     built = []
     monkeypatch.setattr(lattice, "build_lattice", lambda *a: built.append(a))
@@ -861,6 +937,13 @@ def test_negative_sample_count_is_refused_before_any_lattice(monkeypatch):
     assert built == []
     monkeypatch.undo()
     assert sample_extensions(young_diagram((3, 2)).poset, 0) == []
+
+
+def test_zero_samples_build_no_lattice():
+    # past the budget, but no extension is asked for
+    p = young_diagram((4, 4, 4)).poset
+    assert sample_extensions(p, 0, budget=3) == []
+    assert "lattice" not in p._cache
 
 
 def test_implied_pairs_read_the_cached_lattice(monkeypatch):

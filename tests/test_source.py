@@ -203,14 +203,15 @@ def test_one_lattice_kernel_per_regime():
     # sort of each chunk's edges by target key and one insert per chunk
     # (the sweep sorts its edges by element, and nothing else sorts);
     # the dict regime grows addable sets in _walk, and the sampler's draw
-    # follows one path with the same rule; a dict lattice is walked once,
+    # walks index tables over the lattice's stored edges on either kernel,
+    # so only _walk grows addable sets; a dict lattice is walked once,
     # when it is built, a constrained count is one more walk, and the cwsig
     # stream draws its split ideals in _walk's order
     tree = _tree("lattice.py")
     assert _callers(tree, "unique") == []
     assert _callers(tree, "argsort") == ["_array_levels", "sweep"]
     assert _callers(tree, "insert") == ["_array_levels"]
-    assert sorted(set(_callers(tree, "_grow"))) == ["_walk", "draw"]
+    assert sorted(set(_callers(tree, "_grow"))) == ["_walk"]
     walks = [fn for path in SOURCES for fn in _callers(ast.parse(path.read_text()), "_walk")]
     assert sorted(walks) == ["__init__", "_down_pass", "random_cwsig_instance"]
 
