@@ -24,20 +24,21 @@ The array kernel, :func:`_array_levels`, serves lattices large enough to
 pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
 level is sorted by a one-word key (the mask, or past 64 elements the chain
 code of :func:`_chain_code`).  One broadcast test over a chunk of the level
-and every element finds the edges; one sort by target key groups them, and
-the chunk's targets are merged into the next level by binary search.  Path
-counts are kept modulo primes below 2^31: enough in the down pass to exceed
-a bound on e(P) (n! over the chain cover), so the Chinese remainder theorem
-(CRT) rebuilds e(P) exactly, and then only those that cover e(P), which
-bounds every other count.  The down, up and masked passes are int64 segment
-sums along grouped edges (:func:`_segment_sums`), below 2^6 2^31 = 2^37
-since an ideal has at most 64 edges in or out (:func:`_arrays_fit`).  Each
-answer is one CRT (De Loof, De Meyer and De Baets, "Exploiting the lattice
-of ideals representation of a poset", Fundam. Inform. 2006).  ``levels``,
-``down``, ``up`` and the addable sets are Python-int views in key order,
-built on first read.  Draws walk index tables over either kernel's stored
-out-edges (one total per step, then the children up to the chosen one),
-so samples are the same on both kernels and read none of those views.
+and every element finds the edges, kept by source; one sort by target key
+groups them for the down pass, and the chunk's targets are merged into the
+next level by binary search.  Path counts are kept modulo primes below
+2^31: enough in the down pass to exceed a bound on e(P) (n! over the chain
+cover), so the Chinese remainder theorem (CRT) rebuilds e(P) exactly, and
+then only those that cover e(P), which bounds every other count.  The down,
+up and masked passes are int64 segment sums (:func:`_segment_sums`), below
+2^6 2^31 = 2^37 since an ideal has at most 64 edges in or out
+(:func:`_arrays_fit`).  Each answer is one CRT (De Loof, De Meyer and De
+Baets, "Exploiting the lattice of ideals representation of a poset",
+Fundam. Inform. 2006).  ``levels``, ``down``, ``up`` and the addable sets
+are Python-int views in key order, built on first read.  Draws walk index
+tables over either kernel's stored out-edges (one total per step, then the
+children up to the chosen one), so samples are the same on both kernels and
+read none of those views.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -46,7 +47,7 @@ and :func:`conditional_probability` reads it there when the sweep is
 already made.  Two or more, and every other conditional count, are
 counted on the ideals that hold u whenever they hold v.  When the
 poset caches an array-kernel lattice within the budget, that is one
-masked down pass over its stored edges, the counts of every other ideal
+masked up pass over its stored edges, the counts of every other ideal
 zeroed, with a block of rows per pair set (a conditional's two counts
 share it).  Otherwise it is a constrained down pass, on either kernel,
 so the budget bounds only the ideals it walks.
@@ -345,10 +346,10 @@ def _segment_sums(counts: np.ndarray, runs: Sequence[tuple], m: int) -> np.ndarr
 
     A run, one chunk's edges, starts (pick, starts, into): group g sums
     ``counts[..., pick[starts[g]:starts[g + 1]]]`` into ``out[..., into[g]]``
-    (into ``out[..., g]`` when the level is one run), and plain fancy
-    indexing adds a run, whose groups are distinct.  The int64 sums are
-    exact: an ideal has at most 64 edges in or out (:func:`_arrays_fit`)
-    and a count is below 2^31, so a sum stays below 2^37.
+    (``out[..., g]`` for a level of one run), and fancy indexing adds a run,
+    whose groups (targets going down, sources going up) are distinct.  The
+    int64 sums are exact: an ideal has at most 64 edges in or out, each count
+    below 2^31, so a sum is below 2^37.
     """
     out = None if len(runs) == 1 else np.zeros(counts.shape[:-1] + (m,), dtype=np.int64)
     for pick, starts, into, *_ in runs:
@@ -383,27 +384,25 @@ def _element_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
-    """Yield the lattice level by level as (ideals, counts, edges); the array kernel.
+    """Yield the lattice level by level as (ideals, counts, runs); the array kernel.
 
     ``ideals`` holds one row of W = ceil(n / 64) little-endian ``uint64``
     words per ideal, and ``counts[j]`` the path counts from the empty
-    ideal modulo prime j, for j < ``k``.  ``edges`` is (blocks, runs), one
-    of each per chunk of the level that edges leave, as
-    :func:`_segment_sums` reads them: a block (src, heads, into, x) groups
-    the chunk's edges by target (into ``into[g]`` from the sources
-    ``src[heads[g]:heads[g + 1]]``, adding ``x``), a run (tgt, starts,
-    span, x) by source, for the up pass of an acyclic ``pred`` and the
-    sampler: each edge's target in the next level and its element, by
-    source and then by element, and each source's first edge.  The last
-    level (or the first no edge leaves, on a cycle) has ``edges`` None.
-    x is addable to I when ``I & x == 0 and I & pred[x] == pred[x]``;
-    ``pred`` need not be closed.
+    ideal modulo prime j, for j < ``k``.  ``runs`` holds a run (tgt,
+    starts, span, x) per chunk of the level that edges leave, as the up
+    pass of an acyclic ``pred`` reads it (:func:`_segment_sums`): the
+    chunk's edges by source and then by element, as each edge's target in
+    the next level and its element, and the first edge of each source in
+    the slice ``span`` of the level.  The last level (or the first no
+    edge leaves, on a cycle) has ``runs`` None.  x is addable to I when
+    ``I & x == 0 and I & pred[x] == pred[x]``; ``pred`` need not be closed.
 
     A level is sorted by a one-word key, the mask or else the chain code
     (:func:`_chain_code`); a target's key is its source's plus the stride of
-    x.  One sort of a chunk's edges by target key groups them and finds its
-    targets, merged into the next level by ``np.searchsorted`` (no level is
-    sorted whole), with the count checked against ``budget`` after each chunk.
+    x.  One sort of a chunk's edges by target key groups them for the down
+    pass, which drops them, and finds its targets, merged into the next
+    level by ``np.searchsorted`` (no level is sorted whole), with the count
+    checked against ``budget`` after each chunk.
     """
     width = max(1, -(-n // 64))
     elements, word, bit = _element_bits(n)
@@ -464,13 +463,13 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
         blocks, runs = [], []
         for src, heads, new, by_target, tgt, starts, x, lo in found:
             into = None if new is nxt else np.searchsorted(nxt, new).astype(np.int32)  # None: one chunk
-            blocks.append((src, heads, into, by_target))
+            blocks.append((src, heads, into))
             runs.append((tgt if into is None else into[tgt], starts, slice(lo, lo + len(starts)), x))
             if width > 1:  # each next ideal is its first edge's source plus x
                 rows, first = level[src[heads]], by_target[heads]
                 rows[np.arange(len(rows)), word[first]] |= bit[first]
                 above[slice(None) if into is None else into] = rows
-        yield level, counts, (blocks, runs)
+        yield level, counts, runs
         counts = _segment_sums(counts, blocks, len(nxt))
         keys, level = nxt, above
         words = [keys] if width == 1 else list(level.T)
@@ -590,24 +589,22 @@ def _index_type(edges: int) -> type:
 
 
 class _Arrays:
-    """The array kernel's lattice: levels, edges and counts modulo primes.
+    """The array kernel's lattice: levels, edges (once, by source) and counts modulo primes.
 
-    The down pass carries enough primes to exceed :func:`_count_bound`, so
-    its CRT gives e(P) exactly.  Every other count is at most e(P) (an
-    ideal's down times up counts extensions, and up is at least 1), so the
-    up pass and the sweeps keep the first ``k`` primes, the fewest whose
-    product exceeds e(P).
+    The down pass carries enough primes to exceed :func:`_count_bound`, so its
+    CRT gives e(P) exactly.  Every other count is at most e(P) (an ideal's down
+    times up counts extensions, and up is at least 1), so the up pass and the
+    sweeps keep the first ``k`` primes, the fewest whose product exceeds e(P).
     """
 
     def __init__(self, n: int, pred: Sequence[int], budget: int):
         built = _array_levels(n, pred, _primes_over(_count_bound(n, pred)), budget)
-        levels, down, edges = map(list, zip(*built))
+        levels, down, runs = map(list, zip(*built))
         total = _crt(down[-1][:, :1])[0]
         k = _primes_over(total)
         for size, c in enumerate(down):  # each wider copy is freed as it goes
             down[size] = c[:k].copy()
-        self.edges = [blocks for blocks, _ in edges[:-1]]
-        self.runs = [runs for _, runs in edges[:-1]]
+        self.runs = runs[:-1]
         up = [None] * n + [np.ones((k, 1), dtype=np.int64)]
         for size in range(n - 1, -1, -1):
             up[size] = _segment_sums(up[size + 1], self.runs[size], len(levels[size]))
@@ -625,11 +622,12 @@ class _Arrays:
 
         The poset's ideals with each v also waiting for its u are the
         ideals here that hold u whenever they hold v.  So each count is the
-        down pass again, the counts of every other ideal zeroed after each
-        level; each list is one block of k rows (k primes cover a count at
-        most e(P)), and one pass serves them all.  Which ideals hold x is
-        one ``bool`` column, built the first time an event names x and kept
-        on the lattice, so only the elements events name cost memory.
+        up pass again to the empty ideal, the counts of every other ideal
+        zeroed after each level; each list is one block of k rows (k primes
+        cover a count at most e(P)), and one pass serves them all.  Which
+        ideals hold x is one ``bool`` column, built the first time an event
+        names x and kept on the lattice, so only the elements events name
+        cost memory.
         """
         holds = self._holds
         new = {x for pairs in events for pair in pairs for x in pair}.difference(holds)
@@ -643,11 +641,11 @@ class _Arrays:
             for u, v in pairs:
                 row &= holds[u] >= holds[v]  # u held, or v not
         counts = np.ones((len(events), self.k, 1), dtype=np.int64)
-        end = 1
-        for blocks, level in zip(self.edges, self.levels[1:]):
-            counts = _segment_sums(counts, blocks, len(level))
+        end = self.nodes - 1  # the top's index, then each level's first as it is summed into
+        for runs, level in zip(self.runs[::-1], self.levels[-2::-1]):
+            counts = _segment_sums(counts, runs, len(level))
+            end -= len(level)
             counts *= keep[:, :, end : end + len(level)]
-            end += len(level)
         return _crt(counts[:, :, 0].T)
 
     def sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
@@ -716,18 +714,18 @@ class _Arrays:
 
         Consecutive levels join one band until it holds :data:`_CHUNK`
         edges; a level that alone holds that many is a band per stored
-        block, so a large level costs what its blocks cost.
+        run, so a large level costs what its runs cost.
         """
         pieces, edges = [], 0
-        for size, blocks in enumerate(self.edges):
-            count = sum(len(block[0]) for block in blocks)
+        for size, runs in enumerate(self.runs):
+            count = sum(len(run[0]) for run in runs)
             if count >= _CHUNK:
                 if pieces:
                     yield pieces
                     pieces, edges = [], 0
-                yield from ([(size, block)] for block in blocks)
+                yield from ([(size, run)] for run in runs)
                 continue
-            pieces += [(size, block) for block in blocks]
+            pieces += [(size, run) for run in runs]
             edges += count
             if edges >= _CHUNK:
                 yield pieces
@@ -742,8 +740,8 @@ class _Arrays:
         counts of its levels first to first + span - 1, and the up counts
         and ideals of the levels after them, side by side (a level's own
         arrays when the band has one level); then per edge its source in
-        ``down``, its target in ``up`` and ``above``, and its cell
-        x span + (level - first).
+        ``down`` (rebuilt from its run's first edges), its target in ``up``
+        and ``above``, and its cell x span + (level - first).
         """
         first, last = pieces[0][0], pieces[-1][0]
         span = last - first + 1
@@ -757,10 +755,10 @@ class _Arrays:
         at = [0, *itertools.accumulate(len(level) for level in self.levels[first : last + 2])]
         cell_type = np.min_scalar_type(self.n * span)
         srcs, tgts, cells = [], [], []
-        for size, (src, heads, targets, x) in pieces:
+        for size, (tgt, starts, sources, x) in pieces:
             t = size - first
-            group = np.arange(len(heads), dtype=np.int32) if targets is None else targets
-            tgt = np.repeat(group, np.diff(heads, append=len(src)))
+            src = np.arange(sources.start, sources.stop, dtype=np.int32)
+            src = np.repeat(src, np.diff(starts, append=len(tgt)))  # each edge's source
             srcs.append(src + at[t] if t else src)
             tgts.append(tgt + (at[t + 1] - at[1]) if t else tgt)
             cells.append(x if span == 1 else x.astype(cell_type) * span + t)
@@ -790,14 +788,16 @@ class _Arrays:
     def addables(self) -> list[list[int]]:
         """Each ideal's addable set, level by level in key order (the rows' order).
 
-        The set of an ideal holds the elements on the edges that leave it.
+        The set of an ideal holds the elements on the edges that leave it:
+        a level's runs list every ideal below the top, in order.
         """
         found = []
-        for blocks, level in zip(self.edges, self.levels):
-            sets = [0] * len(level)
-            for src, _, _, x in blocks:
-                for s, e in zip(src.tolist(), x.tolist()):
-                    sets[s] |= 1 << e
+        for runs in self.runs:
+            sets = []
+            for _, starts, _, x in runs:
+                bits = [1 << e for e in x.tolist()]
+                ends = [*starts.tolist(), len(bits)]
+                sets += [sum(bits[a:b]) for a, b in zip(ends, ends[1:])]
             found.append(sets)
         return found + [[0]]
 

@@ -149,38 +149,68 @@ def test_arrays_match_the_dict_kernel_past_64_elements(monkeypatch):
 
 
 def test_each_level_is_one_edge_table(monkeypatch):
-    # chunks of 3 cut the levels into several blocks, one per build chunk,
-    # and each block into several sweep chunks
+    # chunks of 3 cut the levels into several runs, one per build chunk,
+    # and each run into several sweep chunks
     monkeypatch.setattr(lattice, "_CHUNK", 3)
     for p in (young_diagram((4, 3, 3, 1)).poset, _crossed_chains(3, 22)):
         arrays, walked = _both(monkeypatch, p)
-        tables = arrays._arrays.edges
+        tables = arrays._arrays.runs
         levels = [lattice._ints(level) for level in arrays._arrays.levels]
-        per_level = [0] * p.n
-        for mask, _, _ in walked.edges():
-            per_level[mask.bit_count()] += 1
+        per_level: list[list[tuple[int, int]]] = [[] for _ in range(p.n)]
+        for mask, x, _ in walked.edges():
+            per_level[mask.bit_count()].append((mask, x))
         assert len(tables) == p.n
-        assert max(len(level) for level in levels) > 3 and max(sum(len(b[0]) for b in t) for t in tables) > 6
+        assert max(len(level) for level in levels) > 3 and max(sum(len(r[0]) for r in t) for t in tables) > 6
         assert max(len(t) for t in tables) > 1
-        for t, blocks in enumerate(tables):
-            reached = []
-            for c, (src, heads, into, x) in enumerate(blocks):
-                # heads partitions the block into one group per target, and
-                # a lone block's groups are the next level in order
-                assert heads[0] == 0 and (np.diff(heads) > 0).all() and heads[-1] < len(src) == len(x)
-                if into is None:
-                    assert len(blocks) == 1 and len(heads) == len(levels[t + 1])
-                    into = np.arange(len(heads))
-                assert len(into) == len(heads) == len(set(into.tolist()))
-                reached += into.tolist()
-                # block c holds the edges leaving chunk c of the level
-                assert set(src.tolist()) == set(range(3 * c, min(3 * c + 3, len(levels[t]))))
-                tgt = np.repeat(into, np.diff(heads, append=len(src)))
+        for t, runs in enumerate(tables):
+            found, reached = [], set()
+            for c, (tgt, starts, sources, x) in enumerate(runs):
+                # run c holds the edges leaving chunk c of the level, and
+                # starts marks each source's first edge (every ideal below
+                # the top has one)
+                assert sources == slice(3 * c, min(3 * c + 3, len(levels[t])))
+                assert len(starts) == sources.stop - sources.start and starts[0] == 0
+                assert (np.diff(starts) > 0).all() and starts[-1] < len(tgt) == len(x)
+                src = np.repeat(np.arange(sources.start, sources.stop), np.diff(starts, append=len(tgt)))
                 for i, e, j in zip(src.tolist(), x.tolist(), tgt.tolist()):
                     assert not levels[t][i] >> e & 1
                     assert levels[t + 1][j] == levels[t][i] | 1 << e
-            assert sorted(set(reached)) == list(range(len(levels[t + 1])))
-            assert sum(len(b[0]) for b in blocks) == per_level[t]
+                    found.append((i, e))
+                    reached.add(j)
+            # by source, then ascending by element, each edge once, and
+            # every edge of the level and ideal of the next one reached
+            assert found == sorted(set(found))
+            assert sorted((levels[t][i], e) for i, e in found) == sorted(per_level[t])
+            assert reached == set(range(len(levels[t + 1])))
+
+
+def _held_arrays(obj) -> list[np.ndarray]:
+    """Every numpy array in ``obj``, through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for o in obj for a in _held_arrays(o)]
+    return []
+
+
+def test_an_array_lattice_holds_each_edge_once(monkeypatch):
+    # the runs by source are the one edge store: per edge, its target and
+    # element; per ideal below the top, its first edge
+    for p in (young_diagram((8,) * 8).poset, young_diagram((13,) * 5).poset):
+        arrays, walked = _both(monkeypatch, p)
+        held = arrays._arrays
+        assert not hasattr(held, "edges")
+        per_ideal = {id(a) for name in ("levels", "down", "up") for a in _held_arrays(getattr(held, name))}
+        assert sum(len(level) for level in held.levels) == sum(c.shape[1] for c in held.down) == held.nodes
+        runs = [run for level in held.runs for run in level]
+        assert sum(len(starts) for _, starts, _, _ in runs) == held.nodes - 1
+        per_ideal |= {id(starts) for _, starts, _, _ in runs}
+        per_edge = {id(a) for a in _held_arrays(vars(held))} - per_ideal
+        assert per_edge == {id(a) for tgt, _, _, x in runs for a in (tgt, x)}
+        edges = sum(1 for _ in walked.edges())
+        assert sum(len(tgt) for tgt, _, _, _ in runs) == sum(len(x) for _, _, _, x in runs) == edges
 
 
 def _spy_segment_sums(monkeypatch) -> list[np.ndarray]:
@@ -217,7 +247,8 @@ def _assert_passes_match_the_float64_gather(monkeypatch, p: Poset, events) -> No
     arrays = DownsetLattice(_fresh(p))._arrays
     found = arrays.masked(events)
     levels = [lattice._ints(level) for level in arrays.levels]
-    assert any(sum(len(b[1]) for b in blocks) > len(level) for blocks, level in zip(arrays.edges, levels[1:]))
+    reached = [sum(len(set(run[0].tolist())) for run in runs) for runs in arrays.runs]
+    assert any(r > len(level) for r, level in zip(reached, levels[1:]))
     edges = _key_order_edges(monkeypatch, p, levels)
     k, mods = arrays.k, lattice._MODS
     # the build's down pass carries every prime of the count bound
@@ -228,9 +259,10 @@ def _assert_passes_match_the_float64_gather(monkeypatch, p: Poset, events) -> No
     for (src, tgt), level in zip(edges[::-1], levels[-2::-1]):
         up.append(gather_float64(src, tgt, up[-1], mods, len(level)))
     expected = down[1:] + up[1:]
+    # the masked pass runs top-down, over the edges as the up pass reads them
     counts = np.ones((len(events), k, 1), dtype=np.int64)
-    for (src, tgt), level in zip(edges, levels[1:]):
-        counts = gather_float64(tgt, src, counts, mods, len(level))
+    for (src, tgt), level in zip(edges[::-1], levels[-2::-1]):
+        counts = gather_float64(src, tgt, counts, mods, len(level))
         expected.append(counts)
         # an ideal is kept unless it holds some v without its u
         keep = [[not any(m >> v & 1 and not m >> u & 1 for u, v in pairs) for m in level] for pairs in events]
@@ -499,7 +531,8 @@ def test_wide_count_samples_pinned():
 
 def test_array_kernel_samples_pinned():
     # drawn when array-kernel lattices listed their ideals in the dict
-    # kernel's order; a draw reads ``up`` by mask, so key order keeps them
+    # kernel's order; a draw walks the index tables, each ideal's edges
+    # ascending by element, so the order of the ideals does not change them
     young = young_diagram((5, 4, 3, 2)).poset
     r14 = random_poset(14, 0.2, seed=1)
     split = disjoint_sum(random_poset(14, 0.2, seed=1), antichain(3))

@@ -827,8 +827,8 @@ class _CountingRandom(random.Random):
 
 
 def test_sampler_matches_the_weight_list_draw(monkeypatch):
-    # the draw below up[mask] and the early stop keep every seed's
-    # extensions: the weight-list loop is the reference
+    # the draw below tot[s] in the index tables and the early stop keep
+    # every seed's extensions: the weight-list loop is the reference
     dict_young = young_diagram((4, 3, 2)).poset
     young33 = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
     young13x5 = young_diagram((13,) * 5).poset

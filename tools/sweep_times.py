@@ -1,14 +1,19 @@
 """Time the lattice in process: its build, its sweeps and its exact sampler.
 
 Each repeat builds the poset and its lattice afresh, then times one call
-of the method on it, so no cached counts or tables are read.  The methods
-are ``pair_counts``, ``position_counts`` and ``sampler``: for ``sampler``
-the call timed is the first, which sets the draw up, and the draw it
-returns is then timed over 20 draws (``draw_us``, µs per draw).  The build
-itself (``build_ms``) is timed on every fresh lattice, so the set-up's
-share of it can be read off the same run.  The posets are the lattices
-the benchmark's exact_wide and query_mix workloads sweep, plus two large
-ones whose levels each hold several chunks:
+of the method on it, so no cached counts or tables are read.  The
+methods are ``pair_counts``, ``position_counts`` and ``sampler``: for
+``sampler`` the call timed is the first, which sets the draw up, and the
+draw it returns is then timed over 20 draws (``draw_us``, µs per draw).
+The build itself (``build_ms``) is timed on every fresh lattice, so the
+set-up's share of it can be read off the same run.  The bytes an array
+lattice holds are read once per poset, on a fresh lattice: the
+``nbytes`` of its ``levels``, ``down`` and ``up`` arrays and of every
+other array it keeps (``edges``), and their sum (``held``), each in
+bytes per ideal (``_B``), over the parts the array kernel built (no
+such columns when it built none).  The posets are the lattices the benchmark's
+exact_wide and query_mix workloads sweep, plus two large ones whose
+levels each hold several chunks:
 
 - ``young8x8``, ``young13x5``, ``random30``: exact_wide's inputs (random30
   splits into parts, so its sweep runs per part);
@@ -34,6 +39,8 @@ import json
 import random
 import statistics
 import time
+
+import numpy as np
 
 from linext.families import grid_ideal, random_poset, young_diagram
 from linext.lattice import build_lattice
@@ -71,6 +78,38 @@ def _one_call(data: dict, method: str) -> dict[str, float]:
     return times
 
 
+def _arrays_in(value) -> list[np.ndarray]:
+    """Every numpy array in ``value``, through dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _arrays_in(item)]
+    return []
+
+
+def _held_bytes(data: dict) -> dict[str, float]:
+    """Bytes per ideal that a fresh lattice of ``data``'s array-kernel parts holds.
+
+    ``levels``, ``down`` and ``up`` are those attributes' arrays; ``edges``
+    is every other array the lattice keeps.  Empty when no part is an array
+    lattice.
+    """
+    lat = build_lattice(Poset.from_dict(data))
+    parts = [part for _, part in lat.parts] if hasattr(lat, "parts") else [lat]
+    arrays = [part._arrays for part in parts if part._arrays is not None]
+    if not arrays:
+        return {}
+    held = dict.fromkeys(("levels", "down", "up", "edges"), 0)
+    for a in arrays:
+        for name, value in vars(a).items():
+            held[name if name in held else "edges"] += sum(x.nbytes for x in _arrays_in(value))
+    held["held"] = sum(held.values())
+    nodes = sum(a.nodes for a in arrays)
+    return {f"{name}_B": size / nodes for name, size in held.items()}
+
+
 def _medians(data: dict, reps: int) -> dict[str, float]:
     """Median ms of the build and each method, and median µs per draw."""
     runs = [_one_call(data, method) for _ in range(reps) for method in METHODS]
@@ -97,13 +136,14 @@ def main() -> None:
         data = POSETS[name]().to_dict()
         _one_call(data, METHODS[0])  # warm the imports and caches the first call pays
         report[name] = _medians(data, args.reps)
+        report[name].update((key, round(value, 1)) for key, value in _held_bytes(data).items())
     if args.json:
         print(json.dumps(report))
         return
-    columns = list(next(iter(report.values())))
+    columns = list(max(report.values(), key=len))
     print("poset  " + "  ".join(columns))
     for name, row in report.items():
-        print(name + "  " + "  ".join(f"{row[c]:.2f}" for c in columns))
+        print(name + "  " + "  ".join(f"{row[c]:.2f}" if c in row else "-" for c in columns))
 
 
 if __name__ == "__main__":
