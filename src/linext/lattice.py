@@ -16,9 +16,9 @@ pass tests elements that cannot come next.  The down pass is this walk
 with path counts, and the lattice keeps its levels with every ideal's
 addable set, one int per ideal.  The up pass is a reverse loop over
 those levels, and the position counts (with the pair counts, when asked,
-in the same pass) and ``edges`` read them too, so a lattice is walked
-once.  It serves small lattices, and any poset the array kernel cannot
-hold (:func:`_arrays_fit`).
+in the same pass) and the sampler's tables read them too, so a lattice
+is walked once.  It serves small lattices, and any poset the array
+kernel cannot hold (:func:`_arrays_fit`).
 
 The array kernel, :func:`_array_levels`, serves lattices large enough to
 pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
@@ -34,11 +34,11 @@ up and masked passes are int64 segment sums (:func:`_segment_sums`), below
 2^6 2^31 = 2^37 since an ideal has at most 64 edges in or out
 (:func:`_arrays_fit`).  Each answer is one CRT (De Loof, De Meyer and De
 Baets, "Exploiting the lattice of ideals representation of a poset",
-Fundam. Inform. 2006).  ``levels``, ``down``, ``up`` and the addable sets
-are Python-int views in key order, built on first read.  Draws walk index
-tables over either kernel's stored out-edges (one total per step, then the
-children up to the chosen one), so samples are the same on both kernels and
-read none of those views.
+Fundam. Inform. 2006).  Neither kernel shows its ideals or path counts:
+a lattice answers with counts, laws, pair counts and draws.  Draws walk
+index tables over either kernel's stored out-edges (one total per step,
+then the children up to the chosen one), so samples are the same on both
+kernels.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -359,14 +359,6 @@ def _segment_sums(counts: np.ndarray, runs: Sequence[tuple], m: int) -> np.ndarr
         else:
             out[..., into] += part
     return out % _MODS[: counts.shape[-2]]
-
-
-def _ints(rows: np.ndarray) -> list[int]:
-    """Each row of little-endian ``uint64`` words as one Python int."""
-    value = rows[:, -1].tolist()
-    for j in range(rows.shape[1] - 2, -1, -1):
-        value = [v << 64 | w for v, w in zip(value, rows[:, j].tolist())]
-    return value
 
 
 @functools.lru_cache(maxsize=256)
@@ -785,22 +777,6 @@ class _Arrays:
             above += len(level)
         return tot, *(memoryview(np.concatenate(a)) for a in (first, et, ex))
 
-    def addables(self) -> list[list[int]]:
-        """Each ideal's addable set, level by level in key order (the rows' order).
-
-        The set of an ideal holds the elements on the edges that leave it:
-        a level's runs list every ideal below the top, in order.
-        """
-        found = []
-        for runs in self.runs:
-            sets = []
-            for _, starts, _, x in runs:
-                bits = [1 << e for e in x.tolist()]
-                ends = [*starts.tolist(), len(bits)]
-                sets += [sum(bits[a:b]) for a, b in zip(ends, ends[1:])]
-            found.append(sets)
-        return found + [[0]]
-
 
 class _Lattice:
     """What both lattice classes share: a hold on the poset, and the laws.
@@ -843,15 +819,16 @@ class _Lattice:
 class DownsetLattice(_Lattice):
     """Ideals of a poset with path counts from both ends.
 
-    ``down[m]`` counts paths from the empty ideal to ideal ``m`` (linear
-    extensions of the restriction to ``m``); ``up[m]`` counts paths from
-    ``m`` to the full ground set.  ``up[0]`` is the extension count.
-
-    A poset whose lattice is large enough and fits the array kernel
-    (:func:`_arrays_win`) is built by that kernel (:class:`_Arrays`), whose
-    ``levels``, ``down``, ``up`` and addable sets are views in key order;
-    any other by the dict kernel (:func:`_walk`), which lists each level in
-    order of discovery.  Both give the same exact answers.
+    down(I) counts the paths from the empty ideal to ideal I (linear
+    extensions of the restriction to I), up(I) those from I to the full
+    ground set; up of the empty ideal is the extension count.  The lattice
+    answers under :class:`SplitLattice`'s public names but ``parts``, on
+    either kernel, and its ideals and counts stay private to the kernel:
+    the array kernel (:class:`_Arrays`) when the lattice is large enough
+    and fits it (:func:`_arrays_win`), each level in key order, and
+    otherwise the dict kernel (:func:`_walk`), each level in order of
+    discovery with its addable sets and counts by mask.  Both give the
+    same exact answers.
     """
 
     def __init__(self, poset: Poset, budget: int | None = None):
@@ -880,27 +857,9 @@ class DownsetLattice(_Lattice):
                     addable ^= b
                     total += up[mask | b]
                 up[mask] = total
-        # these shadow the array kernel's views below
-        self.levels, self.down, self.up, self._addables = levels, down, up, addables
+        self._levels, self._down, self._up, self._addables = levels, down, up, addables
         self.node_count = len(down)
         self.extension_count = up[0]
-
-    @functools.cached_property
-    def levels(self) -> list[list[int]]:
-        """Ideals by size: in order of discovery, or on the array kernel by key."""
-        return [_ints(level) for level in self._arrays.levels]
-
-    @functools.cached_property
-    def down(self) -> dict[int, int]:
-        return self._by_mask(self._arrays.down)
-
-    @functools.cached_property
-    def up(self) -> dict[int, int]:
-        return self._by_mask(self._arrays.up)
-
-    @functools.cached_property
-    def _addables(self) -> list[list[int]]:
-        return self._arrays.addables()
 
     @functools.cached_property
     def _tables(self) -> tuple[list[int], memoryview, memoryview, memoryview]:
@@ -909,11 +868,11 @@ class DownsetLattice(_Lattice):
 
     def _walk_tables(self) -> tuple[list[int], memoryview, memoryview, memoryview]:
         """The sampler's tables from the dict kernel's levels, addable sets and ``up``."""
-        ideals = list(itertools.chain.from_iterable(self.levels))
+        ideals = list(itertools.chain.from_iterable(self._levels))
         at = dict(zip(ideals, itertools.count()))
-        tot = list(map(self.up.__getitem__, ideals))
+        tot = list(map(self._up.__getitem__, ideals))
         first, et, ex = [], [], []
-        for masks, sets in zip(self.levels, self._addables):
+        for masks, sets in zip(self._levels, self._addables):
             for mask, addable in zip(masks, sets):
                 first.append(len(et))
                 while addable:
@@ -922,25 +881,11 @@ class DownsetLattice(_Lattice):
                     et.append(at[mask | b])
                     ex.append(b.bit_length() - 1)
         index = _index_type(len(et))
-        ids = np.min_scalar_type(len(self.levels) - 1)
+        ids = np.min_scalar_type(len(self._levels) - 1)
         return (
             tot,
             *(memoryview(np.array(a, dtype=t)) for a, t in ((first, index), (et, index), (ex, ids))),
         )
-
-    def _by_mask(self, residues: Sequence[np.ndarray]) -> dict[int, int]:
-        """Each ideal's mask to its exact count, from the array kernel's residues."""
-        masks = (m for level in self.levels for m in level)
-        return dict(zip(masks, _crt(np.concatenate(residues, axis=1))))
-
-    def edges(self):
-        """Yield (ideal, added element index, extended ideal)."""
-        for masks, addables in zip(self.levels, self._addables):
-            for mask, addable in zip(masks, addables):
-                while addable:
-                    b = addable & -addable
-                    addable ^= b
-                    yield mask, b.bit_length() - 1, mask | b
 
     # named here too: benchmarks/tracing.py wraps it in this class's namespace
     marginals = _Lattice.marginals
@@ -980,8 +925,8 @@ class DownsetLattice(_Lattice):
         pos = [[0] * n for _ in range(n)]
         counts = [[0] * n for _ in range(n)]
         later = [m >> (x + 1) << (x + 1) for x, m in enumerate(p._incomp_masks)]
-        down, up = self.down, self.up
-        for size, (masks, addables) in enumerate(zip(self.levels, self._addables)):
+        down, up = self._down, self._up
+        for size, (masks, addables) in enumerate(zip(self._levels, self._addables)):
             for mask, addable in zip(masks, addables):
                 d = down[mask]
                 while addable:
@@ -1028,7 +973,7 @@ class DownsetLattice(_Lattice):
         each ``tot[et[e]]`` until r falls below one: that edge is taken,
         and the rest are not read.  So every seed gives the extensions of
         ``randrange`` over the weight list, on either kernel, and a draw
-        reads no mask, nor the ``up``, ``down`` or ``levels`` views.
+        reads no mask.
         """
         n = len(self._order[0])
         tot, first, et, ex = self._tables
@@ -1122,10 +1067,10 @@ class SplitLattice(_Lattice):
     :class:`DownsetLattice`, cached on the part, and every answer is
     folded from the parts' exact integers: in a uniform extension the
     parts' orders are independent and uniformly interleaved.  It answers
-    what :class:`DownsetLattice` answers without reading ideals:
-    ``extension_count``, ``node_count`` (the nodes built, summed over the
-    parts), ``position_counts``, ``marginals``, ``pair_counts`` and
-    ``sampler``.
+    under :class:`DownsetLattice`'s public names (``poset``,
+    ``extension_count``, ``node_count``, the nodes built summed over the
+    parts, ``position_counts``, ``marginals``, ``pair_counts`` and
+    ``sampler``) and adds ``parts``, each part's indices with its lattice.
     """
 
     def __init__(self, poset: Poset, parts: list[list[int]], budget: int):

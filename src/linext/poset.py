@@ -472,17 +472,17 @@ def max_incomparable_pair(
     full = (1 << n) - 1
 
     if mode == "greedy":
-        seed = max(range(n), key=lambda i: (bin(inc[i]).count("1"), -i))
+        seed = max(range(n), key=lambda i: (inc[i].bit_count(), -i))
         a_mask = 1 << seed
         cand = inc[seed]
         while True:
             b_mask = cand & ~a_mask
             best_gain = None
-            current = bin(a_mask).count("1") * bin(b_mask).count("1")
+            current = a_mask.bit_count() * b_mask.bit_count()
             for z in _bits(full & ~a_mask):
                 nc = cand & inc[z]
                 na = a_mask | (1 << z)
-                prod = bin(na).count("1") * bin(nc & ~na).count("1")
+                prod = na.bit_count() * (nc & ~na).bit_count()
                 if prod > current and (best_gain is None or prod > best_gain[0]):
                     best_gain = (prod, z, nc)
             if best_gain is None:
@@ -491,9 +491,9 @@ def max_incomparable_pair(
             a_mask |= 1 << z
         b_mask = cand & ~a_mask
         best = (a_mask, b_mask)
-        profile_max = max(bin(m).count("1") for m in inc)
+        profile_max = max(m.bit_count() for m in inc)
         bound = min(profile_max * profile_max, (n * n) // 4)
-        product = bin(best[0]).count("1") * bin(best[1]).count("1")
+        product = best[0].bit_count() * best[1].bit_count()
         mu = Fraction(product, max(bound, product))
     elif mode == "exact":
         if n > limit:
@@ -509,7 +509,7 @@ def max_incomparable_pair(
             if not a_mask or not b_mask:
                 return
             key = _pair_key(
-                bin(a_mask).count("1"), bin(b_mask).count("1"), a_mask, b_mask
+                a_mask.bit_count(), b_mask.bit_count(), a_mask, b_mask
             )
             if best_key is None or key < best_key:
                 best_key = key
@@ -518,7 +518,7 @@ def max_incomparable_pair(
         def search(idx: int, a_mask: int, n_a: int, cand: int):
             if best_key is not None:
                 remaining = n - idx
-                if (n_a + remaining) * bin(cand).count("1") < -best_key[0]:
+                if (n_a + remaining) * cand.bit_count() < -best_key[0]:
                     return
             if idx == n:
                 return
@@ -534,13 +534,13 @@ def max_incomparable_pair(
         search(0, 0, 0, full)
         if best is None:  # a non-chain always has an incomparable pair
             raise RuntimeError("no incomparable pair found in a non-chain")
-        product = bin(best[0]).count("1") * bin(best[1]).count("1")
+        product = best[0].bit_count() * best[1].bit_count()
         mu = Fraction(1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     a_mask, b_mask = best
-    n_a, n_b = bin(a_mask).count("1"), bin(b_mask).count("1")
+    n_a, n_b = a_mask.bit_count(), b_mask.bit_count()
     if (n_b, -n_a) < (n_a, -n_b):
         a_mask, b_mask = b_mask, a_mask
     a = tuple(p.labels[i] for i in _bits(a_mask))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from linext.lattice import DownsetLattice, _grow, _steps
+from linext.lattice import DownsetLattice, _crt, _grow, _steps
 from linext.mcmc import ChainState
 from linext.errors import CycleDetected, DuplicateLabel, UnknownElement
 from linext.poset import Poset, _bits, _cover_masks, _row_masks, _unpack_masks
@@ -172,6 +172,63 @@ def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[i
     return swaps
 
 
+def ideal_levels(lat: DownsetLattice) -> list[list[int]]:
+    """Each level's ideals as Python-int masks, in the order the kernel holds them.
+
+    The dict kernel lists a level in order of discovery, the array kernel
+    by key, its rows of little-endian ``uint64`` words joined per ideal.
+    """
+    if lat._arrays is None:
+        return lat._levels
+    found = []
+    for rows in lat._arrays.levels:
+        value = rows[:, -1].tolist()
+        for j in range(rows.shape[1] - 2, -1, -1):
+            value = [v << 64 | w for v, w in zip(value, rows[:, j].tolist())]
+        found.append(value)
+    return found
+
+
+def path_counts(lat: DownsetLattice) -> tuple[dict[int, int], dict[int, int]]:
+    """(down, up): each ideal's mask to its exact path counts from below and above.
+
+    On the array kernel both come from one CRT over the stored residues.
+    """
+    if lat._arrays is None:
+        return lat._down, lat._up
+    masks = [m for level in ideal_levels(lat) for m in level]
+    counts = _crt(np.concatenate(lat._arrays.down + lat._arrays.up, axis=1))
+    return dict(zip(masks, counts)), dict(zip(masks, counts[len(masks) :]))
+
+
+def lattice_edges(lat: DownsetLattice) -> list[tuple[int, int, int]]:
+    """Every edge as (ideal, added element, extended ideal), level by level.
+
+    Within a level, by source in the kernel's order, then by element: the
+    dict kernel's addable sets, or the array kernel's runs, whose ``starts``
+    mark each source's first edge.
+    """
+    levels = ideal_levels(lat)
+    if lat._arrays is None:
+        addables = lat._addables
+    else:
+        addables = []
+        for runs in lat._arrays.runs:
+            sets = []
+            for _, starts, _, x in runs:
+                bits = [1 << e for e in x.tolist()]
+                ends = [*starts.tolist(), len(bits)]
+                sets += [sum(bits[a:b]) for a, b in zip(ends, ends[1:])]
+            addables.append(sets)
+        addables.append([0])
+    edges = []
+    for masks, sets in zip(levels, addables):
+        for mask, addable in zip(masks, sets):
+            for x in _bits(addable):
+                edges.append((mask, x, mask | 1 << x))
+    return edges
+
+
 def weight_list_sampler(lat: DownsetLattice):
     """The exact sampler as first written, a drop-in for ``DownsetLattice.sampler``.
 
@@ -182,7 +239,7 @@ def weight_list_sampler(lat: DownsetLattice):
     pred = lat.poset._pred_masks
     steps = _steps(pred, lat.poset._upper_cover_masks)
     start = sum(1 << x for x in range(lat.poset.n) if not pred[x])
-    up = lat.up
+    _, up = path_counts(lat)
 
     def draw(rng: random.Random) -> list[int]:
         mask = 0

@@ -29,7 +29,16 @@ from linext.lattice import (
     sample_extensions,
 )
 from linext.poset import Poset, disjoint_sum
-from oracles import brute_count, brute_marginal, brute_pair_counts, gather_float64, hook_length_count
+from oracles import (
+    brute_count,
+    brute_marginal,
+    brute_pair_counts,
+    gather_float64,
+    hook_length_count,
+    ideal_levels,
+    lattice_edges,
+    path_counts,
+)
 from conftest import random_posets
 
 
@@ -60,10 +69,11 @@ def _assert_same(monkeypatch, p: Poset, ideals: bool = True) -> None:
     assert arrays.marginals() == walked.marginals()
     if ideals:
         # the array kernel lists each level by key, the dict kernel by discovery
-        assert [sorted(level) for level in arrays.levels] == [sorted(level) for level in walked.levels]
-        assert arrays.down == walked.down
-        assert arrays.up == walked.up
-        assert sorted(arrays.edges()) == sorted(walked.edges())
+        assert [sorted(level) for level in ideal_levels(arrays)] == [sorted(level) for level in ideal_levels(walked)]
+        (arrays_down, arrays_up), (walked_down, walked_up) = path_counts(arrays), path_counts(walked)
+        assert arrays_down == walked_down
+        assert arrays_up == walked_up
+        assert sorted(lattice_edges(arrays)) == sorted(lattice_edges(walked))
 
 
 def test_primes_cover_every_count_bound_the_rule_admits():
@@ -155,9 +165,9 @@ def test_each_level_is_one_edge_table(monkeypatch):
     for p in (young_diagram((4, 3, 3, 1)).poset, _crossed_chains(3, 22)):
         arrays, walked = _both(monkeypatch, p)
         tables = arrays._arrays.runs
-        levels = [lattice._ints(level) for level in arrays._arrays.levels]
+        levels = ideal_levels(arrays)
         per_level: list[list[tuple[int, int]]] = [[] for _ in range(p.n)]
-        for mask, x, _ in walked.edges():
+        for mask, x, _ in lattice_edges(walked):
             per_level[mask.bit_count()].append((mask, x))
         assert len(tables) == p.n
         assert max(len(level) for level in levels) > 3 and max(sum(len(r[0]) for r in t) for t in tables) > 6
@@ -209,7 +219,7 @@ def test_an_array_lattice_holds_each_edge_once(monkeypatch):
         per_ideal |= {id(starts) for _, starts, _, _ in runs}
         per_edge = {id(a) for a in _held_arrays(vars(held))} - per_ideal
         assert per_edge == {id(a) for tgt, _, _, x in runs for a in (tgt, x)}
-        edges = sum(1 for _ in walked.edges())
+        edges = len(lattice_edges(walked))
         assert sum(len(tgt) for tgt, _, _, _ in runs) == sum(len(x) for _, _, _, x in runs) == edges
 
 
@@ -232,7 +242,7 @@ def _key_order_edges(monkeypatch, p: Poset, levels: list[list[int]]) -> list[tup
     _kernel(monkeypatch, False)
     at = [{m: i for i, m in enumerate(level)} for level in levels]
     edges: list[list[tuple[int, int]]] = [[] for _ in levels[1:]]
-    for mask, _, new in DownsetLattice(_fresh(p)).edges():
+    for mask, _, new in lattice_edges(DownsetLattice(_fresh(p))):
         t = mask.bit_count()
         edges[t].append((at[t][mask], at[t + 1][new]))
     return [tuple(np.array(e).T) for e in edges]
@@ -244,9 +254,10 @@ def _assert_passes_match_the_float64_gather(monkeypatch, p: Poset, events) -> No
     monkeypatch.setattr(lattice, "_CHUNK", 3)
     _kernel(monkeypatch, True)
     calls = _spy_segment_sums(monkeypatch)
-    arrays = DownsetLattice(_fresh(p))._arrays
+    lat = DownsetLattice(_fresh(p))
+    arrays = lat._arrays
     found = arrays.masked(events)
-    levels = [lattice._ints(level) for level in arrays.levels]
+    levels = ideal_levels(lat)
     reached = [sum(len(set(run[0].tolist())) for run in runs) for runs in arrays.runs]
     assert any(r > len(level) for r, level in zip(reached, levels[1:]))
     edges = _key_order_edges(monkeypatch, p, levels)
@@ -303,7 +314,8 @@ def test_segment_sums_match_the_float64_gather_up_to_a_refusal(monkeypatch):
     monkeypatch.setattr(lattice, "_CHUNK", 3)
     p = young_diagram((4, 3, 3, 1)).poset
     k = lattice._primes_over(lattice._count_bound(p.n, p._pred_masks))
-    levels = [lattice._ints(level) for level, _, _ in lattice._array_levels(p.n, p._pred_masks, k, 10**6)]
+    _kernel(monkeypatch, True)
+    levels = ideal_levels(DownsetLattice(_fresh(p)))
     edges = _key_order_edges(monkeypatch, p, levels)
     calls = _spy_segment_sums(monkeypatch)
     for j in (2, 5, 8):
@@ -664,7 +676,7 @@ def test_preflight_reads_the_augmented_order(monkeypatch):
 
 def test_budget_raises_before_the_next_level_is_expanded():
     p = young_diagram((3, 3, 2)).poset
-    sizes = [len(level) for level in DownsetLattice(p).levels]
+    sizes = [len(level) for level in ideal_levels(DownsetLattice(p))]
     for j in range(1, len(sizes) - 1):
         budget = sum(sizes[: j + 1])
         k = lattice._primes_over(lattice._count_bound(p.n, p._pred_masks))
@@ -735,7 +747,7 @@ def test_pair_counts_fill_position_counts_in_one_rewalk(monkeypatch):
 
 
 def test_a_dict_lattice_is_walked_once(monkeypatch):
-    # build, both sweeps and edges() all read the levels the build stored
+    # build, both sweeps and the edges all read the levels the build stored
     _kernel(monkeypatch, False)
     walks = []
     walk = lattice._walk
@@ -752,9 +764,9 @@ def test_a_dict_lattice_is_walked_once(monkeypatch):
         lat.position_counts()
         lat.pair_counts()
         pred = p._pred_masks
-        assert list(lat.edges()) == [
+        assert lattice_edges(lat) == [
             (m, x, m | 1 << x)
-            for level in lat.levels
+            for level in ideal_levels(lat)
             for m in level
             for x in range(p.n)
             if not (m >> x & 1 or pred[x] & ~m)

@@ -38,6 +38,9 @@ from oracles import (
     brute_marginal,
     brute_pair_counts,
     brute_sorting_probability,
+    ideal_levels,
+    lattice_edges,
+    path_counts,
     weight_list_sampler,
 )
 from conftest import count_constructions, random_posets
@@ -57,20 +60,21 @@ def test_count_matches_brute_force(poset):
 
 def test_lattice_levels_partition_by_size():
     p = chain_plus_point(4)
-    lat = DownsetLattice(p)
-    for size, level in enumerate(lat.levels):
+    levels = ideal_levels(DownsetLattice(p))
+    for size, level in enumerate(levels):
         for mask in level:
             assert bin(mask).count("1") == size
-    assert lat.levels[0] == [0]
-    assert lat.levels[-1] == [(1 << p.n) - 1]
+    assert levels[0] == [0]
+    assert levels[-1] == [(1 << p.n) - 1]
 
 
 def test_down_counts_sum_along_levels():
     # down * up over each level's ideals totals the extension count
     p = random_poset(7, 0.3, seed=42)
     lat = DownsetLattice(p)
-    for level in lat.levels:
-        assert sum(lat.down[m] * lat.up[m] for m in level) == lat.extension_count
+    down, up = path_counts(lat)
+    for level in ideal_levels(lat):
+        assert sum(down[m] * up[m] for m in level) == lat.extension_count
 
 
 def test_marginals_match_brute_force():
@@ -752,13 +756,14 @@ def _assert_matches_scan(p, arrays: bool = False):
     if not arrays:
         # _walk lists each level in order of discovery, and
         # random_cwsig_instance draws from _walk's order, so it is pinned too
-        assert lat.levels == levels
-        assert list(lat.edges()) == edges
+        assert ideal_levels(lat) == levels
+        assert lattice_edges(lat) == edges
     else:  # the array kernel lists each level by key
-        assert [sorted(level) for level in lat.levels] == [sorted(level) for level in levels]
-        assert sorted(lat.edges()) == sorted(edges)
-    assert lat.down == down
-    assert lat.up == up
+        assert [sorted(level) for level in ideal_levels(lat)] == [sorted(level) for level in levels]
+        assert sorted(lattice_edges(lat)) == sorted(edges)
+    lat_down, lat_up = path_counts(lat)
+    assert lat_down == down
+    assert lat_up == up
     assert lat.pair_counts() == pairs
     assert lat.node_count == len(down)
 
@@ -783,7 +788,7 @@ def test_up_counts_extensions_of_the_complement():
     posets = [p for _, p in builtin_corpus()] + random_posets(150, nmax=7, seed=27)
     for p in posets:
         lat = DownsetLattice(p)
-        for mask, count in lat.up.items():
+        for mask, count in path_counts(lat)[1].items():
             rest = [lab for i, lab in enumerate(p.labels) if not (mask >> i) & 1]
             assert count == brute_count(p.subposet(rest))
 
@@ -926,7 +931,41 @@ def test_sampler_index_type_holds_every_index():
         lat = build_lattice(p)
         tot, first, et, ex = lat._tables
         assert (first.format, et.format, ex.format) == ("i", "i", "B")
-        assert len(tot) == lat.node_count and len(et) == len(ex) == sum(1 for _ in lat.edges())
+        assert len(tot) == lat.node_count and len(et) == len(ex) == len(lattice_edges(lat))
+
+
+def _public(lat) -> set[str]:
+    return {name for name in dir(lat) if not name.startswith("_")}
+
+
+def test_lattices_share_one_public_surface():
+    # what a caller can read does not depend on the kernel the input picked,
+    # and reading it builds nothing on an array lattice
+    walked = DownsetLattice(young_diagram((4, 3, 2)).poset)
+    small = DownsetLattice(young_diagram((8,) * 8).poset)
+    wide = DownsetLattice(young_diagram((13,) * 5).poset)
+    assert walked._arrays is None
+    assert small._arrays is not None and small.poset.n <= 64
+    assert wide._arrays is not None and wide.poset.n > 64
+    names = _public(walked)
+    assert names == {
+        "extension_count",
+        "marginals",
+        "node_count",
+        "pair_counts",
+        "poset",
+        "position_counts",
+        "sampler",
+    }
+    assert _public(small) == _public(wide) == names
+    split = build_lattice(disjoint_sum(young_diagram((5, 4, 3, 2)).poset, two_equal_chains(6)))
+    assert isinstance(split, SplitLattice)
+    assert _public(split) == names | {"parts"}
+    for lat in (small, wide):
+        held = set(vars(lat)), set(vars(lat._arrays))
+        for name in names:
+            getattr(lat, name)
+        assert (set(vars(lat)), set(vars(lat._arrays))) == held
 
 
 def test_negative_sample_count_is_refused_before_any_lattice(monkeypatch):

@@ -346,6 +346,40 @@ def test_accumulation_check_sees_the_pattern():
     assert _add_sites(tree, "reduceat") == ["low"]
 
 
+def _lazy_members(tree) -> list[str]:
+    """Where ``cached_property`` is named, as the dotted classes and functions around it."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if _name_of(child) == "cached_property":
+                found.append(".".join(path))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path + [child.name] if named else path)
+
+    visit(tree, [])
+    return found
+
+
+def test_no_lazy_copies_of_the_lattice():
+    # a lattice answers, it does not expose its ideals: the sampler's index
+    # tables are its one lazily built member, so no mask-keyed copy of the
+    # ideals or their counts comes back as a view built on first read
+    assert sorted(_lazy_members(_tree("lattice.py"))) == ["DownsetLattice._tables", "PositionDistribution.probs"]
+
+
+def test_lazy_member_check_sees_the_pattern():
+    tree = ast.parse(
+        "import functools\nfrom functools import cached_property\n"
+        "class A:\n    @functools.cached_property\n    def b(self):\n        return 1\n"
+        "    @cached_property\n    def c(self):\n        return 2\n"
+        "    d = functools.cached_property(lambda self: 3)\n"
+        "    @property\n    def e(self):\n        return 4\n"
+        "class F:\n    class G:\n        @cached_property\n        def h(self):\n            return 5\n"
+    )
+    assert sorted(_lazy_members(tree)) == ["A", "A.b", "A.c", "F.G.h"]
+
+
 def _is_kahn_loop(node) -> bool:
     """``for i in order: ... order.append(j)``: a queue read while it grows."""
     if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)):
