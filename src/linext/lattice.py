@@ -20,25 +20,25 @@ in the same pass) and the sampler's tables read them too, so a lattice
 is walked once.  It serves small lattices, and any poset the array
 kernel cannot hold (:func:`_arrays_fit`).
 
-The array kernel, :func:`_array_levels`, serves lattices large enough to
-pay for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words, and a
-level is sorted by a one-word key (the mask, or past 64 elements the chain
-code of :func:`_chain_code`).  One broadcast test over a chunk of the level
-and every element finds the edges, kept by source; one sort by target key
-groups them for the down pass, and the chunk's targets are merged into the
-next level by binary search.  Path counts are kept modulo primes below
+The array kernel, :func:`_array_levels`, serves lattices large enough to pay
+for it.  Each ideal is a row of ceil(n / 64) ``uint64`` words; the rows,
+down counts and up counts are one array each, cut into levels by offsets,
+and a level is sorted by a one-word key (the mask, or past 64 elements the
+chain code of :func:`_chain_code`).  One broadcast test over a chunk of the
+level and every element finds the edges, kept by source; one sort by target
+key groups them for the down pass, and the chunk's targets are merged into
+the next level by binary search.  Path counts are kept modulo primes below
 2^31: enough in the down pass to exceed a bound on e(P) (n! over the chain
 cover), so the Chinese remainder theorem (CRT) rebuilds e(P) exactly, and
 then only those that cover e(P), which bounds every other count.  The down,
 up and masked passes are int64 segment sums (:func:`_segment_sums`), below
 2^6 2^31 = 2^37 since an ideal has at most 64 edges in or out
 (:func:`_arrays_fit`).  Each answer is one CRT (De Loof, De Meyer and De
-Baets, "Exploiting the lattice of ideals representation of a poset",
-Fundam. Inform. 2006).  Neither kernel shows its ideals or path counts:
-a lattice answers with counts, laws, pair counts and draws.  Draws walk
-index tables over either kernel's stored out-edges (one total per step,
-then the children up to the chosen one), so samples are the same on both
-kernels.
+Baets, "Exploiting the lattice of ideals representation of a poset", Fundam.
+Inform. 2006).  Neither kernel shows its ideals or path counts: a lattice
+answers with counts, laws, pair counts and draws.  Draws walk index tables
+over either kernel's stored out-edges (one total per step, then the children
+up to the chosen one), so samples are the same on both kernels.
 
 An event "u before v" drops the pairs the poset already orders.  With
 one pair left, :func:`event_probability` reads it from the cached
@@ -250,6 +250,9 @@ _CHUNK = 4096
 #: The source ideals the sweep sums before it reduces its int64 counts: an
 #: entry gains less than 2^31 per ideal, so it stays below 2^63.
 _INT64_IDEALS = 1 << 32
+#: Entries (32 MB) up to which the array kernel's build doubles each array it
+#: grows level by level, and the step by which it shrinks one it copies out.
+_GROWTH = 1 << 22
 _WORD = (1 << 64) - 1
 
 
@@ -358,7 +361,7 @@ def _segment_sums(counts: np.ndarray, runs: Sequence[tuple], m: int) -> np.ndarr
             out = part
         else:
             out[..., into] += part
-    return out % _MODS[: counts.shape[-2]]
+    return np.remainder(out, _MODS[: counts.shape[-2]], out=out)  # in place: a level's largest temporary
 
 
 @functools.lru_cache(maxsize=256)
@@ -380,12 +383,12 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
 
     ``ideals`` holds one row of W = ceil(n / 64) little-endian ``uint64``
     words per ideal, and ``counts[j]`` the path counts from the empty
-    ideal modulo prime j, for j < ``k``.  ``runs`` holds a run (tgt,
-    starts, span, x) per chunk of the level that edges leave, as the up
-    pass of an acyclic ``pred`` reads it (:func:`_segment_sums`): the
-    chunk's edges by source and then by element, as each edge's target in
-    the next level and its element, and the first edge of each source in
-    the slice ``span`` of the level.  The last level (or the first no
+    ideal modulo prime j, for j < ``k``.  ``runs`` holds (tgt, into,
+    starts, span, x) per chunk of the level that edges leave: its edges by
+    source, then element, as each edge's target among the chunk's targets
+    ``into`` in the next level (None: all of it) and its element, and each
+    source's first edge in the slice ``span``; through ``into``, a run of
+    the up pass (:func:`_segment_sums`).  The last level (or the first no
     edge leaves, on a cycle) has ``runs`` None.  x is addable to I when
     ``I & x == 0 and I & pred[x] == pred[x]``; ``pred`` need not be closed.
 
@@ -456,7 +459,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
         for src, heads, new, by_target, tgt, starts, x, lo in found:
             into = None if new is nxt else np.searchsorted(nxt, new).astype(np.int32)  # None: one chunk
             blocks.append((src, heads, into))
-            runs.append((tgt if into is None else into[tgt], starts, slice(lo, lo + len(starts)), x))
+            runs.append((tgt, into, starts, slice(lo, lo + len(starts)), x))
             if width > 1:  # each next ideal is its first edge's source plus x
                 rows, first = level[src[heads]], by_target[heads]
                 rows[np.arange(len(rows)), word[first]] |= bit[first]
@@ -581,33 +584,50 @@ def _index_type(edges: int) -> type:
 
 
 class _Arrays:
-    """The array kernel's lattice: levels, edges (once, by source) and counts modulo primes.
+    """The array kernel's lattice: ideals, edges (once, by source) and counts modulo primes.
 
-    The down pass carries enough primes to exceed :func:`_count_bound`, so its
-    CRT gives e(P) exactly.  Every other count is at most e(P) (an ideal's down
-    times up counts extensions, and up is at least 1), so the up pass and the
-    sweeps keep the first ``k`` primes, the fewest whose product exceeds e(P).
+    ``ideals`` (a row per ideal), ``down`` and ``up`` (a row per prime) span
+    every ideal, level t at ``at[t]:at[t + 1]`` in key order with its
+    out-edges in ``runs[t]``; the up pass and the sweeps gather from them by
+    index, so no pass copies a level to read it.  The down pass carries
+    enough primes to exceed :func:`_count_bound`, so its CRT gives e(P)
+    exactly.  Every other count is at most e(P) (down times up counts
+    extensions, and up is at least 1), so the up pass and the sweeps keep
+    the first ``k`` primes, the fewest whose product exceeds e(P).
     """
 
     def __init__(self, n: int, pred: Sequence[int], budget: int):
-        built = _array_levels(n, pred, _primes_over(_count_bound(n, pred)), budget)
-        levels, down, runs = map(list, zip(*built))
-        total = _crt(down[-1][:, :1])[0]
-        k = _primes_over(total)
-        for size, c in enumerate(down):  # each wider copy is freed as it goes
-            down[size] = c[:k].copy()
-        self.runs = runs[:-1]
-        up = [None] * n + [np.ones((k, 1), dtype=np.int64)]
-        for size in range(n - 1, -1, -1):
-            up[size] = _segment_sums(up[size + 1], self.runs[size], len(levels[size]))
+        wide = _primes_over(_count_bound(n, pred))
+        width = max(1, -(-n // 64))
+        self.ideals = ideals = np.empty((0, width), dtype=np.uint64)
+        blocks = np.empty(0, dtype=np.int64)  # each level's down counts, every prime of the bound
+        at, self.runs = [0], []
+        for level, counts, chunks in _array_levels(n, pred, wide, budget):
+            lo, hi = at[-1], at[-1] + len(level)
+            at.append(hi)
+            if hi > len(ideals):  # doubling while small, so few levels are copied again
+                ideals.resize((max(hi, min(2 * len(ideals), _GROWTH // width)), width), refcheck=False)
+            if wide * hi > len(blocks):
+                blocks.resize(max(wide * hi, min(2 * len(blocks), _GROWTH)), refcheck=False)
+            ideals[lo:hi] = level
+            blocks[wide * lo : wide * hi] = counts.ravel()
+            if chunks is not None:
+                self.runs.append([(tgt if into is None else into[tgt], *run) for tgt, into, *run in chunks])
+        ideals.resize((at[-1], width), refcheck=False)
+        self.total = _crt(counts[:, :1])[0]
+        self.k = k = _primes_over(self.total)
+        self.down = np.empty((k, at[-1]), dtype=np.int64)
+        for lo, hi in zip(at[-2::-1], at[:0:-1]):  # top down, handing back what is copied
+            self.down[:, lo:hi] = blocks[wide * lo : wide * hi].reshape(wide, -1)[:k]
+            if len(blocks) - wide * lo > _GROWTH:
+                blocks.resize(wide * lo, refcheck=False)
+        del blocks
+        self.up = np.empty_like(self.down)
+        self.up[:, -1] = 1
+        for runs, lo, hi in zip(self.runs[::-1], at[-3::-1], at[-2::-1]):  # read from ``up`` whole
+            self.up[:, lo:hi] = _segment_sums(self.up, [(tgt + hi, *run) for tgt, *run in runs], hi - lo)
         self.n = n
-        self.k = k
-        self.levels = levels
-        self.down = down
-        self.up = up
-        self.total = total
-        self.nodes = sum(len(level) for level in levels)
-        self._holds: dict[int, np.ndarray] = {}
+        self.at = at
 
     def masked(self, events: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
         """Per list of pairs (u, v), the extensions putting each u before its v.
@@ -617,27 +637,19 @@ class _Arrays:
         up pass again to the empty ideal, the counts of every other ideal
         zeroed after each level; each list is one block of k rows (k primes
         cover a count at most e(P)), and one pass serves them all.  Which
-        ideals hold x is one ``bool`` column, built the first time an event
-        names x and kept on the lattice, so only the elements events name
-        cost memory.
+        ideals hold x is read from the words of ``ideals`` on each call, so
+        the lattice keeps nothing a call made.
         """
-        holds = self._holds
-        new = {x for pairs in events for pair in pairs for x in pair}.difference(holds)
-        if new:
-            ideals = np.concatenate(self.levels)
-            for x in new:
-                word, shift = divmod(x, 64)
-                holds[x] = (ideals[:, word] & np.uint64(1 << shift)) != 0
-        keep = np.ones((len(events), 1, self.nodes), dtype=bool)
+        named = {x for pairs in events for pair in pairs for x in pair}
+        holds = {x: (self.ideals[:, x // 64] & np.uint64(1 << x % 64)) != 0 for x in named}
+        keep = np.ones((len(events), 1, self.at[-1]), dtype=bool)
         for row, pairs in zip(keep[:, 0], events):
             for u, v in pairs:
                 row &= holds[u] >= holds[v]  # u held, or v not
         counts = np.ones((len(events), self.k, 1), dtype=np.int64)
-        end = self.nodes - 1  # the top's index, then each level's first as it is summed into
-        for runs, level in zip(self.runs[::-1], self.levels[-2::-1]):
-            counts = _segment_sums(counts, runs, len(level))
-            end -= len(level)
-            counts *= keep[:, :, end : end + len(level)]
+        for runs, lo, hi in zip(self.runs[::-1], self.at[-3::-1], self.at[-2::-1]):
+            counts = _segment_sums(counts, runs, hi - lo)
+            counts *= keep[:, :, lo:hi]
         return _crt(counts[:, :, 0].T)
 
     def sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
@@ -664,27 +676,28 @@ class _Arrays:
         pos = np.zeros((k, n, n), dtype=np.int64)
         ahead = np.zeros((k, n, n), dtype=np.int64) if pairs else None
         held = 0  # source ideals summed since the last reduction
-        for down, up, above, first, span, src, tgt, cell in map(self._band, self._bands()):
+        for first, span, src, tgt, cell in map(self._band, self._bands()):
             # each cell's edges become one run; a stable sort of small ints is a radix sort
             order = np.argsort(cell, kind="stable")
             src, tgt = src[order], tgt[order]
             starts = np.concatenate(([0], np.bincount(cell, minlength=n * span).cumsum()))
-            if held + down.shape[1] > _INT64_IDEALS:
+            sources = self.at[first + span] - self.at[first]
+            if held + sources > _INT64_IDEALS:
                 pos %= mods[:, :, None]
                 if pairs:
                     ahead %= mods[:, :, None]
                 held = 1  # a reduced entry is below 2^31, as one ideal's share
-            held += down.shape[1]
+            held += sources
             for lo in range(0, len(src), _CHUNK):
                 into = tgt[lo : lo + _CHUNK]
-                part = down.take(src[lo : lo + _CHUNK], axis=1) * up.take(into, axis=1) % mods
+                part = self.down.take(src[lo : lo + _CHUNK], axis=1) * self.up.take(into, axis=1) % mods
                 cut = np.clip(starts - lo, 0, len(into))
                 cells = np.flatnonzero(cut[1:] > cut[:-1])
                 xs, t = np.divmod(cells, span)
                 pos[:, xs, t + first] += np.add.reduceat(part, cut[cells], axis=1)
                 if not pairs:
                     continue
-                out = (~above[into]).astype("<u8").view(np.uint8).reshape(len(into), -1)
+                out = (~self.ideals[into]).astype("<u8").view(np.uint8).reshape(len(into), -1)
                 rest = np.unpackbits(out, axis=1, bitorder="little")[:, :n]
                 weights = part.astype(np.float64)
                 ends = cut[::span]  # each element's edges, from ends[x] to ends[x + 1]
@@ -726,55 +739,43 @@ class _Arrays:
             yield pieces
 
     def _band(self, pieces: list[tuple[int, tuple]]):
-        """A band's counts, ideals and edges, from its pieces (:meth:`_bands`).
+        """A band's edges, from its pieces (:meth:`_bands`).
 
-        It is (down, up, above, first, span, src, tgt, cell): the down
-        counts of its levels first to first + span - 1, and the up counts
-        and ideals of the levels after them, side by side (a level's own
-        arrays when the band has one level); then per edge its source in
-        ``down`` (rebuilt from its run's first edges), its target in ``up``
-        and ``above``, and its cell x span + (level - first).
+        It is (first, span, src, tgt, cell): its levels are first to first +
+        span - 1, and per edge its source in ``down`` (rebuilt from its run's
+        first edges), its target in ``up`` and ``ideals``, and its cell
+        x span + (level - first).
         """
+        at = self.at
         first, last = pieces[0][0], pieces[-1][0]
         span = last - first + 1
-        if span == 1:
-            down, up, above = self.down[first], self.up[first + 1], self.levels[first + 1]
-        else:
-            down = np.concatenate(self.down[first : last + 1], axis=1)
-            up = np.concatenate(self.up[first + 1 : last + 2], axis=1)
-            above = np.concatenate(self.levels[first + 1 : last + 2])
-        # level first + t starts at column at[t] of down, at[t + 1] - at[1] of up
-        at = [0, *itertools.accumulate(len(level) for level in self.levels[first : last + 2])]
         cell_type = np.min_scalar_type(self.n * span)
         srcs, tgts, cells = [], [], []
         for size, (tgt, starts, sources, x) in pieces:
-            t = size - first
-            src = np.arange(sources.start, sources.stop, dtype=np.int32)
-            src = np.repeat(src, np.diff(starts, append=len(tgt)))  # each edge's source
-            srcs.append(src + at[t] if t else src)
-            tgts.append(tgt + (at[t + 1] - at[1]) if t else tgt)
-            cells.append(x if span == 1 else x.astype(cell_type) * span + t)
+            src = np.arange(sources.start, sources.stop, dtype=np.int32) + at[size]
+            srcs.append(np.repeat(src, np.diff(starts, append=len(tgt))))  # each edge's source
+            tgts.append(tgt + at[size + 1])
+            cells.append(x if span == 1 else x.astype(cell_type) * span + (size - first))
         if len(pieces) == 1:
-            return down, up, above, first, span, srcs[0], tgts[0], cells[0]
-        return down, up, above, first, span, *map(np.concatenate, (srcs, tgts, cells))
+            return first, span, srcs[0], tgts[0], cells[0]
+        return first, span, *map(np.concatenate, (srcs, tgts, cells))
 
     def tables(self) -> tuple[list[int], memoryview, memoryview, memoryview]:
         """The sampler's tables (:meth:`DownsetLattice.sampler`), ideals in key order.
 
-        Every up count comes from one CRT, and the edges are the runs the
-        up pass read, offset to the concatenated ideals and edges.
+        Every up count comes from one CRT over ``up``, and the edges are
+        the runs the up pass read, offset to the lattice's ideals and edges.
         """
-        tot = _crt(np.concatenate(self.up, axis=1))
+        tot = _crt(self.up)
         index = _index_type(sum(len(run[0]) for runs in self.runs for run in runs))
         first, et, ex = [], [], []
-        edges, above = 0, 1  # edges before a run, and the first ideal of the level above it
-        for runs, level in zip(self.runs, self.levels[1:]):
+        edges = 0  # edges before a run
+        for runs, above in zip(self.runs, self.at[1:]):
             for tgt, starts, _, x in runs:
                 first.append(starts.astype(index) + edges)
                 et.append(tgt.astype(index) + above)
                 ex.append(x)
                 edges += len(tgt)
-            above += len(level)
         return tot, *(memoryview(np.concatenate(a)) for a in (first, et, ex))
 
 
@@ -839,7 +840,7 @@ class DownsetLattice(_Lattice):
         self._hold(poset)
         if _preflight(n, pred, budget):
             self._arrays: _Arrays | None = _Arrays(n, pred, budget)
-            self.node_count = self._arrays.nodes
+            self.node_count = self._arrays.at[-1]
             self.extension_count = self._arrays.total
             return
         self._arrays = None

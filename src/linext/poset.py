@@ -260,10 +260,6 @@ class Poset:
         out, pred, succ = self._cache["generators"][0], self._pred_masks, self._succ_masks
         return tuple(sum(1 << j for j in _bits(g) if not pred[j] & s) for g, s in zip(out, succ))
 
-    @cached_property
-    def _cover_matrix(self) -> np.ndarray:
-        return _unpack_masks(self._upper_cover_masks, self.n)
-
     def is_chain(self) -> bool:
         """True when every pair of elements is comparable."""
         comp = self.lt | self.lt.T

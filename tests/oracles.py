@@ -181,7 +181,9 @@ def ideal_levels(lat: DownsetLattice) -> list[list[int]]:
     if lat._arrays is None:
         return lat._levels
     found = []
-    for rows in lat._arrays.levels:
+    arrays = lat._arrays
+    for lo, hi in zip(arrays.at, arrays.at[1:]):
+        rows = arrays.ideals[lo:hi]
         value = rows[:, -1].tolist()
         for j in range(rows.shape[1] - 2, -1, -1):
             value = [v << 64 | w for v, w in zip(value, rows[:, j].tolist())]
@@ -197,7 +199,7 @@ def path_counts(lat: DownsetLattice) -> tuple[dict[int, int], dict[int, int]]:
     if lat._arrays is None:
         return lat._down, lat._up
     masks = [m for level in ideal_levels(lat) for m in level]
-    counts = _crt(np.concatenate(lat._arrays.down + lat._arrays.up, axis=1))
+    counts = _crt(np.concatenate((lat._arrays.down, lat._arrays.up), axis=1))
     return dict(zip(masks, counts)), dict(zip(masks, counts[len(masks) :]))
 
 

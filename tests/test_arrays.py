@@ -212,15 +212,43 @@ def test_an_array_lattice_holds_each_edge_once(monkeypatch):
         arrays, walked = _both(monkeypatch, p)
         held = arrays._arrays
         assert not hasattr(held, "edges")
-        per_ideal = {id(a) for name in ("levels", "down", "up") for a in _held_arrays(getattr(held, name))}
-        assert sum(len(level) for level in held.levels) == sum(c.shape[1] for c in held.down) == held.nodes
+        # one array per quantity, over every ideal, cut into levels by ``at``
+        per_ideal = {id(getattr(held, name)) for name in ("ideals", "down", "up")}
+        nodes = held.at[-1]
+        assert len(held.ideals) == held.down.shape[1] == held.up.shape[1] == nodes == arrays.node_count
+        assert len(held.at) == p.n + 2 and held.at[:2] == [0, 1] and held.at[-2] == nodes - 1
         runs = [run for level in held.runs for run in level]
-        assert sum(len(starts) for _, starts, _, _ in runs) == held.nodes - 1
+        assert sum(len(starts) for _, starts, _, _ in runs) == nodes - 1
         per_ideal |= {id(starts) for _, starts, _, _ in runs}
         per_edge = {id(a) for a in _held_arrays(vars(held))} - per_ideal
         assert per_edge == {id(a) for tgt, _, _, x in runs for a in (tgt, x)}
         edges = len(lattice_edges(walked))
         assert sum(len(tgt) for tgt, _, _, _ in runs) == sum(len(x) for _, _, _, x in runs) == edges
+
+
+def test_an_array_lattice_keeps_nothing_its_queries_make(monkeypatch):
+    # masked events, both sweeps and draws read the stored arrays and add
+    # none to them, one word per ideal or two
+    masked = []
+    kernel = lattice._Arrays.masked
+    monkeypatch.setattr(lattice._Arrays, "masked", lambda self, events: masked.append(events) or kernel(self, events))
+    posets = (young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset, young_diagram((13,) * 5).poset)
+    assert [p.n > 64 for p in posets] == [False, True]
+    for p in posets:
+        lat = build_lattice(p)
+        held = lat._arrays
+        assert held is not None
+        before = {id(a) for a in _held_arrays(vars(held))}
+        rng = random.Random(p.n)
+        events = [[(p.labels[u], p.labels[v]) for u, v in pairs] for pairs in _open_events(p, rng)]
+        calls = len(masked)
+        event_probability(p, EventSpec.of(*events[0], *events[1]))
+        conditional_probability(p, EventSpec.of(*events[1]), EventSpec.of(*events[2]))
+        assert len(masked) > calls
+        lat.position_counts()
+        lat.pair_counts()
+        sample_extensions(p, 20, seed=0)
+        assert {id(a) for a in _held_arrays(vars(held))} == before
 
 
 def _spy_segment_sums(monkeypatch) -> list[np.ndarray]:
@@ -281,8 +309,8 @@ def _assert_passes_match_the_float64_gather(monkeypatch, p: Poset, events) -> No
     assert len(calls) == len(expected) == 3 * p.n
     for t, (got, want) in enumerate(zip(calls, expected)):
         assert got.dtype == np.int64 and np.array_equal(got, want), t
-    assert all(np.array_equal(got, want[:k]) for got, want in zip(arrays.down, down))
-    assert all(np.array_equal(got, want) for got, want in zip(arrays.up, up[::-1]))
+    assert np.array_equal(arrays.down, np.concatenate(down, axis=1)[:k])
+    assert np.array_equal(arrays.up, np.concatenate(up[::-1], axis=1))
     assert found == lattice._crt(counts[:, :, 0].T)
 
 
@@ -375,7 +403,7 @@ def test_element_ids_past_255_stay_exact():
     # five words per ideal with one prime
     n = 300
     arrays = lattice._Arrays(n, chain(n)._pred_masks, 10**6)
-    assert (arrays.total, arrays.nodes) == (1, n + 1)
+    assert (arrays.total, arrays.at[-1]) == (1, n + 1)
     pos, _ = arrays.sweep(False)
     assert pos == [[int(k == x) for k in range(n)] for x in range(n)]
 

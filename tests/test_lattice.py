@@ -44,7 +44,7 @@ from oracles import (
     weight_list_sampler,
 )
 from conftest import count_constructions, random_posets
-from test_arrays import _kernel
+from test_arrays import _held_arrays, _kernel
 
 
 def test_count_small_fixtures():
@@ -867,9 +867,14 @@ def _lattices(lat) -> list[DownsetLattice]:
 def _assert_draws_match_the_weight_list(monkeypatch, p: Poset, seeds=range(6), count=4) -> None:
     """Table draws equal the weight-list draws, seed by seed, in extensions and generator state.
 
-    An array lattice's draws build none of its Python-int views.
+    The draws add only the sampler's tables (``_tables``) to each lattice,
+    and no array to an array lattice's ``_arrays``.
     """
     lat = build_lattice(p)
+    held = [
+        (set(vars(part)), None if part._arrays is None else {id(a) for a in _held_arrays(vars(part._arrays))})
+        for part in _lattices(lat)
+    ]
     runs = []
     for oracle in (False, True):
         with monkeypatch.context() as m:
@@ -882,9 +887,9 @@ def _assert_draws_match_the_weight_list(monkeypatch, p: Poset, seeds=range(6), c
                 got.append(([draw(rng) for _ in range(count)], rng.getstate()))
             runs.append(got)
         if not oracle:
-            for part in _lattices(lat):
-                if part._arrays is not None:
-                    assert {"up", "down", "levels"}.isdisjoint(vars(part))
+            for part, (names, arrays) in zip(_lattices(lat), held):
+                assert set(vars(part)) == names | {"_tables"}
+                assert part._arrays is None or {id(a) for a in _held_arrays(vars(part._arrays))} == arrays
     assert runs[0] == runs[1]
 
 

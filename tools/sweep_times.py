@@ -6,14 +6,20 @@ methods are ``pair_counts``, ``position_counts`` and ``sampler``: for
 ``sampler`` the call timed is the first, which sets the draw up, and the
 draw it returns is then timed over 20 draws (``draw_us``, µs per draw).
 The build itself (``build_ms``) is timed on every fresh lattice, so the
-set-up's share of it can be read off the same run.  The bytes an array
-lattice holds are read once per poset, on a fresh lattice: the
-``nbytes`` of its ``levels``, ``down`` and ``up`` arrays and of every
-other array it keeps (``edges``), and their sum (``held``), each in
-bytes per ideal (``_B``), over the parts the array kernel built (no
-such columns when it built none).  The posets are the lattices the benchmark's
-exact_wide and query_mix workloads sweep, plus two large ones whose
-levels each hold several chunks:
+set-up's share of it can be read off the same run.  ``masked_ms`` is one
+``event_probability`` of three incomparable pairs on a poset whose lattice
+is already cached (a masked pass on an array lattice, a constrained down
+pass otherwise), and ``masked_again_ms`` the same event asked again of
+that lattice, so any state the first call leaves is warm.  The bytes an array lattice holds are read once per
+poset, on a fresh lattice: the ``nbytes`` of its ``ideals`` (``levels``),
+``down`` and ``up`` arrays and of every other array it keeps (``edges``),
+and their sum (``held``), each in bytes per ideal (``_B``), over the
+parts the array kernel built (no such columns when it built none).
+``after_masked_B`` is what the same lattices hold beyond that after 16
+masked passes of three pairs each, which name every element that is
+incomparable to some other, up to 48 of them.  The posets are the
+lattices the benchmark's exact_wide and query_mix workloads sweep, plus
+two large ones whose levels each hold several chunks:
 
 - ``young8x8``, ``young13x5``, ``random30``: exact_wide's inputs (random30
   splits into parts, so its sweep runs per part);
@@ -35,6 +41,7 @@ alternate the two checkouts compared.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import statistics
@@ -43,7 +50,7 @@ import time
 import numpy as np
 
 from linext.families import grid_ideal, random_poset, young_diagram
-from linext.lattice import build_lattice
+from linext.lattice import EventSpec, build_lattice, event_probability
 from linext.poset import Poset
 
 POSETS = {
@@ -57,6 +64,8 @@ POSETS = {
 METHODS = ("pair_counts", "position_counts", "sampler")
 #: Draws timed per ``sampler`` call.
 DRAWS = 20
+#: Masked passes made before the bytes held after them are read.
+MASKED_CALLS = 16
 
 
 def _one_call(data: dict, method: str) -> dict[str, float]:
@@ -78,6 +87,31 @@ def _one_call(data: dict, method: str) -> dict[str, float]:
     return times
 
 
+def _open_pairs(p: Poset, count: int) -> list[tuple[int, int]]:
+    """``count`` incomparable pairs (u, v), u running over every element that has one.
+
+    Each u is paired with one of its incomparable elements at random, from
+    a fixed seed, so the pairs name as many elements as they can.
+    """
+    rng = random.Random(0)
+    free = [np.flatnonzero(~(p.lt[x] | p.lt[:, x])).tolist() for x in range(p.n)]
+    elements = [x for x in range(p.n) if len(free[x]) > 1]  # x itself is always in free[x]
+    return [(u, rng.choice([v for v in free[u] if v != u])) for u in itertools.islice(itertools.cycle(elements), count)]
+
+
+def _masked_calls(data: dict) -> tuple[float, float]:
+    """Seconds of a three-pair ``event_probability`` on a cached lattice of ``data``, then of the same again."""
+    p = Poset.from_dict(data)
+    build_lattice(p)
+    event = EventSpec.of(*((p.labels[u], p.labels[v]) for u, v in _open_pairs(p, 3)))
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        event_probability(p, event)
+        times.append(time.perf_counter() - start)
+    return times[0], times[1]
+
+
 def _arrays_in(value) -> list[np.ndarray]:
     """Every numpy array in ``value``, through dicts, lists and tuples."""
     if isinstance(value, np.ndarray):
@@ -92,31 +126,43 @@ def _arrays_in(value) -> list[np.ndarray]:
 def _held_bytes(data: dict) -> dict[str, float]:
     """Bytes per ideal that a fresh lattice of ``data``'s array-kernel parts holds.
 
-    ``levels``, ``down`` and ``up`` are those attributes' arrays; ``edges``
-    is every other array the lattice keeps.  Empty when no part is an array
-    lattice.
+    ``levels``, ``down`` and ``up`` are the arrays of the ``ideals``,
+    ``down`` and ``up`` attributes; ``edges`` is every other array the
+    lattice keeps.  ``after_masked`` is what they hold beyond the build
+    after :data:`MASKED_CALLS` masked passes.  Empty when no part is an
+    array lattice.
     """
     lat = build_lattice(Poset.from_dict(data))
     parts = [part for _, part in lat.parts] if hasattr(lat, "parts") else [lat]
-    arrays = [part._arrays for part in parts if part._arrays is not None]
-    if not arrays:
+    built = [part for part in parts if part._arrays is not None]
+    if not built:
         return {}
     held = dict.fromkeys(("levels", "down", "up", "edges"), 0)
-    for a in arrays:
-        for name, value in vars(a).items():
+    for part in built:
+        for name, value in vars(part._arrays).items():
+            name = "levels" if name == "ideals" else name
             held[name if name in held else "edges"] += sum(x.nbytes for x in _arrays_in(value))
     held["held"] = sum(held.values())
-    nodes = sum(a.nodes for a in arrays)
+    for part in built:
+        pairs = _open_pairs(part.poset, 3 * MASKED_CALLS)
+        for call in range(MASKED_CALLS):
+            part._arrays.masked([pairs[3 * call : 3 * call + 3]])
+    after = sum(x.nbytes for part in built for x in _arrays_in(vars(part._arrays)))
+    held["after_masked"] = after - held["held"]
+    nodes = sum(part.node_count for part in built)
     return {f"{name}_B": size / nodes for name, size in held.items()}
 
 
 def _medians(data: dict, reps: int) -> dict[str, float]:
-    """Median ms of the build and each method, and median µs per draw."""
+    """Median ms of the build, each method and a masked event, and median µs per draw."""
     runs = [_one_call(data, method) for _ in range(reps) for method in METHODS]
     row = {"build_ms": statistics.median(r["build"] for r in runs) * 1e3}
     for method in METHODS:
         row[f"{method}_ms"] = statistics.median(r[method] for r in runs if method in r) * 1e3
     row["draw_us"] = statistics.median(r["draw"] for r in runs if "draw" in r) * 1e6
+    first, again = zip(*(_masked_calls(data) for _ in range(reps)))
+    row["masked_ms"] = statistics.median(first) * 1e3
+    row["masked_again_ms"] = statistics.median(again) * 1e3
     return {key: round(value, 2) for key, value in row.items()}
 
 
