@@ -27,30 +27,35 @@ and a level is sorted by a one-word key (the mask, or past 64 elements the
 chain code of :func:`_chain_code`).  One broadcast test over a chunk of the
 level and every element finds the edges, kept by source; one sort by target
 key groups them for the down pass, and the chunk's targets are merged into
-the next level by binary search.  Path counts are kept modulo primes below
-2^31: enough in the down pass to exceed a bound on e(P) (n! over the chain
-cover), so the Chinese remainder theorem (CRT) rebuilds e(P) exactly, and
-then only those that cover e(P), which bounds every other count.  The down,
-up and masked passes are int64 segment sums (:func:`_segment_sums`), below
-2^6 2^31 = 2^37 since an ideal has at most 64 edges in or out
-(:func:`_arrays_fit`).  Each answer is one CRT (De Loof, De Meyer and De
-Baets, "Exploiting the lattice of ideals representation of a poset", Fundam.
-Inform. 2006).  Neither kernel shows its ideals or path counts: a lattice
-answers with counts, laws, pair counts and draws.  Draws walk index tables
-over either kernel's stored out-edges (one total per step, then the children
-up to the chosen one), so samples are the same on both kernels.
+the next level by binary search, each edge kept with its target's index
+there.  Path counts are kept modulo primes below 2^31: enough in the down
+pass to exceed a bound on e(P) (n! over the chain cover), so the Chinese
+remainder theorem (CRT) rebuilds e(P) exactly, and then only those that
+cover e(P), which bounds every other count.  The down, up and masked passes
+are int64 segment sums (:func:`_segment_sums`), below 2^6 2^31 = 2^37 since
+an ideal has at most 64 edges in or out (:func:`_arrays_fit`).  The sweeps
+sum over at most 2^31 ideals (the kernel's indices are int32), each adding
+less than 2^31 to an entry, so they reduce their int64 sums once, at the
+end.  Each answer is one CRT (De Loof, De Meyer and De Baets, "Exploiting
+the lattice of ideals representation of a poset", Fundam. Inform. 2006).
+Neither kernel shows its ideals or path counts: a lattice answers with
+counts, laws, pair counts and draws.  Draws walk index tables over either
+kernel's stored out-edges (one total per step, then the children up to the
+chosen one), so samples are the same on both kernels.
 
-An event "u before v" drops the pairs the poset already orders.  With
-one pair left, :func:`event_probability` reads it from the cached
+An event "u before v" drops the pairs the poset already orders, and
+counts 0 at once when a pair left has u == v or is ordered the other way.
+With one pair left, :func:`event_probability` reads it from the cached
 lattice's ``pair_counts``, one sweep that answers every pair at once,
 and :func:`conditional_probability` reads it there when the sweep is
 already made.  Two or more, and every other conditional count, are
 counted on the ideals that hold u whenever they hold v.  When the
 poset caches an array-kernel lattice within the budget, that is one
 masked up pass over its stored edges, the counts of every other ideal
-zeroed, with a block of rows per pair set (a conditional's two counts
-share it).  Otherwise it is a constrained down pass, on either kernel,
-so the budget bounds only the ideals it walks.
+zeroed (each pair read from the words of the ideals), with a block of
+rows per pair set (a conditional's two counts share it).  Otherwise it is
+a constrained down pass, on either kernel, so the budget bounds only the
+ideals it walks.
 
 The lattice of a poset whose comparability graph falls into several
 connected parts is the product of the parts' lattices, so
@@ -93,7 +98,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ComparablePair, ConditionNullEvent, CycleDetected
-from .poset import Poset, _bits, transitive_closure
+from .poset import Poset, _bits
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -247,9 +252,6 @@ _GARNER = [[pow(p, -1, q) for p in _PRIMES[:j]] for j, q in enumerate(_PRIMES)]
 #: Rows of a level tested and merged at once, and edges a sweep reads at
 #: once: no temporary array exceeds this many rows of n entries per count row.
 _CHUNK = 4096
-#: The source ideals the sweep sums before it reduces its int64 counts: an
-#: entry gains less than 2^31 per ideal, so it stays below 2^63.
-_INT64_IDEALS = 1 << 32
 #: Entries (32 MB) up to which the array kernel's build doubles each array it
 #: grows level by level, and the step by which it shrinks one it copies out.
 _GROWTH = 1 << 22
@@ -383,30 +385,27 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
 
     ``ideals`` holds one row of W = ceil(n / 64) little-endian ``uint64``
     words per ideal, and ``counts[j]`` the path counts from the empty
-    ideal modulo prime j, for j < ``k``.  ``runs`` holds (tgt, into,
-    starts, span, x) per chunk of the level that edges leave: its edges by
-    source, then element, as each edge's target among the chunk's targets
-    ``into`` in the next level (None: all of it) and its element, and each
-    source's first edge in the slice ``span``; through ``into``, a run of
-    the up pass (:func:`_segment_sums`).  The last level (or the first no
+    ideal modulo prime j, for j < ``k``.  ``runs`` holds (tgt, starts,
+    span, x) per chunk of the level that edges leave: its edges by source,
+    then element, as each edge's target ``tgt`` in the next level and its
+    element ``x``, and each source's first edge in ``starts``, for the
+    sources of the level's slice ``span``; so each is a run of the up pass
+    (:func:`_segment_sums`) as it stands.  The last level (or the first no
     edge leaves, on a cycle) has ``runs`` None.  x is addable to I when
     ``I & x == 0 and I & pred[x] == pred[x]``; ``pred`` need not be closed.
 
     A level is sorted by a one-word key, the mask or else the chain code
     (:func:`_chain_code`); a target's key is its source's plus the stride of
     x.  One sort of a chunk's edges by target key groups them for the down
-    pass, which drops them, and finds its targets, merged into the next
-    level by ``np.searchsorted`` (no level is sorted whole), with the count
-    checked against ``budget`` after each chunk.
+    pass and finds its targets, merged into the next level by
+    ``np.searchsorted`` (no level is sorted whole), with the count checked
+    against ``budget`` after each chunk.
     """
     width = max(1, -(-n // 64))
     elements, word, bit = _element_bits(n)
-    # need[j][x]: word j of pred[x] (with one word, pred[x] itself); want
-    # adds x, which pred[x] never holds, so I & want == need tests both
-    need = np.array(
-        [pred] if width == 1 else [[m >> s & _WORD for m in pred] for s in range(0, 64 * width, 64)],
-        dtype=np.uint64,
-    )
+    # need[j][x]: word j of pred[x]; want adds x, which pred[x] never
+    # holds, so I & want == need tests both
+    need = np.array([[m >> s & _WORD for m in pred] for s in range(0, 64 * width, 64)], dtype=np.uint64)
     want = need.copy()
     want[word, elements] |= bit
     need, want = list(need), list(want)
@@ -459,7 +458,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
         for src, heads, new, by_target, tgt, starts, x, lo in found:
             into = None if new is nxt else np.searchsorted(nxt, new).astype(np.int32)  # None: one chunk
             blocks.append((src, heads, into))
-            runs.append((tgt, into, starts, slice(lo, lo + len(starts)), x))
+            runs.append((tgt if into is None else into[tgt], starts, slice(lo, lo + len(starts)), x))
             if width > 1:  # each next ideal is its first edge's source plus x
                 rows, first = level[src[heads]], by_target[heads]
                 rows[np.arange(len(rows)), word[first]] |= bit[first]
@@ -588,10 +587,11 @@ class _Arrays:
 
     ``ideals`` (a row per ideal), ``down`` and ``up`` (a row per prime) span
     every ideal, level t at ``at[t]:at[t + 1]`` in key order with its
-    out-edges in ``runs[t]``; the up pass and the sweeps gather from them by
-    index, so no pass copies a level to read it.  The down pass carries
-    enough primes to exceed :func:`_count_bound`, so its CRT gives e(P)
-    exactly.  Every other count is at most e(P) (down times up counts
+    out-edges in ``runs[t]``, the runs :func:`_array_levels` yields (each
+    edge's target indexed in level t + 1); the up pass and the sweeps
+    gather from them by index, so no pass copies a level to read it.  The
+    down pass carries enough primes to exceed :func:`_count_bound`, so its
+    CRT gives e(P) exactly.  Every other count is at most e(P) (down times up counts
     extensions, and up is at least 1), so the up pass and the sweeps keep
     the first ``k`` primes, the fewest whose product exceeds e(P).
     """
@@ -602,7 +602,7 @@ class _Arrays:
         self.ideals = ideals = np.empty((0, width), dtype=np.uint64)
         blocks = np.empty(0, dtype=np.int64)  # each level's down counts, every prime of the bound
         at, self.runs = [0], []
-        for level, counts, chunks in _array_levels(n, pred, wide, budget):
+        for level, counts, runs in _array_levels(n, pred, wide, budget):
             lo, hi = at[-1], at[-1] + len(level)
             at.append(hi)
             if hi > len(ideals):  # doubling while small, so few levels are copied again
@@ -611,8 +611,8 @@ class _Arrays:
                 blocks.resize(max(wide * hi, min(2 * len(blocks), _GROWTH)), refcheck=False)
             ideals[lo:hi] = level
             blocks[wide * lo : wide * hi] = counts.ravel()
-            if chunks is not None:
-                self.runs.append([(tgt if into is None else into[tgt], *run) for tgt, into, *run in chunks])
+            if runs is not None:
+                self.runs.append(runs)
         ideals.resize((at[-1], width), refcheck=False)
         self.total = _crt(counts[:, :1])[0]
         self.k = k = _primes_over(self.total)
@@ -636,16 +636,17 @@ class _Arrays:
         ideals here that hold u whenever they hold v.  So each count is the
         up pass again to the empty ideal, the counts of every other ideal
         zeroed after each level; each list is one block of k rows (k primes
-        cover a count at most e(P)), and one pass serves them all.  Which
-        ideals hold x is read from the words of ``ideals`` on each call, so
-        the lattice keeps nothing a call made.
+        cover a count at most e(P)), and one pass serves them all.  Each
+        pair is tested on the words of ``ideals`` that hold u and v, straight
+        into its list's keep row, so a call holds only its keep rows and the
+        lattice keeps nothing a call made.
         """
-        named = {x for pairs in events for pair in pairs for x in pair}
-        holds = {x: (self.ideals[:, x // 64] & np.uint64(1 << x % 64)) != 0 for x in named}
+        _, word, bit = _element_bits(self.n)
+        ideals = self.ideals
         keep = np.ones((len(events), 1, self.at[-1]), dtype=bool)
         for row, pairs in zip(keep[:, 0], events):
-            for u, v in pairs:
-                row &= holds[u] >= holds[v]  # u held, or v not
+            for u, v in pairs:  # u held, or v not
+                row &= ((ideals[:, word[u]] & bit[u]) != 0) | ((ideals[:, word[v]] & bit[v]) == 0)
         counts = np.ones((len(events), self.k, 1), dtype=np.int64)
         for runs, lo, hi in zip(self.runs[::-1], self.at[-3::-1], self.at[-2::-1]):
             counts = _segment_sums(counts, runs, hi - lo)
@@ -666,28 +667,21 @@ class _Arrays:
         below 2^12 2^31 < 2^53.
 
         The int64 sums are reduced modulo the primes once, at the end, and
-        rebuilt in one CRT call.  An entry gains less than 2^31 per ideal of
-        a band's source levels, so it stays exact while the ideals counted
-        are at most :data:`_INT64_IDEALS` (2^32); past that the sums are
-        reduced before the next band.
+        rebuilt in one CRT call.  A source ideal has at most one edge per
+        element, so an entry gains less than 2^31 per source ideal.  The
+        lattice holds at most 2^31 ideals, since its indices are int32 (a
+        build past that raises OverflowError at the up pass's ``tgt + hi``,
+        before any sweep), so an entry stays below 2^62 and no sum wraps.
         """
         n, k = self.n, self.k
         mods = _MODS[:k]
         pos = np.zeros((k, n, n), dtype=np.int64)
         ahead = np.zeros((k, n, n), dtype=np.int64) if pairs else None
-        held = 0  # source ideals summed since the last reduction
         for first, span, src, tgt, cell in map(self._band, self._bands()):
             # each cell's edges become one run; a stable sort of small ints is a radix sort
             order = np.argsort(cell, kind="stable")
             src, tgt = src[order], tgt[order]
             starts = np.concatenate(([0], np.bincount(cell, minlength=n * span).cumsum()))
-            sources = self.at[first + span] - self.at[first]
-            if held + sources > _INT64_IDEALS:
-                pos %= mods[:, :, None]
-                if pairs:
-                    ahead %= mods[:, :, None]
-                held = 1  # a reduced entry is below 2^31, as one ideal's share
-            held += sources
             for lo in range(0, len(src), _CHUNK):
                 into = tgt[lo : lo + _CHUNK]
                 part = self.down.take(src[lo : lo + _CHUNK], axis=1) * self.up.take(into, axis=1) % mods
@@ -1268,14 +1262,10 @@ def _required_pairs(event) -> tuple[tuple[str, str], ...]:
 
 def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
     """Poset with extra precedences, or None when they contradict it."""
-    rel = p.lt.copy()
-    for u, v in pairs:
-        rel[p.index(u), p.index(v)] = True
     try:
-        closed = transitive_closure(rel)
+        return Poset.from_covers(p.labels, [*p.covers, *pairs])
     except CycleDetected:
         return None
-    return Poset._closed(p.labels, closed)
 
 
 def _event_counts(
@@ -1288,13 +1278,14 @@ def _event_counts(
     cached lattice's ``pair_counts``, a sweep that answers every pair of
     the poset at once under the same budget as the count: with ``sweep``
     (for :func:`event_probability`), or when a lattice within ``budget``
-    already holds them.  A pair the poset orders the other way, or u == v,
-    counts 0 without them.  Every
-    other event is counted on the poset's own ideals with each v also
-    waiting for its u.  When ``p`` already caches an array-kernel
-    :class:`DownsetLattice` within ``budget``, those counts share one
-    masked pass over its stored edges (:meth:`_Arrays.masked`), which
-    walks no ideal the augmented lattice lacks.  Otherwise each is a
+    already holds them.  An event with an open pair u == v, or one the
+    poset orders the other way, counts 0 before any of these, so no lattice
+    is read or built for it under any budget.  Every other event is counted
+    on the poset's own ideals with each v also waiting for its u.  When
+    ``p`` already caches an array-kernel :class:`DownsetLattice` within
+    ``budget``, those counts share one masked pass over its stored edges
+    (:meth:`_Arrays.masked`), which walks no ideal the augmented lattice
+    lacks.  Otherwise each is a
     constrained down pass, whose budget bounds the augmented lattice.
     Each event holds the pairs of the one before it, so the counts after
     a 0 are 0 and are not made.
@@ -1319,16 +1310,13 @@ def _event_counts(
                 open_pairs.append((u, v))
         if not open_pairs:
             count = count_extensions(p, budget)
+        elif any(u == v or (p._pred_masks[u] >> v) & 1 for u, v in open_pairs):
+            count = 0  # no extension puts an element before itself or against the order
         elif sweep and len(open_pairs) == 1:
             ((u, v),) = open_pairs
-            if u == v or (p._pred_masks[u] >> v) & 1:
-                count = 0
-            else:
-                count = build_lattice(p, budget).pair_counts()[u][v]
+            count = build_lattice(p, budget).pair_counts()[u][v]
         elif arrays is None:
             count = _down_pass(p.n, pred, cand, budget)
-        elif any(u == v for u, v in open_pairs):  # the mask would keep every ideal
-            count = 0
         else:
             masked.append(open_pairs)
             count = None

@@ -470,10 +470,7 @@ def _three_below_one(prefix: str) -> Poset:
     return Poset.from_covers(labels, [(low, labels[3]) for low in labels[:3]])
 
 
-@pytest.mark.parametrize("reduce_past", [lattice._INT64_IDEALS, 1])
-def test_bands_match_brute_force(monkeypatch, reduce_past):
-    # reduce_past 1 reduces the int64 sums before every band
-    monkeypatch.setattr(lattice, "_INT64_IDEALS", reduce_past)
+def test_bands_match_brute_force(monkeypatch):
     sweeps = _band_pieces(monkeypatch)
     split = disjoint_sum(_three_below_one("a"), _three_below_one("b"))  # parts of 4, built part by part
     posets = [split] + random_posets(40, nmax=8, seed=31)
@@ -496,10 +493,8 @@ def test_bands_match_brute_force(monkeypatch, reduce_past):
         assert any(shape(bands) for bands in sweeps), (build, sweep)
 
 
-@pytest.mark.parametrize("reduce_past", [lattice._INT64_IDEALS, 1])
-def test_bands_match_the_dict_kernel_past_64_elements_and_on_a_split_part(monkeypatch, reduce_past):
+def test_bands_match_the_dict_kernel_past_64_elements_and_on_a_split_part(monkeypatch):
     # young13x5 keys its levels by the chain code; random30 splits into parts of 29 and 1
-    monkeypatch.setattr(lattice, "_INT64_IDEALS", reduce_past)
     for p in (young_diagram((13,) * 5).poset, random_poset(30, 0.12, seed=20)):
         _kernel(monkeypatch, False)
         walked = build_lattice(_fresh(p))

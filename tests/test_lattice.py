@@ -623,6 +623,23 @@ def test_masked_route_keeps_the_budget_of_the_down_pass():
     assert "lattice" not in fresh._cache
 
 
+def test_impossible_events_count_zero_under_any_budget():
+    # an open pair u == v, or one the poset orders the other way, counts 0
+    # before the pair-count, masked and down-pass routes, so a budget of 1
+    # answers it and builds no lattice; low is not minimal, so a down pass
+    # would meet more than one ideal
+    p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
+    labels = p.labels
+    low, high = [(x, y) for x in labels for y in labels if p.less(x, y)][-1]
+    free = next((x, y) for x in labels for y in labels if x != y and not p.comparable(x, y))
+    for impossible in ((low, low), (high, low)):
+        for pairs in ([impossible, free], [free, impossible], [impossible]):
+            assert event_probability(p, pairs, budget=1) == 0
+            with pytest.raises(ConditionNullEvent):
+                conditional_probability(p, [free], pairs, budget=1)
+    assert "lattice" not in p._cache
+
+
 # -- a conditional's one open pair from pair counts the lattice already holds --
 
 

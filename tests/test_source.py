@@ -418,8 +418,12 @@ def _is_reach_loop(node) -> bool:
 def test_one_closure_routine():
     # the package closes an order with one Kahn loop, in poset._kahn_order,
     # and one reach loop, in poset._reach, for transitive_closure and
-    # Poset.from_covers (whose predecessors _pred_masks reaches on first use)
+    # Poset.from_covers (whose predecessors _pred_masks reaches on first use);
+    # transitive_closure only checks the matrix handed to Poset, and every
+    # order the package generates, augmented_poset's too, is closed by
+    # from_covers
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    assert [fn for tree in trees for fn in _callers(tree, "transitive_closure")] == ["__init__"]
     assert [fn for tree in trees for fn in _enclosing(tree, _is_kahn_loop)] == ["_kahn_order"]
     assert [fn for tree in trees for fn in _enclosing(tree, _is_reach_loop)] == ["_reach"]
     assert sorted(fn for tree in trees for fn in _callers(tree, "_kahn_order")) == [
