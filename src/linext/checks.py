@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     EventSpec,
     _walk,
+    all_position_distributions,
     build_lattice,
     conditional_probability,
     event_probability,
@@ -557,9 +559,7 @@ def trend_experiment(family: str, sizes: Sequence[int], budget: int | None = Non
         p = make(size)
         profile = comparability_profile(p)
         report = balance(p, budget)
-        sigma = max(
-            position_statistics(p, lab, budget).stddev for lab in p.labels
-        )
+        sigma = max(math.sqrt(d.variance()) for d in all_position_distributions(p, budget).values())
         rows.append(
             TrendRow(
                 family=family,
@@ -578,6 +578,8 @@ def trend_experiment(family: str, sizes: Sequence[int], budget: int | None = Non
 
 
 def _random_nonchain(rng: random.Random, nmax: int, nmin: int = 3) -> Poset:
+    if nmax < nmin:
+        raise ValueError(f"random non-chains of at least {nmin} elements need nmax >= {nmin} (got {nmax})")
     while True:
         n = rng.randint(nmin, nmax)
         p = _random_poset(rng, n, rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, 0.7]))
@@ -587,6 +589,8 @@ def _random_nonchain(rng: random.Random, nmax: int, nmin: int = 3) -> Poset:
 
 def random_cwsig_instance(rng: random.Random, nmax: int = 7):
     """Random poset split as ideal + x + filter with both sides nonempty."""
+    if nmax < 3:
+        raise ValueError(f"cwsig instances (an ideal, x and a filter) need nmax >= 3 (got {nmax})")
     while True:
         k = rng.randint(2, nmax - 1)
         base = _random_poset(rng, k, rng.choice([0.2, 0.3, 0.5]))

@@ -261,10 +261,8 @@ class Poset:
         return tuple(sum(1 << j for j in _bits(g) if not pred[j] & s) for g, s in zip(out, succ))
 
     def is_chain(self) -> bool:
-        """True when every pair of elements is comparable."""
-        comp = self.lt | self.lt.T
-        np.fill_diagonal(comp, True)
-        return bool(comp.all())
+        """True when no element has a bit in ``_incomp_masks``."""
+        return not any(self._incomp_masks)
 
     def is_antichain(self) -> bool:
         return not self.lt.any()
@@ -361,65 +359,64 @@ class ComparabilityProfile:
     antichain: tuple[Label, ...]
 
 
-def _max_bipartite_matching(adj: list[list[int]], n: int) -> list[int]:
-    """Kuhn's augmenting-path matching; returns match_right (-1 = free)."""
-    match_right = [-1] * n
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or try_augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    for u in range(n):
-        try_augment(u, [False] * n)
-    return match_right
+def _max_matching(succ: Sequence[int]) -> list[int]:
+    """Kuhn's maximum matching over successor bitsets: ``match[v]`` is the
+    element matched below v, or -1.  Each search runs on one explicit stack
+    and tries successors in ascending order, so the lowest unseen is next.
+    """
+    n = len(succ)
+    match = [-1] * n
+    for root in range(n):
+        # path[k] tries the successor tried[k], which path[k + 1] holds
+        path, tried, unseen = [root], [], (1 << n) - 1
+        while path:
+            free = succ[path[-1]] & unseen
+            if not free:  # no augmenting path through path[-1]: back up
+                del path[-1], tried[-1:]
+                continue
+            low = free & -free
+            unseen ^= low
+            v = low.bit_length() - 1
+            tried.append(v)
+            if match[v] == -1:
+                for u, v in zip(path, tried):
+                    match[v] = u
+                break
+            path.append(match[v])
+    return match
 
 
 def comparability_profile(p: Poset) -> ComparabilityProfile:
     """Incomparable sets, their sizes, the width, and a maximum antichain.
 
-    Width is computed through a minimum chain cover (maximum bipartite
-    matching on the comparability digraph); the antichain witness follows
-    from the matching's minimum vertex cover.
+    Reads only the bitsets: π(x) is the size of ``_incomp_masks[x]``, and
+    the width is n minus a maximum matching of the comparability digraph
+    (Fulkerson's reduction of Dilworth's theorem), :func:`_max_matching`
+    over ``_succ_masks``.  The antichain is König's: the elements that
+    alternating paths from the unmatched reach on the left and not on the
+    right.
     """
-    n = p.n
-    adj = [list(_bits(p._succ_masks[i])) for i in range(n)]
-    match_right = _max_bipartite_matching(adj, n)
-    matched_pairs = sum(1 for v in match_right if v != -1)
-    width = n - matched_pairs
+    n, succ = p.n, p._succ_masks
+    match = _max_matching(succ)
+    matched = sum(1 << u for u in match if u != -1)
+    width = n - matched.bit_count()
 
-    # Alternating reachability from unmatched left vertices gives the
-    # minimum vertex cover; elements untouched by it form the antichain.
-    match_left = [-1] * n
-    for v, u in enumerate(match_right):
-        if u != -1:
-            match_left[u] = v
-    visited_left = [False] * n
-    visited_right = [False] * n
-    stack = [u for u in range(n) if match_left[u] == -1]
-    for u in stack:
-        visited_left[u] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not visited_right[v]:
-                visited_right[v] = True
-                w = match_right[v]
-                if w != -1 and not visited_left[w]:
-                    visited_left[w] = True
-                    stack.append(w)
-    antichain = tuple(
-        p.labels[i] for i in range(n) if visited_left[i] and not visited_right[i]
-    )
+    left = frontier = ~matched & (1 << n) - 1
+    right = 0
+    while frontier:
+        reach = 0
+        for u in _bits(frontier):
+            reach |= succ[u]
+        reach &= ~right
+        right |= reach
+        frontier = sum(1 << match[v] for v in _bits(reach) if match[v] != -1) & ~left
+        left |= frontier
+    antichain = tuple(p.labels[i] for i in _bits(left & ~right))
     if len(antichain) != width:
         raise RuntimeError("matching and antichain witness disagree")
 
     incomp = {lab: p.incomparables(lab) for lab in p.labels}
-    counts = {lab: len(v) for lab, v in incomp.items()}
+    counts = {lab: m.bit_count() for lab, m in zip(p.labels, p._incomp_masks)}
     max_count = max(counts.values(), default=0)
     return ComparabilityProfile(incomp, counts, max_count, width, antichain)
 

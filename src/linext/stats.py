@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import DomainError, NotApplicable
 from .lattice import build_lattice, PositionDistribution, position_distribution
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,14 @@ class BalanceReport:
 def balance(p: Poset, budget: int | None = None) -> BalanceReport:
     """Exact balance constants from one sweep over the ideal lattice.
 
-    Raises NotApplicable on chains (no incomparable pair exists).
+    Pairs each i with every incomparable j > i in ``_incomp_masks``, read
+    off ``pair_counts``.  Raises NotApplicable on chains.
     """
     if p.is_chain():
         raise NotApplicable("a chain has no incomparable pair")
     lat = build_lattice(p, budget)
     counts = lat.pair_counts()
     total = lat.extension_count
-    comp = p.lt | p.lt.T
     # every pair shares the denominator ``total``, so the pairs are ranked
     # by their integer counts and a Fraction is built per pair only for
     # the report
@@ -65,10 +65,8 @@ def balance(p: Poset, budget: int | None = None) -> BalanceReport:
     per_idx = [0] * p.n
     best = -1
     witness = None
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if comp[i, j]:
-                continue
+    for i, inc in enumerate(p._incomp_masks):
+        for j in _bits(inc >> i + 1 << i + 1):
             m = min(counts[i][j], counts[j][i])
             pairs[(p.labels[i], p.labels[j])] = Fraction(m, total)
             if m > per_idx[i]:

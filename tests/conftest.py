@@ -3,6 +3,7 @@ import random
 import pytest
 
 from linext.families import builtin_corpus, random_poset
+from linext.poset import Poset
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,14 @@ def random_posets(count: int, nmax: int = 8, seed: int = 7):
         prob = r.choice([0.0, 0.1, 0.25, 0.4, 0.6, 0.8])
         out.append(random_poset(n, prob, seed=r.randrange(10**9)))
     return out
+
+
+def shuffled_chain(n: int, seed: int) -> Poset:
+    """Chain on the labels e0 ... e{n-1}, covering along their shuffled order."""
+    labels = [f"e{i}" for i in range(n)]
+    order = labels[:]
+    random.Random(seed).shuffle(order)
+    return Poset.from_covers(labels, list(zip(order, order[1:])))
 
 
 def count_constructions(monkeypatch, *classes) -> list[str]:

@@ -120,6 +120,25 @@ def brute_width(p: Poset) -> int:
     return best
 
 
+def max_bipartite_matching(adj: list[list[int]], n: int) -> list[int]:
+    """Kuhn's augmenting-path matching, recursive, over adjacency lists;
+    returns match_right (-1 = free)."""
+    match_right = [-1] * n
+
+    def try_augment(u: int, seen: list[bool]) -> bool:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == -1 or try_augment(match_right[v], seen):
+                    match_right[v] = u
+                    return True
+        return False
+
+    for u in range(n):
+        try_augment(u, [False] * n)
+    return match_right
+
+
 def hook_length_count(shape: tuple[int, ...]) -> int:
     """Standard tableaux of a partition shape, by the hook length formula."""
     cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]

@@ -16,6 +16,7 @@ from linext import lattice
 from linext.lattice import PositionDistribution, SplitLattice, build_lattice, count_extensions
 from linext.poset import Poset, comparability_profile
 from linext.stats import balance, fraction_json
+from conftest import shuffled_chain
 
 
 def run(capsys, *argv):
@@ -64,6 +65,16 @@ def test_analyze_chain_has_no_balance(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "analyze", path)
     assert code == 0
+    assert "chain: balance not applicable" in out
+
+
+def test_analyze_a_3000_element_chain(capsys, tmp_path):
+    # the width's matching runs on an explicit stack, so a long chain does
+    # not reach the interpreter's recursion limit
+    path = write_poset(tmp_path, "chain3000.json", shuffled_chain(3000, 2).to_dict())
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert "width: 1  antichain" in out
     assert "chain: balance not applicable" in out
 
 
@@ -382,6 +393,24 @@ def test_verify_emits_sorted_records(capsys):
 def test_verify_unknown_suite_exits_usage(capsys):
     code, _, _ = run(capsys, "verify", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "suite, nmax, least",
+    [("xyz", 2, 3), ("cwsig", 2, 3), ("onethird", 2, 3), ("all", 2, 3), ("logconcave", 1, 2)],
+)
+def test_verify_names_the_smallest_n_a_suite_takes(capsys, suite, nmax, least):
+    code, out, err = run(capsys, "verify", suite, "--n", str(nmax))
+    assert (code, out) == (2, "")
+    assert f"need nmax >= {least} (got {nmax})" in err
+    assert "randrange" not in err
+
+
+def test_verify_logconcave_runs_on_two_elements(capsys):
+    code, out, err = run(capsys, "verify", "logconcave", "--n", "2", "--random", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert err.startswith("5 checks, 0 failures")
 
 
 def test_verify_corpus_flag(capsys):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from linext.errors import CycleDetected, DuplicateLabel, UnknownElement
 from linext.poset import (
     Poset,
+    _bits,
+    _max_matching,
     comparability_profile,
     disjoint_sum,
     grid_poset,
@@ -18,17 +20,18 @@ from linext.poset import (
     transitive_reduction,
     _unpack_masks,
 )
-from linext.families import antichain, chain, random_poset
+from linext.families import antichain, builtin_corpus, chain, random_poset, young_diagram
 from linext.lattice import augmented_poset
 from oracles import (
     box_ideal,
     brute_width,
     matmul_reduction,
     matrix_from_covers,
+    max_bipartite_matching,
     pairwise_grid_poset,
     warshall_closure,
 )
-from conftest import random_posets
+from conftest import random_posets, shuffled_chain
 
 
 def vee() -> Poset:
@@ -147,6 +150,30 @@ def test_profile_counts_agree_with_incomparables():
     profile = comparability_profile(p)
     assert profile.counts == {"a": 0, "b": 1, "c": 1}
     assert profile.max_count == 1
+
+
+MATCHING_INPUTS = {
+    "corpus": lambda: [p for _, p in builtin_corpus()],
+    "random2000": lambda: random_posets(2000, nmax=9, seed=23),
+    "young13x5": lambda: [young_diagram((13,) * 5).poset],
+    "random400": lambda: [random_poset(400, 0.05, seed=3)],
+    "shuffled_chains": lambda: [shuffled_chain(n, seed) for n in (50, 170, 500) for seed in (0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", MATCHING_INPUTS)
+def test_matching_is_the_recursive_kuhn_matching(name):
+    # the stack-based search tries successors in the order the recursive
+    # one does, so the match list, hence the width and the antichain,
+    # is the same element for element
+    for p in MATCHING_INPUTS[name]():
+        adj = [list(_bits(m)) for m in p._succ_masks]
+        match = max_bipartite_matching(adj, p.n)
+        assert _max_matching(p._succ_masks) == match
+        profile = comparability_profile(p)
+        assert len(profile.antichain) == profile.width == p.n - sum(v != -1 for v in match)
+        for u, v in itertools.combinations(profile.antichain, 2):
+            assert not p.comparable(u, v)
 
 
 @settings(max_examples=60, deadline=None)

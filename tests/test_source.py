@@ -455,3 +455,39 @@ def test_closure_routine_checks_see_the_pattern():
     )
     assert _enclosing(tree, _is_kahn_loop) == ["kahn"]
     assert sorted(set(_enclosing(tree, _is_reach_loop))) == ["close", "reach"]
+
+
+def _matrix_or_recursion(fn) -> list[int]:
+    """Lines in ``fn`` that read an ``lt`` matrix, define a function or call ``fn``."""
+    return [
+        node.lineno
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Attribute) and node.attr == "lt")
+        or (node is not fn and isinstance(node, (ast.FunctionDef, ast.Lambda)))
+        or (isinstance(node, ast.Call) and _name_of(node.func) == fn.name)
+    ]
+
+
+def test_comparability_is_read_off_the_bitsets():
+    # the width, π, is_chain and balance's pairs read _succ_masks and
+    # _incomp_masks, and the matching runs on an explicit stack, so no
+    # n-by-n matrix is built and no chain is too long for the interpreter
+    readers = {"comparability_profile", "_max_matching", "is_chain", "balance"}
+    found = {
+        node.name: _matrix_or_recursion(node)
+        for path, node in _nodes()
+        if path.name in ("poset.py", "stats.py")
+        and isinstance(node, ast.FunctionDef)
+        and node.name in readers
+    }
+    assert found == dict.fromkeys(readers, [])
+
+
+def test_matrix_and_recursion_check_sees_the_pattern():
+    tree = ast.parse(
+        "def f(p):\n    return p.lt | p.lt.T\n"
+        "def g(u):\n    return g(u - 1)\n"
+        "def h(u):\n    def inner():\n        return u\n    return inner()\n"
+        "def k(masks):\n    return not any(masks)\n"
+    )
+    assert [_matrix_or_recursion(fn) for fn in tree.body] == [[2, 2], [4], [6], []]

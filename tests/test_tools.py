@@ -1,0 +1,54 @@
+"""Each measurement script under ``tools/`` runs on its smallest input.
+
+The scripts read private names of the package (``lattice._arrays_win``,
+``lattice._ideal_floor``, ``part._arrays`` and others), so a rename fails
+here rather than at the next measurement.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from linext import cli
+from linext.families import young_diagram
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool(argv: list[str]) -> dict:
+    """The JSON a ``tools/`` script prints, run against this checkout's ``src``."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+#: script -> (its arguments, a key its JSON holds)
+RUNS = {
+    "sweep_times.py": (["young33", "--reps", "1", "--json"], "young33"),
+    "kernel_regime.py": (["--trials", "10", "--reps", "1", "--nmax", "20"], "rule"),
+    "query_mix_split.py": (["--rounds", "1", "--json"], "sample_first"),
+    "verify_split.py": (["--repeats", "1", "--json"], "onethird"),
+}
+
+
+@pytest.mark.parametrize("script", RUNS)
+def test_tool_prints_json(script):
+    argv, key = RUNS[script]
+    assert key in _tool([script, *argv])
+
+
+def test_analyze_phases_prints_json(tmp_path):
+    path = tmp_path / "young8x8.json"
+    path.write_text(json.dumps(young_diagram((8,) * 8).poset.to_dict()))
+    phases = _tool(["analyze_phases.py", str(path), "--reps", "1", "--json"])[str(path)]
+    assert phases["total"] > 0 and "profile" in phases
