@@ -18,7 +18,7 @@ p = random_poset(7, 0.3, seed=5)
 # any incomparable pair will do; take the busiest element's first partner
 profile = comparability_profile(p)
 x = max(p.labels, key=lambda lab: profile.counts[lab])
-y = profile.incomparables[x][0]
+y = p.incomparables(x)[0]
 exact = sorting_probability(p, x, y)
 print(f"exact P({x} before {y}) = {exact} = {float(exact):.6f}")
 

@@ -77,13 +77,17 @@ def _per_element_json(p: Poset, stats, counts, dists) -> str:
     for the dict of each element's mean, variance, sigma, q, pi and reduced
     position ratios, without building the dict: each position row is one
     gcd and one f-string.  Keys, non-``str`` labels included, are written
-    as the encoder writes them.
+    as the encoder writes them.  A zero count is written as 0/1, with no gcd.
     """
+    zero = '[\n          "0",\n          "1"\n        ]'
     blocks = []
     for lab in p.labels:
         st, total = stats[lab], dists[lab].total
         rows = []
         for c in dists[lab].counts:
+            if not c:
+                rows.append(zero)
+                continue
             g = math.gcd(c, total)
             rows.append(f'[\n          "{c // g}",\n          "{total // g}"\n        ]')
         # the encoder writes a non-str key as it writes that value

@@ -122,7 +122,8 @@ class PositionDistribution:
     """A position law: ``counts[k]`` of ``total`` extensions put the element at k + 1.
 
     An exact law is its integer position counts over e(P); ``mean`` and
-    ``variance()`` are one Fraction each, and ``probs`` is built on read.
+    ``variance()`` are one Fraction each, from moments summed in one pass
+    over the nonzero counts, and ``probs`` is built on read.
     """
 
     element: str
@@ -140,9 +141,19 @@ class PositionDistribution:
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.total) for c in self.counts)
 
+    def moments(self) -> tuple[int, int]:
+        """(sum of k c_k, sum of k² c_k), in one pass over the nonzero counts c_k."""
+        first = second = 0
+        counts = self.counts
+        for k, c in zip(itertools.compress(itertools.count(1), counts), filter(None, counts)):
+            c *= k
+            first += c
+            second += k * c
+        return first, second
+
     @property
     def mean(self) -> Fraction:
-        return Fraction(sum(k * c for k, c in enumerate(self.counts, 1)), self.total)
+        return Fraction(self.moments()[0], self.total)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -152,8 +163,7 @@ class PositionDistribution:
     def variance(self) -> Fraction:
         """E f² - (E f)², as one Fraction over the total squared."""
         t = self.total
-        first = sum(k * c for k, c in enumerate(self.counts, 1))
-        second = sum(k * k * c for k, c in enumerate(self.counts, 1))
+        first, second = self.moments()
         return Fraction(second * t - first * first, t * t)
 
 
@@ -485,29 +495,29 @@ _ARRAY_MIN_ELEMENTS = 11
 _ARRAY_MIN_IDEALS_PER_ELEMENT = 3
 
 
-def _ideal_floor(n: int, pred: Sequence[int]) -> int:
+def _ideal_floor(n: int, pred: Sequence[int], cand: Sequence[int]) -> int:
     """A lower bound on the ideals reachable under ``pred``.
 
     Layer t holds the elements whose predecessors all lie in earlier
     layers.  The earlier layers plus any nonempty subset of layer t form
     an ideal, so there are at least 1 + sum over t of (2^|layer t| - 1).
+    The layers come from one pass of Kahn's algorithm: ``cand`` is as in
+    :func:`_walk`, so an element enters layer t + 1 only if it is in
+    ``cand`` of some element of layer t, and only those are tested.  That
+    is one test per element of each ``cand[x]``, where a rescan of every
+    element left per layer is quadratic on a chain.
     """
+    layer = sum(1 << x for x in range(n) if not pred[x])
     placed = 0
     floor = 1
-    left = list(range(n))
-    while left:
-        layer = 0
-        rest = []
-        for x in left:
-            if pred[x] & ~placed:
-                rest.append(x)
-            else:
-                layer |= 1 << x
-        if not layer:
-            break
+    while layer:
         placed |= layer
         floor += (1 << layer.bit_count()) - 1
-        left = rest
+        near = 0
+        for x in _bits(layer):
+            near |= cand[x]
+        free = ~placed
+        layer = sum(1 << c for c in _bits(near & free) if not pred[c] & free)
     return floor
 
 
@@ -536,17 +546,18 @@ def _arrays_win(n: int, pred: Sequence[int], floor: int) -> bool:
     )
 
 
-def _preflight(n: int, pred: Sequence[int], budget: int) -> bool:
+def _preflight(n: int, pred: Sequence[int], cand: Sequence[int], budget: int) -> bool:
     """The kernel rule, after refusing a lattice plainly past ``budget``.
 
-    The ideal floor is read once, where the rule needs it (from
-    :data:`_ARRAY_MIN_ELEMENTS` elements; smaller posets skip the check).
+    ``pred`` and ``cand`` are as in :func:`_walk`.  The ideal floor is
+    read once, where the rule needs it (from :data:`_ARRAY_MIN_ELEMENTS`
+    elements; smaller posets skip the check).
     A floor past the budget raises BudgetExceeded (the floor, and the
     chain codes as ``upper``) before any level and on either kernel.
     """
     floor = 0
     if n >= _ARRAY_MIN_ELEMENTS:
-        floor = _ideal_floor(n, pred)
+        floor = _ideal_floor(n, pred, cand)
         if floor > budget:
             raise BudgetExceeded(floor, budget, _chain_code(n, pred)[1])
     return _arrays_win(n, pred, floor)
@@ -561,7 +572,7 @@ def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | N
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    if not _preflight(n, pred, budget):
+    if not _preflight(n, pred, cand, budget):
         down: dict[int, int] = {0: 1}
         for _ in _walk(n, pred, cand, budget, down):
             pass
@@ -571,6 +582,29 @@ def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | N
     for size, (_, counts, _) in enumerate(_array_levels(n, pred, k, budget)):
         pass
     return _crt(counts[:, :1])[0] if size == n else 0
+
+
+def _fill_pairs(p: Poset, total: int, counts: list[list[int]]) -> list[list[int]]:
+    """``p``'s pair counts, filled in place from the open ones.
+
+    ``counts[x][y]`` must hold the extensions putting x before y for each
+    pair x < y in index order with x, y incomparable, and 0 elsewhere.
+    A comparable pair is ``total`` = e(P) when x is below y and 0 when it
+    is above, and (y, x) of an open pair is e(P) - (x, y).  Both kernels
+    fill their sweep's pair counts here.
+    """
+    for x, (row, above, inc) in enumerate(zip(counts, p._succ_masks, p._incomp_masks)):
+        while above:
+            b = above & -above
+            above ^= b
+            row[b.bit_length() - 1] = total
+        rest = inc >> x + 1 << x + 1
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            y = b.bit_length() - 1
+            counts[y][x] = total - row[y]
+    return counts
 
 
 def _index_type(edges: int) -> type:
@@ -653,7 +687,7 @@ class _Arrays:
             counts *= keep[:, :, lo:hi]
         return _crt(counts[:, :, 0].T)
 
-    def sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
+    def sweep(self, p: Poset, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
         """Position counts, and with ``pairs`` pair counts, from one pass.
 
         Edge (I, x, I + x) of level t carries w = down(I) up(I + x) mod
@@ -667,11 +701,15 @@ class _Arrays:
         below 2^12 2^31 < 2^53.
 
         The int64 sums are reduced modulo the primes once, at the end, and
-        rebuilt in one CRT call.  A source ideal has at most one edge per
-        element, so an entry gains less than 2^31 per source ideal.  The
-        lattice holds at most 2^31 ideals, since its indices are int32 (a
-        build past that raises OverflowError at the up pass's ``tgt + hi``,
-        before any sweep), so an entry stays below 2^62 and no sum wraps.
+        one CRT call rebuilds the entries the order of ``p`` leaves open:
+        x's positions |↓x| to n - |↑x| + 1, and the pairs (x, y) with x < y
+        in index order and x, y incomparable.  Every other position count
+        is 0, and :func:`_fill_pairs` fills the other pair counts, as on the
+        dict kernel.  A source ideal has at most one edge per element, so
+        an entry gains less than 2^31 per source ideal.  The lattice holds
+        at most 2^31 ideals, since its indices are int32 (a build past that
+        raises OverflowError at the up pass's ``tgt + hi``, before any
+        sweep), so an entry stays below 2^62 and no sum wraps.
         """
         n, k = self.n, self.k
         mods = _MODS[:k]
@@ -701,12 +739,23 @@ class _Arrays:
                     a, b = bounds[x], bounds[x + 1]
                     np.matmul(weights[:, a:b], rest[a:b], out=block[:, x])
                 ahead += block.astype(np.int64)
-        pos %= mods[:, :, None]
+        # the open entries: x's window of positions, and its later incomparable partners
+        lt = p.lt
+        t = np.arange(n)
+        shape = (2, n, n) if pairs else (1, n, n)
+        opened = np.zeros(shape, dtype=bool)
+        opened[0] = (t >= lt.sum(axis=0)[:, None]) & (t < n - lt.sum(axis=1)[:, None])
+        if pairs:
+            opened[1] = np.triu(~(lt | lt.T), 1)
+        sums = pos[:, None] if ahead is None else np.stack((pos, ahead), axis=1)
+        res = sums[:, opened]
+        res %= mods
+        counts = np.zeros(shape, dtype=object)
+        counts[opened] = _crt(res)
         if not pairs:
-            return _crt(pos), None
-        ahead %= mods[:, :, None]
-        pos, ahead = _crt(np.stack((pos, ahead), axis=1))
-        return pos, ahead
+            return counts[0].tolist(), None
+        pos, ahead = counts.tolist()
+        return pos, _fill_pairs(p, self.total, ahead)
 
     def _bands(self):
         """The (level, block) pieces of each band the sweep reads, in level order.
@@ -832,7 +881,7 @@ class DownsetLattice(_Lattice):
         n = poset.n
         pred = poset._pred_masks
         self._hold(poset)
-        if _preflight(n, pred, budget):
+        if _preflight(n, pred, poset._upper_cover_masks, budget):
             self._arrays: _Arrays | None = _Arrays(n, pred, budget)
             self.node_count = self._arrays.at[-1]
             self.extension_count = self._arrays.total
@@ -903,22 +952,23 @@ class DownsetLattice(_Lattice):
         return self._pair_counts
 
     def _sweep(self, pairs: bool) -> None:
-        run = self._walk_sweep if self._arrays is None else self._arrays.sweep
-        self._position_counts, self._pair_counts = run(pairs)
+        if self._arrays is None:
+            self._position_counts, self._pair_counts = self._walk_sweep(pairs)
+        else:
+            self._position_counts, self._pair_counts = self._arrays.sweep(self.poset, pairs)
 
     def _walk_sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
         """Position counts, and with ``pairs`` pair counts, from the stored levels.
 
         Every edge adds ``down * up`` to its element's count at the
         edge's level.  With ``pairs``, only incomparable pairs with x
-        below y in index order are summed along the edges; comparable
-        pairs are all-or-nothing, and ``counts[y][x] = extension_count -
-        counts[x][y]`` fills the rest exactly.
+        below y in index order are summed along the edges, and
+        :func:`_fill_pairs` fills the rest exactly.
         """
         p = self.poset
         n = p.n
         pos = [[0] * n for _ in range(n)]
-        counts = [[0] * n for _ in range(n)]
+        counts = [[0] * n for _ in range(n)] if pairs else None
         later = [m >> (x + 1) << (x + 1) for x, m in enumerate(p._incomp_masks)]
         down, up = self._down, self._up
         for size, (masks, addables) in enumerate(zip(self._levels, self._addables)):
@@ -940,17 +990,7 @@ class DownsetLattice(_Lattice):
                             row[c.bit_length() - 1] += w
         if not pairs:
             return pos, None
-        total = self.extension_count
-        succ = p._succ_masks
-        for x in range(n):
-            for y in range(x + 1, n):
-                if (succ[x] >> y) & 1:
-                    counts[x][y] = total
-                elif (succ[y] >> x) & 1:
-                    counts[y][x] = total
-                else:
-                    counts[y][x] = total - counts[x][y]
-        return pos, counts
+        return pos, _fill_pairs(p, self.extension_count, counts)
 
     def sampler(self) -> Callable[[random.Random], list[int]]:
         """Draw one uniform extension from ``rng``, as a list of indices.

@@ -6,8 +6,9 @@ fields derived from them (standard deviations and report output).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,21 +17,53 @@ from .lattice import build_lattice, PositionDistribution, position_distribution
 from .poset import Poset, _bits
 
 
+def _pair_mins(counts: list[list[int]], incomparable: Sequence[int]):
+    """(i, j, min(counts[i][j], counts[j][i])) per incomparable pair i < j, in index order."""
+    for i, inc in enumerate(incomparable):
+        row = counts[i]
+        for j in _bits(inc >> i + 1 << i + 1):
+            yield i, j, min(row[j], counts[j][i])
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     """Balance constants of every incomparable pair.
 
-    ``pairs`` maps index-ordered incomparable pairs (x, y) to
-    delta(x, y) = min(P(x before y), P(y before x)).  ``per_element`` is
-    the best constant each element achieves against any partner
-    (comparable partners count as zero), ``delta`` the global maximum and
-    ``witness`` the lexicographically first pair achieving it.
+    ``delta`` is the global maximum of delta(x, y) = min(P(x before y),
+    P(y before x)) and ``witness`` the lexicographically first pair
+    achieving it; both are read when the report is made.  ``pairs`` maps
+    index-ordered incomparable pairs (x, y) to delta(x, y), and
+    ``per_element`` holds the best constant each element achieves against
+    any partner (comparable partners count as zero).  These two are built
+    from the integer pair counts the report keeps, on first read, so a
+    caller that reads only ``delta`` builds no Fraction per pair.
     """
 
-    pairs: dict[tuple[str, str], Fraction]
-    per_element: dict[str, Fraction]
     delta: Fraction
     witness: tuple[str, str]
+    # the poset's labels and incomparability masks, its pair counts and e(P)
+    labels: tuple[str, ...] = field(repr=False)
+    incomparable: tuple[int, ...] = field(repr=False)
+    counts: list[list[int]] = field(repr=False)
+    total: int = field(repr=False)
+
+    @functools.cached_property
+    def pairs(self) -> dict[tuple[str, str], Fraction]:
+        labels, total = self.labels, self.total
+        return {
+            (labels[i], labels[j]): Fraction(m, total)
+            for i, j, m in _pair_mins(self.counts, self.incomparable)
+        }
+
+    @functools.cached_property
+    def per_element(self) -> dict[str, Fraction]:
+        best = [0] * len(self.labels)
+        for i, j, m in _pair_mins(self.counts, self.incomparable):
+            if m > best[i]:
+                best[i] = m
+            if m > best[j]:
+                best[j] = m
+        return {lab: Fraction(m, self.total) for lab, m in zip(self.labels, best)}
 
     def pair_delta(self, x: str, y: str) -> Fraction:
         key = (x, y) if (x, y) in self.pairs else (y, x)
@@ -51,38 +84,35 @@ def balance(p: Poset, budget: int | None = None) -> BalanceReport:
     """Exact balance constants from one sweep over the ideal lattice.
 
     Pairs each i with every incomparable j > i in ``_incomp_masks``, read
-    off ``pair_counts``.  Raises NotApplicable on chains.
+    off ``pair_counts``.  Every pair shares the denominator e(P), so the
+    pairs are ranked by their integer counts, and the report keeps those
+    counts for ``pairs`` and ``per_element``.  Raises NotApplicable on
+    chains.
     """
     if p.is_chain():
         raise NotApplicable("a chain has no incomparable pair")
     lat = build_lattice(p, budget)
     counts = lat.pair_counts()
-    total = lat.extension_count
-    # every pair shares the denominator ``total``, so the pairs are ranked
-    # by their integer counts and a Fraction is built per pair only for
-    # the report
-    pairs: dict[tuple[str, str], Fraction] = {}
-    per_idx = [0] * p.n
     best = -1
     witness = None
-    for i, inc in enumerate(p._incomp_masks):
-        for j in _bits(inc >> i + 1 << i + 1):
-            m = min(counts[i][j], counts[j][i])
-            pairs[(p.labels[i], p.labels[j])] = Fraction(m, total)
-            if m > per_idx[i]:
-                per_idx[i] = m
-            if m > per_idx[j]:
-                per_idx[j] = m
-            if m > best:
-                best = m
-                witness = (p.labels[i], p.labels[j])
-    per_element = {p.labels[i]: Fraction(per_idx[i], total) for i in range(p.n)}
-    return BalanceReport(pairs, per_element, Fraction(best, total), witness)
+    for i, j, m in _pair_mins(counts, p._incomp_masks):
+        if m > best:
+            best = m
+            witness = (i, j)
+    total = lat.extension_count
+    i, j = witness
+    return BalanceReport(
+        Fraction(best, total), (p.labels[i], p.labels[j]), p.labels, p._incomp_masks, counts, total
+    )
 
 
 @dataclass(frozen=True)
 class PositionStatistics:
-    """Moments and mode mass of one position law, one Fraction each from its counts."""
+    """Moments and mode mass of one position law, one Fraction each from its counts.
+
+    The mean and variance read the law's first and second moments, summed
+    in one pass over its nonzero counts (:meth:`PositionDistribution.moments`).
+    """
 
     element: str
     mean: Fraction
@@ -92,10 +122,12 @@ class PositionStatistics:
 
     @classmethod
     def from_distribution(cls, dist: PositionDistribution) -> "PositionStatistics":
-        var = dist.variance()
+        first, second = dist.moments()
+        t = dist.total
+        var = Fraction(second * t - first * first, t * t)
         return cls(
             element=dist.element,
-            mean=dist.mean,
+            mean=Fraction(first, t),
             variance=var,
             stddev=math.sqrt(var),
             q=Fraction(max(dist.counts), dist.total),
@@ -150,17 +182,3 @@ def average_variance(p: Poset, elements, budget: int | None = None) -> Fraction:
 def fraction_json(value: Fraction) -> list[str]:
     """Serialize an exact rational as a numerator/denominator string pair."""
     return [str(value.numerator), str(value.denominator)]
-
-
-def balance_report_json(report: BalanceReport) -> dict:
-    """JSON-ready balance report with exact rationals kept exact."""
-    return {
-        "delta": fraction_json(report.delta),
-        "delta_float": float(report.delta),
-        "witness": list(report.witness),
-        "per_element": {k: fraction_json(v) for k, v in report.per_element.items()},
-        "pairs": [
-            {"x": x, "y": y, "delta": fraction_json(d)}
-            for (x, y), d in sorted(report.pairs.items())
-        ],
-    }

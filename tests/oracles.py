@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from linext.lattice import DownsetLattice, _crt, _grow, _steps
+from linext.lattice import DownsetLattice, _crt, _grow, _steps, build_lattice
 from linext.mcmc import ChainState
 from linext.errors import CycleDetected, DuplicateLabel, UnknownElement
 from linext.poset import Poset, _bits, _cover_masks, _row_masks, _unpack_masks
+from linext.stats import fraction_json
 
 # Permutation tables are reused across thousands of oracle calls; key is n.
 _PERMS: dict[int, np.ndarray] = {}
@@ -430,3 +431,87 @@ def matrix_from_covers(labels, covers) -> dict:
         "_cover_matrix": cover_matrix,
         "covers": tuple((labels[i], labels[j]) for i, j in np.argwhere(cover_matrix).tolist()),
     }
+
+
+def rescan_ideal_floor(n: int, pred) -> int:
+    """The ideal floor by rescanning every element left, per layer.
+
+    Layer t holds the elements whose ``pred`` lies in earlier layers; the
+    floor is 1 + sum over t of (2^|layer t| - 1).  Quadratic on a chain.
+    """
+    placed = 0
+    floor = 1
+    left = list(range(n))
+    while left:
+        layer = 0
+        rest = []
+        for x in left:
+            if pred[x] & ~placed:
+                rest.append(x)
+            else:
+                layer |= 1 << x
+        if not layer:
+            break
+        placed |= layer
+        floor += (1 << layer.bit_count()) - 1
+        left = rest
+    return floor
+
+
+def eager_balance(p: Poset) -> tuple[dict, dict]:
+    """(pairs, per_element) of ``balance(p)``, every Fraction built at once.
+
+    Pairs are the incomparable (x, y) in index order, found by ``lt``;
+    each element's constant is its best against any partner, 0 with none.
+    """
+    lat = build_lattice(p)
+    counts, total = lat.pair_counts(), lat.extension_count
+    pairs = {}
+    per_element = {lab: Fraction(0) for lab in p.labels}
+    for i, j in itertools.combinations(range(p.n), 2):
+        if p.lt[i, j] or p.lt[j, i]:
+            continue
+        x, y = p.labels[i], p.labels[j]
+        d = Fraction(min(counts[i][j], counts[j][i]), total)
+        pairs[(x, y)] = d
+        per_element[x] = max(per_element[x], d)
+        per_element[y] = max(per_element[y], d)
+    return pairs, per_element
+
+
+def balance_report_json(report) -> dict:
+    """JSON-ready balance report with exact rationals kept exact."""
+    return {
+        "delta": fraction_json(report.delta),
+        "delta_float": float(report.delta),
+        "witness": list(report.witness),
+        "per_element": {k: fraction_json(v) for k, v in report.per_element.items()},
+        "pairs": [
+            {"x": x, "y": y, "delta": fraction_json(d)}
+            for (x, y), d in sorted(report.pairs.items())
+        ],
+    }
+
+
+def konig_antichain(p: Poset, match: list[int]) -> tuple:
+    """König's antichain from a maximum matching of the comparability digraph.
+
+    ``match[v]`` is the element matched below v, or -1.  Alternating paths
+    leave the unmatched elements on the left: any successor from the left,
+    and from a right-hand v only back to ``match[v]``.  The antichain is
+    what they reach on the left and not on the right, in index order.
+    """
+    matched_left = {u for u in match if u != -1}
+    left = {u for u in range(p.n) if u not in matched_left}
+    right: set[int] = set()
+    todo = list(left)
+    while todo:
+        u = todo.pop()
+        for v in range(p.n):
+            if p.lt[u, v] and v not in right:
+                right.add(v)
+                w = match[v]
+                if w != -1 and w not in left:
+                    left.add(w)
+                    todo.append(w)
+    return tuple(p.labels[i] for i in sorted(left - right))

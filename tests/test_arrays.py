@@ -38,8 +38,9 @@ from oracles import (
     ideal_levels,
     lattice_edges,
     path_counts,
+    rescan_ideal_floor,
 )
-from conftest import random_posets
+from conftest import random_posets, shuffled_chain
 
 
 def _kernel(monkeypatch, arrays: bool) -> None:
@@ -107,22 +108,23 @@ def test_bounds_bracket_the_lattice():
     for p in posets:
         lat = DownsetLattice(p)
         pred = p._pred_masks
-        assert lattice._ideal_floor(p.n, pred) <= lat.node_count
+        assert lattice._ideal_floor(p.n, pred, p._upper_cover_masks) <= lat.node_count
         assert lattice._count_bound(p.n, pred) >= lat.extension_count
 
 
 def test_regime_follows_the_input():
-    def win(n, pred):
-        return lattice._arrays_win(n, pred, lattice._ideal_floor(n, pred))
+    def win(p):
+        pred = p._pred_masks
+        return lattice._arrays_win(p.n, pred, lattice._ideal_floor(p.n, pred, p._upper_cover_masks))
 
     for p in random_posets(500, nmax=10, seed=42):
-        assert not win(p.n, p._pred_masks)  # verify's sizes stay on the dict kernel
-    assert not win(40, chain(40)._pred_masks)
+        assert not win(p)  # verify's sizes stay on the dict kernel
+    assert not win(chain(40))
     r30 = random_poset(30, 0.12, seed=20)
     (big,) = [idx for idx in lattice._components(r30) if len(idx) > 1]
     part = r30.subposet(r30.labels[i] for i in big)
     for p in (young_diagram((8,) * 8).poset, part, young_diagram((13,) * 5).poset):
-        assert win(p.n, p._pred_masks)
+        assert win(p)
         assert DownsetLattice(p)._arrays is not None
 
 
@@ -386,12 +388,13 @@ def test_a_chain_code_past_64_bits_stays_on_the_dict_kernel(monkeypatch):
     p = _ordinal_antichains(8, 256)
     pred = p._pred_masks
     assert lattice._chain_code(p.n, pred)[1] > 2**64
-    assert lattice._ideal_floor(p.n, pred) >= lattice._ARRAY_MIN_IDEALS_PER_ELEMENT * p.n
+    floor = lattice._ideal_floor(p.n, pred, p._upper_cover_masks)
+    assert floor >= lattice._ARRAY_MIN_IDEALS_PER_ELEMENT * p.n
     with monkeypatch.context() as m:
         # the code alone refuses it, however many primes there were
         m.setattr(lattice, "_PRIME_PRODUCT", 1 << 100_000)
         assert not lattice._arrays_fit(p.n, pred)
-    assert not lattice._arrays_win(p.n, pred, lattice._ideal_floor(p.n, pred))
+    assert not lattice._arrays_win(p.n, pred, floor)
     lat = DownsetLattice(p)
     assert lat._arrays is None
     assert lat.node_count == 1 + 256 * 255
@@ -402,9 +405,10 @@ def test_element_ids_past_255_stay_exact():
     # a 300-chain has one chain of 300, so the array kernel holds it in
     # five words per ideal with one prime
     n = 300
-    arrays = lattice._Arrays(n, chain(n)._pred_masks, 10**6)
+    p = chain(n)
+    arrays = lattice._Arrays(n, p._pred_masks, 10**6)
     assert (arrays.total, arrays.at[-1]) == (1, n + 1)
-    pos, _ = arrays.sweep(False)
+    pos, _ = arrays.sweep(p, False)
     assert pos == [[int(k == x) for k in range(n)] for x in range(n)]
 
 
@@ -629,7 +633,7 @@ def test_a_box_far_past_the_budget_is_refused_before_any_level(monkeypatch):
     # the 6x6x6 box: 216 elements and an 83-bit chain code (the dict
     # kernel's), with an ideal floor 34 times the default budget
     p = grid_ideal(3, [(6, 6, 6)]).poset
-    floor = lattice._ideal_floor(p.n, p._pred_masks)
+    floor = lattice._ideal_floor(p.n, p._pred_masks, p._upper_cover_masks)
     assert floor == 339_806_341
     _no_levels(monkeypatch)
     start = time.perf_counter()
@@ -666,7 +670,7 @@ def test_refusals_raised_mid_build_carry_an_upper_bound():
 
 def test_preflight_reports_the_floor_on_both_kernels(monkeypatch):
     p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
-    floor = lattice._ideal_floor(p.n, p._pred_masks)
+    floor = lattice._ideal_floor(p.n, p._pred_masks, p._upper_cover_masks)
     assert DownsetLattice(p).node_count > floor
     for arrays in (True, False):
         _kernel(monkeypatch, arrays)
@@ -687,10 +691,11 @@ def test_preflight_reads_the_augmented_order(monkeypatch):
     p = young_diagram((7, 6, 5, 5, 4, 3, 2, 1)).poset
     labels = p.labels
     given = [(labels[-1], labels[1])]
-    pred = list(p._pred_masks)
+    pred, cand = list(p._pred_masks), list(p._upper_cover_masks)
     pred[1] |= 1 << (p.n - 1)
-    floor = lattice._ideal_floor(p.n, pred)
-    assert floor < lattice._ideal_floor(p.n, p._pred_masks)
+    cand[-1] |= 1 << 1
+    floor = lattice._ideal_floor(p.n, pred, cand)
+    assert floor < lattice._ideal_floor(p.n, p._pred_masks, p._upper_cover_masks)
     _no_levels(monkeypatch)
     with pytest.raises(BudgetExceeded) as info:
         conditional_probability(p, [(labels[2], labels[3])], given, floor - 1)
@@ -758,9 +763,9 @@ def test_pair_counts_fill_position_counts_in_one_rewalk(monkeypatch):
         for owner, name in ((DownsetLattice, "_walk_sweep"), (lattice._Arrays, "sweep")):
             run = getattr(owner, name)
 
-            def counted(self, pairs, run=run):
-                sweeps.append(pairs)
-                return run(self, pairs)
+            def counted(self, *args, run=run):  # args end with ``pairs``
+                sweeps.append(args[-1])
+                return run(self, *args)
 
             monkeypatch.setattr(owner, name, counted)
         lat.pair_counts()
@@ -833,3 +838,65 @@ def test_a_lattice_outlives_its_poset():
     assert lat.poset == Poset(labels, order)
     assert len(lat.marginals()) == 30
     assert lat.sampler()(random.Random(1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: young_diagram((13,) * 5).poset,
+        lambda: two_equal_chains(20),
+        lambda: _crossed_chains(4, 20),
+    ],
+    ids=["young13x5", "twochains20", "crossed4x20"],
+)
+def test_the_sweep_rebuilds_only_the_open_entries(monkeypatch, make):
+    # the array kernel's CRT sees x's window of positions and the
+    # incomparable pairs x < y; every other entry is filled, and all of them
+    # equal the dict kernel's sums
+    p = make()
+    n = p.n
+    lt = p.lt
+    window = sum(n - lt[:, x].sum() - lt[x].sum() for x in range(n))
+    incomparable = int((~(lt | lt.T)).sum() - n) // 2
+    # a quarter of the positions lie outside the windows, and a quarter of the pairs are comparable
+    assert 4 * window <= 3 * n * n and 8 * incomparable <= 3 * n * (n - 1)
+    rebuilt = []
+    crt = lattice._crt
+
+    def counted(res):
+        rebuilt.append(res.shape[1:])
+        return crt(res)
+
+    arrays, walked = _both(monkeypatch, p)
+    monkeypatch.setattr(lattice, "_crt", counted)
+    assert arrays.pair_counts() == walked.pair_counts()
+    assert arrays.position_counts() == walked.position_counts()
+    assert rebuilt == [(window + incomparable,)]
+    # both kernels fill alike, so the filled entries are also checked against
+    # the position counts: an extension placing x at k puts n - k elements after it
+    pos, pairs, total = arrays.position_counts(), arrays.pair_counts(), arrays.extension_count
+    for x in range(n):
+        assert pairs[x][x] == 0
+        assert sum(pairs[x]) == sum((n - k) * c for k, c in enumerate(pos[x], 1))
+        assert all(pairs[x][y] + pairs[y][x] == total for y in range(n) if y != x)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["corpus", "random2000", "chains", "exact_wide"],
+)
+def test_ideal_floor_matches_the_rescan(name):
+    posets = {
+        "corpus": lambda: [p for _, p in builtin_corpus()],
+        "random2000": lambda: random_posets(2000, nmax=9, seed=23),
+        "chains": lambda: [shuffled_chain(n, seed) for n, seed in ((50, 0), (170, 1), (500, 2), (3000, 2))],
+        "exact_wide": lambda: [
+            antichain(14),
+            young_diagram((8,) * 8).poset,
+            random_poset(30, 0.12, seed=20),
+            young_diagram((13,) * 5).poset,
+        ],
+    }[name]()
+    for p in posets:
+        pred = p._pred_masks
+        assert lattice._ideal_floor(p.n, pred, p._upper_cover_masks) == rescan_ideal_floor(p.n, pred)

@@ -120,9 +120,9 @@ def test_cwsig_stream_pinned_where_bases_reach_the_array_kernel(monkeypatch):
     kernels = []
     walk = checks._walk
 
-    def seen(n, pred, *args):
-        kernels.append(lattice._preflight(n, pred, lattice.DEFAULT_NODE_BUDGET))
-        return walk(n, pred, *args)
+    def seen(n, pred, cand, *args):
+        kernels.append(lattice._preflight(n, pred, cand, lattice.DEFAULT_NODE_BUDGET))
+        return walk(n, pred, cand, *args)
 
     monkeypatch.setattr(checks, "_walk", seen)
     records = run_suite("cwsig", count=40, nmax=16, seed=3)

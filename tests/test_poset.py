@@ -10,6 +10,7 @@ from linext.errors import CycleDetected, DuplicateLabel, UnknownElement
 from linext.poset import (
     Poset,
     _bits,
+    _greedy_matching,
     _max_matching,
     comparability_profile,
     disjoint_sum,
@@ -25,6 +26,7 @@ from linext.lattice import augmented_poset
 from oracles import (
     box_ideal,
     brute_width,
+    konig_antichain,
     matmul_reduction,
     matrix_from_covers,
     max_bipartite_matching,
@@ -174,6 +176,22 @@ def test_matching_is_the_recursive_kuhn_matching(name):
         assert len(profile.antichain) == profile.width == p.n - sum(v != -1 for v in match)
         for u, v in itertools.combinations(profile.antichain, 2):
             assert not p.comparable(u, v)
+
+
+@pytest.mark.parametrize("name", MATCHING_INPUTS)
+def test_a_greedy_start_keeps_the_antichain(name):
+    # the profile's matching starts from a greedy one, so its match list
+    # may differ from the recursive search's; König's antichain does not
+    moved = 0
+    for p in MATCHING_INPUTS[name]():
+        succ = p._succ_masks
+        match = max_bipartite_matching([list(_bits(m)) for m in succ], p.n)
+        started = _max_matching(succ, _greedy_matching(succ))
+        assert sum(v != -1 for v in started) == sum(v != -1 for v in match)
+        assert comparability_profile(p).antichain == konig_antichain(p, match)
+        moved += started != match
+    if name.startswith("random"):  # there it ends in other maximum matchings
+        assert moved
 
 
 @settings(max_examples=60, deadline=None)

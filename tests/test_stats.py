@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,14 +26,13 @@ from linext.stats import (
     PositionStatistics,
     average_variance,
     balance,
-    balance_report_json,
     fraction_json,
     grunbaum_check,
     position_statistics,
     sigma_q_product,
 )
-from oracles import brute_marginal, brute_sorting_probability
-from conftest import random_posets
+from oracles import balance_report_json, brute_marginal, brute_sorting_probability, eager_balance
+from conftest import random_posets, shuffled_chain
 
 THIRD = Fraction(1, 3)
 
@@ -212,3 +212,53 @@ def test_a_law_of_an_unknown_element_is_refused():
         position_distribution(p, "nope")
     with pytest.raises(UnknownElement):
         average_variance(p, ["z", "nope"])
+
+
+def test_moments_skip_zeros_at_both_ends():
+    # every chain element's law, and the chain's in chain_plus_point, has
+    # zeros below and above its support, which the one-pass moments skip
+    posets = [shuffled_chain(n, seed) for n, seed in ((50, 0), (200, 1))]
+    posets += [chain_plus_point(k) for k in (4, 6, 12)]
+    for p in posets:
+        dists = all_position_distributions(p)
+        assert any(d.counts[0] == 0 and d.counts[-1] == 0 for d in dists.values())
+        for d in dists.values():
+            first = sum(k * c for k, c in enumerate(d.counts, 1))
+            second = sum(k * k * c for k, c in enumerate(d.counts, 1))
+            assert d.moments() == (first, second)
+        _check_integer_laws(p, brute=p.n <= 8)
+
+
+BALANCE_INPUTS = {
+    "corpus": lambda: [p for _, p in builtin_corpus()],
+    "random2000": lambda: random_posets(2000, nmax=9, seed=23),
+    "young13x5": lambda: [young_diagram((13,) * 5).poset],
+    "split": lambda: [random_poset(30, 0.12, seed=20)],
+}
+
+
+@pytest.mark.parametrize("name", BALANCE_INPUTS)
+def test_lazy_balance_report_matches_the_eager_one(name):
+    for p in BALANCE_INPUTS[name]():
+        if p.is_chain():
+            continue
+        pairs, per_element = eager_balance(p)
+        report = balance(p)
+        assert report.pairs == pairs and list(report.pairs) == list(pairs)
+        assert report.per_element == per_element and list(report.per_element) == list(per_element)
+        assert report.delta == max(pairs.values())
+        assert report.witness == next(k for k, d in pairs.items() if d == report.delta)
+        below = [d for d in pairs.values() if d < Fraction(1, 2)]
+        assert report.off_fair_delta() == max(below, default=Fraction(0))
+        for x, y in itertools.permutations(p.labels, 2):
+            assert report.pair_delta(x, y) == pairs.get((x, y), pairs.get((y, x), Fraction(0)))
+    if name == "split":
+        assert isinstance(build_lattice(p), SplitLattice)
+
+
+def test_balance_builds_no_pair_fraction_until_read():
+    report = balance(young_diagram((4, 3, 3)).poset)
+    assert "pairs" not in vars(report) and "per_element" not in vars(report)
+    assert report.delta == max(report.pairs.values())
+    assert "pairs" in vars(report) and "per_element" not in vars(report)
+    assert report.per_element is report.per_element  # built once, then kept

@@ -52,3 +52,5 @@ def test_analyze_phases_prints_json(tmp_path):
     path.write_text(json.dumps(young_diagram((8,) * 8).poset.to_dict()))
     phases = _tool(["analyze_phases.py", str(path), "--reps", "1", "--json"])[str(path)]
     assert phases["total"] > 0 and "profile" in phases
+    # the balance op splits into the lattice's sweep and the report built on it
+    assert phases["sweep"] > 0 and "report" in phases and "pairs" not in phases

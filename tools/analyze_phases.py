@@ -7,14 +7,19 @@ calls it makes wrapped in timers:
 - ``poset``: reading the file and building the poset (``_load_poset_file``);
 - ``profile``: the comparability profile (width, pi);
 - ``lattice``: building the ideal lattice (``count_extensions``);
-- ``pairs``: the pair sweep and the balance report (``balance``);
+- ``sweep``: the lattice's pair sweep (``pair_counts`` of either lattice
+  class), which fills the position counts too;
+- ``report``: the rest of ``balance``, which ranks the pairs by their
+  counts;
 - ``encode``: writing the report, which is ``json.dumps`` of the payload
   head and the per-element block written from the integer counts
   (``_per_element_json``);
 - ``laws``: the rest of the op, which is the position laws, the
   per-element statistics and the payload head.
 
-Every repeat loads the file again, so it builds a fresh poset and lattice.
+A phase's time leaves out the phases called within it, so ``report``
+does not hold ``sweep``.  Every repeat loads the file again, so it builds
+a fresh poset and lattice.
 The printed times are medians over ``--reps`` repeats, in milliseconds.
 Run from the repository root:
 
@@ -32,16 +37,18 @@ import json
 import statistics
 import time
 
-from linext import cli
+from linext import cli, lattice
 
-PHASES = ("args", "poset", "profile", "lattice", "pairs", "laws", "encode", "total")
+PHASES = ("args", "poset", "profile", "lattice", "sweep", "report", "laws", "encode", "total")
 #: (phase, owner, attribute) of each wrapped call; a phase may wrap several
 WRAPPED = (
     ("args", cli, "build_parser"),
     ("poset", cli, "_load_poset_file"),
     ("profile", cli, "comparability_profile"),
     ("lattice", cli, "count_extensions"),
-    ("pairs", cli, "balance"),
+    ("sweep", lattice.DownsetLattice, "pair_counts"),
+    ("sweep", lattice.SplitLattice, "pair_counts"),
+    ("report", cli, "balance"),
     ("encode", json, "dumps"),
     ("encode", cli, "_per_element_json"),
 )
@@ -51,19 +58,22 @@ def _one_op(path: str) -> dict[str, float]:
     """Phase times in seconds of one analyze op on ``path``."""
     spent = {name: 0.0 for name, _, _ in WRAPPED}
     kept = [getattr(owner, attr) for _, owner, attr in WRAPPED]
-    inside: set[str] = set()
+    inside: list[str] = []  # the phases running, innermost last
 
     def timed(name, fn):
         def run(*args, **kwargs):
             if name in inside:  # a call within the phase's own time
                 return fn(*args, **kwargs)
-            inside.add(name)
+            inside.append(name)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[name] += time.perf_counter() - start
-                inside.discard(name)
+                took = time.perf_counter() - start
+                inside.pop()
+                spent[name] += took
+                if inside:  # out of the enclosing phase's time
+                    spent[inside[-1]] -= took
 
         return run
 

@@ -100,7 +100,7 @@ def main() -> None:
         p = random_poset(n, prob, seed=seed)
         if len(lattice._components(p)) > 1 or not lattice._arrays_fit(n, p._pred_masks):
             continue
-        floor = lattice._ideal_floor(n, p._pred_masks)
+        floor = lattice._ideal_floor(n, p._pred_masks, p._upper_cover_masks)
         if floor > args.max_floor * n:
             continue
         try:
