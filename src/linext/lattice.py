@@ -122,8 +122,8 @@ class PositionDistribution:
     """A position law: ``counts[k]`` of ``total`` extensions put the element at k + 1.
 
     An exact law is its integer position counts over e(P); ``mean`` and
-    ``variance()`` are one Fraction each, from moments summed in one pass
-    over the nonzero counts, and ``probs`` is built on read.
+    ``variance()`` are one Fraction each, from :meth:`mean_variance`'s one
+    pass over the nonzero counts, and ``probs`` is built on read.
     """
 
     element: str
@@ -141,19 +141,21 @@ class PositionDistribution:
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.total) for c in self.counts)
 
-    def moments(self) -> tuple[int, int]:
-        """(sum of k c_k, sum of k² c_k), in one pass over the nonzero counts c_k."""
+    def mean_variance(self) -> tuple[Fraction, Fraction]:
+        """E f and E f² - (E f)², the latter over the total squared, from
+        one pass over the nonzero counts."""
         first = second = 0
         counts = self.counts
         for k, c in zip(itertools.compress(itertools.count(1), counts), filter(None, counts)):
             c *= k
             first += c
             second += k * c
-        return first, second
+        t = self.total
+        return Fraction(first, t), Fraction(second * t - first * first, t * t)
 
     @property
     def mean(self) -> Fraction:
-        return Fraction(self.moments()[0], self.total)
+        return self.mean_variance()[0]
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -162,9 +164,7 @@ class PositionDistribution:
 
     def variance(self) -> Fraction:
         """E f² - (E f)², as one Fraction over the total squared."""
-        t = self.total
-        first, second = self.moments()
-        return Fraction(second * t - first * first, t * t)
+        return self.mean_variance()[1]
 
 
 def _grow(addable: int, b: int, unplaced: int, step) -> int:
@@ -584,29 +584,6 @@ def _down_pass(n: int, pred: Sequence[int], cand: Sequence[int], budget: int | N
     return _crt(counts[:, :1])[0] if size == n else 0
 
 
-def _fill_pairs(p: Poset, total: int, counts: list[list[int]]) -> list[list[int]]:
-    """``p``'s pair counts, filled in place from the open ones.
-
-    ``counts[x][y]`` must hold the extensions putting x before y for each
-    pair x < y in index order with x, y incomparable, and 0 elsewhere.
-    A comparable pair is ``total`` = e(P) when x is below y and 0 when it
-    is above, and (y, x) of an open pair is e(P) - (x, y).  Both kernels
-    fill their sweep's pair counts here.
-    """
-    for x, (row, above, inc) in enumerate(zip(counts, p._succ_masks, p._incomp_masks)):
-        while above:
-            b = above & -above
-            above ^= b
-            row[b.bit_length() - 1] = total
-        rest = inc >> x + 1 << x + 1
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            y = b.bit_length() - 1
-            counts[y][x] = total - row[y]
-    return counts
-
-
 def _index_type(edges: int) -> type:
     """The sampler's index type for a lattice of ``edges`` edges.
 
@@ -687,7 +664,7 @@ class _Arrays:
             counts *= keep[:, :, lo:hi]
         return _crt(counts[:, :, 0].T)
 
-    def sweep(self, p: Poset, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
+    def sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
         """Position counts, and with ``pairs`` pair counts, from one pass.
 
         Edge (I, x, I + x) of level t carries w = down(I) up(I + x) mod
@@ -701,15 +678,11 @@ class _Arrays:
         below 2^12 2^31 < 2^53.
 
         The int64 sums are reduced modulo the primes once, at the end, and
-        one CRT call rebuilds the entries the order of ``p`` leaves open:
-        x's positions |↓x| to n - |↑x| + 1, and the pairs (x, y) with x < y
-        in index order and x, y incomparable.  Every other position count
-        is 0, and :func:`_fill_pairs` fills the other pair counts, as on the
-        dict kernel.  A source ideal has at most one edge per element, so
-        an entry gains less than 2^31 per source ideal.  The lattice holds
-        at most 2^31 ideals, since its indices are int32 (a build past that
-        raises OverflowError at the up pass's ``tgt + hi``, before any
-        sweep), so an entry stays below 2^62 and no sum wraps.
+        rebuilt in one CRT call.  A source ideal has at most one edge per
+        element, so an entry gains less than 2^31 per source ideal.  The
+        lattice holds at most 2^31 ideals, since its indices are int32 (a
+        build past that raises OverflowError at the up pass's ``tgt + hi``,
+        before any sweep), so an entry stays below 2^62 and no sum wraps.
         """
         n, k = self.n, self.k
         mods = _MODS[:k]
@@ -739,23 +712,12 @@ class _Arrays:
                     a, b = bounds[x], bounds[x + 1]
                     np.matmul(weights[:, a:b], rest[a:b], out=block[:, x])
                 ahead += block.astype(np.int64)
-        # the open entries: x's window of positions, and its later incomparable partners
-        lt = p.lt
-        t = np.arange(n)
-        shape = (2, n, n) if pairs else (1, n, n)
-        opened = np.zeros(shape, dtype=bool)
-        opened[0] = (t >= lt.sum(axis=0)[:, None]) & (t < n - lt.sum(axis=1)[:, None])
-        if pairs:
-            opened[1] = np.triu(~(lt | lt.T), 1)
-        sums = pos[:, None] if ahead is None else np.stack((pos, ahead), axis=1)
-        res = sums[:, opened]
-        res %= mods
-        counts = np.zeros(shape, dtype=object)
-        counts[opened] = _crt(res)
+        pos %= mods[:, :, None]
         if not pairs:
-            return counts[0].tolist(), None
-        pos, ahead = counts.tolist()
-        return pos, _fill_pairs(p, self.total, ahead)
+            return _crt(pos), None
+        ahead %= mods[:, :, None]
+        pos, ahead = _crt(np.stack((pos, ahead), axis=1))
+        return pos, ahead
 
     def _bands(self):
         """The (level, block) pieces of each band the sweep reads, in level order.
@@ -952,18 +914,17 @@ class DownsetLattice(_Lattice):
         return self._pair_counts
 
     def _sweep(self, pairs: bool) -> None:
-        if self._arrays is None:
-            self._position_counts, self._pair_counts = self._walk_sweep(pairs)
-        else:
-            self._position_counts, self._pair_counts = self._arrays.sweep(self.poset, pairs)
+        run = self._walk_sweep if self._arrays is None else self._arrays.sweep
+        self._position_counts, self._pair_counts = run(pairs)
 
     def _walk_sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
         """Position counts, and with ``pairs`` pair counts, from the stored levels.
 
         Every edge adds ``down * up`` to its element's count at the
         edge's level.  With ``pairs``, only incomparable pairs with x
-        below y in index order are summed along the edges, and
-        :func:`_fill_pairs` fills the rest exactly.
+        below y in index order are summed along the edges; comparable
+        pairs are all-or-nothing, and ``counts[y][x] = extension_count -
+        counts[x][y]`` fills the rest exactly.
         """
         p = self.poset
         n = p.n
@@ -990,7 +951,13 @@ class DownsetLattice(_Lattice):
                             row[c.bit_length() - 1] += w
         if not pairs:
             return pos, None
-        return pos, _fill_pairs(p, self.extension_count, counts)
+        total = self.extension_count
+        for x, (row, above) in enumerate(zip(counts, p._succ_masks)):
+            for y in _bits(above):
+                row[y] = total
+            for y in _bits(later[x]):
+                counts[y][x] = total - row[y]
+        return pos, counts
 
     def sampler(self) -> Callable[[random.Random], list[int]]:
         """Draw one uniform extension from ``rng``, as a list of indices.

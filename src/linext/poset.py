@@ -363,36 +363,27 @@ class ComparabilityProfile:
     antichain: tuple[Label, ...]
 
 
-def _greedy_matching(succ: Sequence[int]) -> list[int]:
-    """A maximal matching, as :func:`_max_matching` writes one: each element
-    in index order is matched below its lowest successor not yet taken.
-    """
-    match = [-1] * len(succ)
-    free = (1 << len(succ)) - 1
-    for u, s in enumerate(succ):
-        s &= free
-        if s:
-            low = s & -s
-            free ^= low
-            match[low.bit_length() - 1] = u
-    return match
-
-
-def _max_matching(succ: Sequence[int], match: list[int] | None = None) -> list[int]:
+def _max_matching(succ: Sequence[int]) -> list[int]:
     """Kuhn's maximum matching over successor bitsets: ``match[v]`` is the
-    element matched below v, or -1.  It grows ``match`` (by default empty,
-    and then its result is the recursive search's): each element not yet
-    matched below anything roots one search.  A search runs on one explicit
-    stack and tries successors in ascending order, so the lowest unseen is
-    next.
+    element matched below v, or -1.  A greedy pass first matches each
+    element, in index order, below its lowest successor not yet taken; each
+    element it leaves unmatched below anything then roots one search.  A
+    search runs on one explicit stack and tries successors in ascending
+    order, so the lowest unseen is next.
     """
     n = len(succ)
-    if match is None:
-        match = [-1] * n
-    busy = sum(1 << u for u in match if u != -1)
-    for root in range(n):
-        if (busy >> root) & 1:
-            continue
+    match = [-1] * n
+    roots = []
+    taken = 0
+    for u, s in enumerate(succ):
+        s &= ~taken
+        if s:
+            low = s & -s
+            taken |= low
+            match[low.bit_length() - 1] = u
+        else:
+            roots.append(u)
+    for root in roots:
         # path[k] tries the successor tried[k], which path[k + 1] holds
         path, tried, unseen = [root], [], (1 << n) - 1
         while path:
@@ -418,15 +409,15 @@ def comparability_profile(p: Poset) -> ComparabilityProfile:
     Reads only the bitsets: π(x) is the size of ``_incomp_masks[x]``, and
     the width is n minus a maximum matching of the comparability digraph
     (Fulkerson's reduction of Dilworth's theorem), :func:`_max_matching`
-    over ``_succ_masks`` from :func:`_greedy_matching`.  The antichain is
-    König's: the elements that alternating paths from the unmatched reach
-    on the left and not on the right.  Those two sets are the same for
-    every maximum matching (the Gallai-Edmonds decomposition), so the
-    greedy start, which leaves Kuhn's searches far fewer steps, gives the
-    antichain that the empty start gives.
+    over ``_succ_masks``.  The antichain is König's: the elements that
+    alternating paths from the unmatched reach on the left and not on the
+    right.  Those two sets are the same for every maximum matching (the
+    Gallai-Edmonds decomposition), so the matching's greedy start, which
+    leaves Kuhn's searches far fewer steps, gives the antichain that an
+    empty start gives.
     """
     n, succ = p.n, p._succ_masks
-    match = _max_matching(succ, _greedy_matching(succ))
+    match = _max_matching(succ)
     matched = sum(1 << u for u in match if u != -1)
     width = n - matched.bit_count()
 

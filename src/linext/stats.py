@@ -110,8 +110,8 @@ def balance(p: Poset, budget: int | None = None) -> BalanceReport:
 class PositionStatistics:
     """Moments and mode mass of one position law, one Fraction each from its counts.
 
-    The mean and variance read the law's first and second moments, summed
-    in one pass over its nonzero counts (:meth:`PositionDistribution.moments`).
+    The mean and variance come from one pass over the law's nonzero counts
+    (:meth:`PositionDistribution.mean_variance`).
     """
 
     element: str
@@ -122,12 +122,10 @@ class PositionStatistics:
 
     @classmethod
     def from_distribution(cls, dist: PositionDistribution) -> "PositionStatistics":
-        first, second = dist.moments()
-        t = dist.total
-        var = Fraction(second * t - first * first, t * t)
+        mean, var = dist.mean_variance()
         return cls(
             element=dist.element,
-            mean=Fraction(first, t),
+            mean=mean,
             variance=var,
             stddev=math.sqrt(var),
             q=Fraction(max(dist.counts), dist.total),

@@ -121,10 +121,23 @@ def brute_width(p: Poset) -> int:
     return best
 
 
-def max_bipartite_matching(adj: list[list[int]], n: int) -> list[int]:
-    """Kuhn's augmenting-path matching, recursive, over adjacency lists;
-    returns match_right (-1 = free)."""
+def greedy_matching(adj: list[list[int]], n: int) -> list[int]:
+    """Each u in order takes its first free v in ``adj[u]``; returns match_right (-1 = free)."""
     match_right = [-1] * n
+    for u in range(n):
+        for v in adj[u]:
+            if match_right[v] == -1:
+                match_right[v] = u
+                break
+    return match_right
+
+
+def max_bipartite_matching(adj: list[list[int]], n: int, start: list[int] | None = None) -> list[int]:
+    """Kuhn's augmenting-path matching, recursive, over adjacency lists,
+    grown from ``start`` (empty by default) by one search from each u not
+    yet matched; returns match_right (-1 = free)."""
+    match_right = [-1] * n if start is None else list(start)
+    matched = set(match_right)
 
     def try_augment(u: int, seen: list[bool]) -> bool:
         for v in adj[u]:
@@ -136,7 +149,8 @@ def max_bipartite_matching(adj: list[list[int]], n: int) -> list[int]:
         return False
 
     for u in range(n):
-        try_augment(u, [False] * n)
+        if u not in matched:
+            try_augment(u, [False] * n)
     return match_right
 
 

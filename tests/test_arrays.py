@@ -405,10 +405,9 @@ def test_element_ids_past_255_stay_exact():
     # a 300-chain has one chain of 300, so the array kernel holds it in
     # five words per ideal with one prime
     n = 300
-    p = chain(n)
-    arrays = lattice._Arrays(n, p._pred_masks, 10**6)
+    arrays = lattice._Arrays(n, chain(n)._pred_masks, 10**6)
     assert (arrays.total, arrays.at[-1]) == (1, n + 1)
-    pos, _ = arrays.sweep(p, False)
+    pos, _ = arrays.sweep(False)
     assert pos == [[int(k == x) for k in range(n)] for x in range(n)]
 
 
@@ -763,9 +762,9 @@ def test_pair_counts_fill_position_counts_in_one_rewalk(monkeypatch):
         for owner, name in ((DownsetLattice, "_walk_sweep"), (lattice._Arrays, "sweep")):
             run = getattr(owner, name)
 
-            def counted(self, *args, run=run):  # args end with ``pairs``
-                sweeps.append(args[-1])
-                return run(self, *args)
+            def counted(self, pairs, run=run):
+                sweeps.append(pairs)
+                return run(self, pairs)
 
             monkeypatch.setattr(owner, name, counted)
         lat.pair_counts()
@@ -849,32 +848,23 @@ def test_a_lattice_outlives_its_poset():
     ],
     ids=["young13x5", "twochains20", "crossed4x20"],
 )
-def test_the_sweep_rebuilds_only_the_open_entries(monkeypatch, make):
-    # the array kernel's CRT sees x's window of positions and the
-    # incomparable pairs x < y; every other entry is filled, and all of them
-    # equal the dict kernel's sums
+def test_the_sweep_matches_the_dict_kernel_on_zero_bands(monkeypatch, make):
+    # a quarter of the positions lie outside the elements' windows
+    # |down x| + 1 .. n - |up x|, and a quarter of the pairs are comparable,
+    # so most entries are 0 or e(P), which both kernels must agree on
     p = make()
     n = p.n
     lt = p.lt
     window = sum(n - lt[:, x].sum() - lt[x].sum() for x in range(n))
     incomparable = int((~(lt | lt.T)).sum() - n) // 2
-    # a quarter of the positions lie outside the windows, and a quarter of the pairs are comparable
     assert 4 * window <= 3 * n * n and 8 * incomparable <= 3 * n * (n - 1)
-    rebuilt = []
-    crt = lattice._crt
-
-    def counted(res):
-        rebuilt.append(res.shape[1:])
-        return crt(res)
-
     arrays, walked = _both(monkeypatch, p)
-    monkeypatch.setattr(lattice, "_crt", counted)
     assert arrays.pair_counts() == walked.pair_counts()
     assert arrays.position_counts() == walked.position_counts()
-    assert rebuilt == [(window + incomparable,)]
-    # both kernels fill alike, so the filled entries are also checked against
-    # the position counts: an extension placing x at k puts n - k elements after it
-    pos, pairs, total = arrays.position_counts(), arrays.pair_counts(), arrays.extension_count
+    # the dict kernel fills the comparable pairs and (y, x) of the open
+    # ones, so they are also checked against the position counts: an
+    # extension placing x at k puts n - k elements after it
+    pos, pairs, total = walked.position_counts(), walked.pair_counts(), walked.extension_count
     for x in range(n):
         assert pairs[x][x] == 0
         assert sum(pairs[x]) == sum((n - k) * c for k, c in enumerate(pos[x], 1))

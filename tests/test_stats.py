@@ -223,9 +223,9 @@ def test_moments_skip_zeros_at_both_ends():
         dists = all_position_distributions(p)
         assert any(d.counts[0] == 0 and d.counts[-1] == 0 for d in dists.values())
         for d in dists.values():
-            first = sum(k * c for k, c in enumerate(d.counts, 1))
-            second = sum(k * k * c for k, c in enumerate(d.counts, 1))
-            assert d.moments() == (first, second)
+            mean = sum((k * Fraction(c, d.total) for k, c in enumerate(d.counts, 1)), Fraction(0))
+            second = sum((k * k * Fraction(c, d.total) for k, c in enumerate(d.counts, 1)), Fraction(0))
+            assert d.mean_variance() == (mean, second - mean * mean)
         _check_integer_laws(p, brute=p.n <= 8)
 
 
