@@ -1,14 +1,21 @@
 """Lazy adjacent-transposition Markov chain over linear extensions.
 
-Each step flips a fair coin to stay put (keeping the chain aperiodic),
-else draws one of the n adjacent slots uniformly (the last one is a
-self-loop) and swaps the two neighbors when they are incomparable.  Its
-stationary law is uniform over the extensions; a seed fixes each run.
+Each step reads one draw r, uniform on [0, 2n).  When r < n - 1 it tries
+to swap the neighbors in slots r and r + 1, which it does when they are
+incomparable; otherwise it stays.  So it stays with probability
+(n + 1) / (2n), which keeps it aperiodic, and tries each slot with
+probability 1 / (2n): the chain that flips a fair coin to stay, else
+draws one of the n slots (the last one a self-loop).  Its stationary law
+is uniform over the extensions; a seed fixes each run.
 
-One step kernel, :func:`_advance`, draws a slot as ``randrange(n)`` does,
-by ``getrandbits`` with rejection, and tests the pair with one byte of an
-incomparability table cached per poset; a step takes about 0.2 µs at
-n = 400, and every seed's output is as with ``randrange``.
+One step kernel, :func:`_advance`, takes its draws from the state: one
+``getrandbits`` call yields a block of 4096 32-bit words, each masked to
+the bits of 2n - 1, and the values at 2n or past it are dropped.  The
+draws a call leaves over wait in the state for the next call, so step t
+of a chain reads accepted value t however its steps are split into
+calls.  numpy picks out the moves, and a Python loop over them alone
+tests each pair with one byte of an incomparability table cached per
+poset; a step takes about 0.11 µs at n = 400.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,15 +33,27 @@ from .lattice import position_distribution
 from .poset import Poset, _bits
 
 
+#: 32-bit words per refill of a chain's draws; each word gives one draw or none.
+_BLOCK = 4096
+
+
 @dataclass
 class ChainState:
-    """Mutable walker state; confine each instance to a single thread."""
+    """Mutable walker state; confine each instance to a single thread.
+
+    ``draws`` holds the accepted draws of the last block from ``rng`` that
+    no step has read yet, in order; :func:`_advance` reads them before it
+    asks ``rng`` for the next block.
+    """
 
     poset: Poset
     order: list[int]  # element index at each position
     pos: list[int]  # position of each element index
     steps: int
     rng: random.Random
+    draws: np.ndarray = field(
+        default_factory=lambda: np.empty(0, np.uint32), repr=False, compare=False
+    )
 
 
 def default_burn_in(p: Poset) -> int:
@@ -62,6 +81,12 @@ def initial_state(p: Poset, seed: int | None = None) -> ChainState:
 def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]:
     """Run ``steps`` lazy steps; the one step loop of the chain.
 
+    Step t reads the next draw r of ``state.draws``, refilled from one
+    ``state.rng.getrandbits(32 * 4096)`` call when empty: the call's
+    little-endian 32-bit words, each masked to (2n - 1).bit_length() low
+    bits, with every value of 2n or more dropped.  A draw r < n - 1 tries
+    slots r and r + 1; any other stays.
+
     Returns the (step offset, slot) of each swap that moves an element of
     the bitmask ``watch``, in step order; the offset counts from 0 at the
     first step of this call.  Nothing else is recorded per step.  With
@@ -69,28 +94,32 @@ def _advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]
     """
     p = state.poset
     n, order, pos = p.n, state.order, state.pos
-    coin, bits = state.rng.random, state.rng.getrandbits
     state.steps += steps
     if n < 2:
         return []
-    if "incomp" not in p._cache:  # byte u * n + v: u, v incomparable
-        p._cache["incomp"] = (~(p.lt | p.lt.T)).tobytes()
+    if "incomp" not in p._cache:  # byte v of row u: u, v incomparable
+        p._cache["incomp"] = [row.tobytes() for row in ~(p.lt | p.lt.T)]
     incomp = p._cache["incomp"]
-    k, last, watched = n.bit_length(), n - 1, set(_bits(watch))
+    mask, last, watched = (1 << (2 * n - 1).bit_length()) - 1, n - 1, set(_bits(watch))
     swaps: list[tuple[int, int]] = []
-    for t in range(steps):
-        if coin() < 0.5:
-            continue
-        i = bits(k)
-        while i > last:
-            i = bits(k)
-        if i < last:
-            u, v = order[i], order[i + 1]
-            if incomp[u * n + v]:
-                order[i], order[i + 1] = v, u
-                pos[u], pos[v] = i + 1, i
+    draws, done = state.draws, 0
+    while done < steps:
+        if not draws.size:
+            block = state.rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")
+            words = np.frombuffer(block, "<u4") & mask
+            draws = words[words < 2 * n]
+        ahead, draws = draws[: steps - done], draws[steps - done :]
+        moves = (ahead < last).nonzero()[0]
+        for t, i in zip((moves + done).tolist(), ahead[moves].tolist()):
+            j = i + 1
+            u, v = order[i], order[j]
+            if incomp[u][v]:
+                order[i], order[j] = v, u
+                pos[u], pos[v] = j, i
                 if u in watched or v in watched:
                     swaps.append((t, i))
+        done += ahead.size
+    state.draws = draws
     return swaps
 
 
@@ -164,8 +193,9 @@ def estimate_pair_probability(
 ) -> MCEstimate:
     """Monte Carlo estimate of P(x before y) with a standard error.
 
-    Counts the indicator at every post-burn-in step (no thinning), one
-    batch at a time, from the swaps that move x or y.
+    Counts the indicator at every post-burn-in step (no thinning), split
+    into batches by the step offsets of the swaps that move x or y; the
+    samples take one kernel call.
     Raises ComparablePair when the answer is forced by the order.
     """
     xi, yi = p.index(x), p.index(y)
@@ -177,14 +207,19 @@ def estimate_pair_probability(
     state = initial_state(p, seed)
     _advance(state, burn_in, 0)
     b = math.isqrt(samples)
-    size = samples // max(b, 1)
-    batches = [size] * b + [samples - b * size]  # the tail counts in the mean only
-    pos, watch = state.pos, (1 << xi) | (1 << yi)
-    counts = []
-    for steps in batches:
-        starts = (pos[xi], pos[yi])
-        swaps = _advance(state, steps, watch)
-        counts.append(sum(run for (a, c), run in _runs(starts, steps, swaps) if a < c))
+    size = samples // b
+    starts = (state.pos[xi], state.pos[yi])
+    swaps = _advance(state, samples, (1 << xi) | (1 << yi))
+    counts = [0] * (b + 1)  # hits per batch of ``size`` steps; the tail counts in the mean only
+    t = 0
+    for (a, c), run in _runs(starts, samples, swaps):
+        end = t + run
+        while a < c and t < end:
+            k = min(t // size, b)
+            stop = end if k == b else min(end, (k + 1) * size)
+            counts[k] += stop - t
+            t = stop
+        t = end
     hits = sum(counts)
     stderr = _batch_stderr(counts[:b], size, hits, samples)
     return MCEstimate(hits / samples, stderr, samples, burn_in)

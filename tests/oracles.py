@@ -181,28 +181,34 @@ def matmul_reduction(lt) -> np.ndarray:
     return lt & ~((lt.astype(np.int32) @ lt.astype(np.int32)) > 0)
 
 
-def randrange_advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]:
-    """The chain's step kernel as first written: ``randrange(n)`` draws the
-    slot and a shift of the incomparability mask tests the pair."""
+def word_advance(state: ChainState, steps: int, watch: int) -> list[tuple[int, int]]:
+    """The chain's step kernel one step and one word at a time.
+
+    Each step draws ``getrandbits(32)`` words, masked to the low bits of
+    2n - 1, until one is below 2n; that value r tries slots r and r + 1
+    when r < n - 1, and a shift of the incomparability mask tests the
+    pair.  It reads ``state.rng`` only, never ``state.draws``.
+    """
     p = state.poset
     n, incomp = p.n, p._incomp_masks
     order, pos = state.order, state.pos
-    coin, slot = state.rng.random, state.rng.randrange
+    bits = state.rng.getrandbits
     state.steps += steps
     if n < 2:
         return []
+    mask = (1 << (2 * n - 1).bit_length()) - 1
     swaps: list[tuple[int, int]] = []
     for t in range(steps):
-        if coin() < 0.5:
-            continue
-        i = slot(n)
-        if i + 1 < n:
-            u, v = order[i], order[i + 1]
+        r = bits(32) & mask
+        while r >= 2 * n:
+            r = bits(32) & mask
+        if r < n - 1:
+            u, v = order[r], order[r + 1]
             if (incomp[u] >> v) & 1:
-                order[i], order[i + 1] = v, u
-                pos[u], pos[v] = i + 1, i
+                order[r], order[r + 1] = v, u
+                pos[u], pos[v] = r + 1, r
                 if ((watch >> u) | (watch >> v)) & 1:
-                    swaps.append((t, i))
+                    swaps.append((t, r))
     return swaps
 
 

@@ -492,17 +492,18 @@ def test_sample_mc_is_labeled(capsys, vee_file):
     assert len(lines) == 5
 
 
-# Output recorded from the per-step loop the chain kernel replaced.
+# Output recorded from the per-step reference (``oracles.word_advance``, one
+# step per call).
 PINNED_MC_SAMPLES = [
     (
         ["--samples", "4", "--seed", "2"],
         "# approximate: adjacent-transposition chain, burn-in 2160, spacing 36\n"
-        "v3 v1 v5 v6 v4 v2\nv5 v3 v1 v4 v2 v6\nv1 v3 v4 v2 v5 v6\nv3 v1 v4 v2 v6 v5\n",
+        "v1 v3 v4 v6 v2 v5\nv3 v1 v4 v5 v6 v2\nv5 v3 v1 v4 v2 v6\nv5 v1 v3 v4 v6 v2\n",
     ),
     (
         ["--samples", "3", "--seed", "5", "--burn-in", "7"],
         "# approximate: adjacent-transposition chain, burn-in 7, spacing 36\n"
-        "v3 v5 v1 v4 v6 v2\nv1 v3 v5 v4 v2 v6\nv5 v1 v3 v6 v4 v2\n",
+        "v3 v1 v4 v2 v6 v5\nv3 v1 v4 v5 v2 v6\nv5 v1 v6 v3 v4 v2\n",
     ),
 ]
 

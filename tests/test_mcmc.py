@@ -8,6 +8,7 @@ from linext.errors import ComparablePair
 from linext.families import antichain, chain, chain_plus_point, random_poset
 from linext.lattice import sorting_probability
 from linext.mcmc import (
+    _BLOCK,
     _advance,
     default_burn_in,
     estimate_pair_probability,
@@ -17,7 +18,7 @@ from linext.mcmc import (
     tv_distance_diagnostic,
 )
 from linext.poset import Poset
-from oracles import randrange_advance
+from oracles import word_advance
 
 
 def _is_extension(p: Poset, order: list[int]) -> bool:
@@ -140,28 +141,31 @@ def test_tv_distance_zero_on_chain():
     assert tv_distance_diagnostic(chain(4), "c2", samples=100, seed=0) == 0.0
 
 
-# Values recorded from the per-step loops the kernel replaced, which kept one
-# indicator per step; the replayed swaps must give the same floats.
-# (samples, burn_in, seed, estimate, stderr, burn_in used).  Fewer than four
-# samples form no batches; 10, 17, 26 and 999 leave a tail past the batches.
+# Values recorded from the per-step reference (``oracles.word_advance``, one
+# step per call, one indicator per step); the replayed swaps must give the
+# same floats.  (samples, burn_in, seed, estimate, stderr, burn_in used).
+# Fewer than four samples form no batches, and (3, 5, 26) gives that
+# binomial formula an estimate strictly between 0 and 1; 10, 17, 26 and 999
+# leave a tail past the batches.
 PINNED_ESTIMATES = [
-    (1, 5, 0, 1.0, 0.0, 5),
-    (2, 5, 5, 0.5, 0.3535533905932738, 5),
-    (3, 5, 2, 0.0, 0.0, 5),
-    (3, 5, 5, 0.6666666666666666, 0.2721655269759087, 5),
-    (10, 5, 5, 0.9, 0.11111111111111113, 5),
-    (17, 5, 3, 0.5294117647058824, 0.2576941016011038, 5),
-    (26, 5, 2, 0.07692307692307693, 0.08, 5),
-    (999, None, 2, 0.5165165165165165, 0.0581761825738784, 3430),
-    (5000, 100, 3, 0.5568, 0.03560441378799935, 100),
+    (1, 5, 0, 0.0, 0.0, 5),
+    (2, 5, 5, 0.0, 0.0, 5),
+    (3, 5, 2, 1.0, 0.0, 5),
+    (3, 5, 5, 0.0, 0.0, 5),
+    (3, 5, 26, 0.6666666666666666, 0.2721655269759087, 5),
+    (10, 5, 5, 0.5, 0.2939723678960656, 5),
+    (17, 5, 3, 0.6470588235294118, 0.23935677693908453, 5),
+    (26, 5, 2, 0.9230769230769231, 0.08, 5),
+    (999, None, 2, 0.45645645645645644, 0.06349472892928731, 3430),
+    (5000, 100, 3, 0.627, 0.03137899163254856, 100),
 ]
 
 # (samples, burn_in, seed, total variation) for the first element of
-# random_poset(6, 0.3, seed=77).
+# random_poset(6, 0.3, seed=77), from the same reference.
 PINNED_TV = [
     (1, 3, 5, 0.5),
     (3, None, 1, 0.5),
-    (500, None, 1, 0.196),
+    (500, None, 1, 0.132),
     (1001, 20, 4, 0.0014985014985014985),
 ]
 
@@ -208,25 +212,54 @@ def _four_chains(seed: int) -> Poset:
     return Poset.from_covers([f"c{c}l{k}" for c in range(4) for k in range(100)], covers)
 
 
+class _CountedRandom(random.Random):
+    """A ``random.Random`` that counts the 32-bit words drawn from it."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+def _accepted(n: int, words: list[int]) -> list[int]:
+    mask = (1 << (2 * n - 1).bit_length()) - 1
+    return [r for r in (w & mask for w in words) if r < 2 * n]
+
+
+def _assert_same_stream(fast, slow) -> None:
+    """``fast`` holds, and its rng stands past, the rest of the block ``slow`` is in.
+
+    The kernel fetches a block only when it needs a draw, so it has fetched
+    the blocks that hold the words the reference read, and no more.
+    """
+    rest = random.Random()
+    rest.setstate(slow.rng.getstate())
+    words = [rest.getrandbits(32) for _ in range(-slow.rng.words % _BLOCK)]
+    assert fast.draws.tolist() == _accepted(fast.poset.n, words)
+    assert fast.rng.getstate() == rest.getstate()
+
+
 def _assert_kernels_agree(p: Poset, seed: int, watch: int, batches, reverse=False):
     fast = initial_state(p, seed)
     slow = initial_state(p, seed)
+    slow.rng = _CountedRandom(seed)
     if reverse:  # start from an order that is no extension
         for state in (fast, slow):
             state.order.reverse()
             for k, x in enumerate(state.order):
                 state.pos[x] = k
     for steps in batches:
-        assert _advance(fast, steps, watch) == randrange_advance(slow, steps, watch)
+        assert _advance(fast, steps, watch) == word_advance(slow, steps, watch)
         assert (fast.order, fast.pos, fast.steps) == (slow.order, slow.pos, slow.steps)
-        assert fast.rng.getstate() == slow.rng.getstate()
+        _assert_same_stream(fast, slow)
         assert reverse or _is_extension(p, fast.order)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33, 63, 64, 65])
 def test_kernel_matches_the_randrange_kernel(n):
-    # a draw of n.bit_length() bits is redrawn at n or past it: a power of
-    # two redraws about half its draws, one below a power of two almost none
+    # a word masked to the bits of 2n - 1 is dropped at 2n or past it: n
+    # just past a power of two drops about half its words, a power of two none
     for seed in range(3):
         p = random_poset(n, 0.06, seed=seed)
         # the table is built in C order whatever the layout of lt
@@ -234,7 +267,7 @@ def test_kernel_matches_the_randrange_kernel(n):
             p = Poset(p.labels, np.asfortranarray(p.lt))
         rng = random.Random(seed)
         for watch in (0, (1 << n) - 1, rng.getrandbits(n) if n else 0):
-            _assert_kernels_agree(p, seed, watch, (1, 0, 700, 333))
+            _assert_kernels_agree(p, seed, watch, (1, 0, 700, 333, 9000))
 
 
 def test_kernel_matches_the_randrange_kernel_on_400_elements():
@@ -242,7 +275,7 @@ def test_kernel_matches_the_randrange_kernel_on_400_elements():
     a, b = p.index("c0l50"), p.index("c3l50")
     for seed in (0, 7):
         for watch in (0, 1 << a | 1 << b, (1 << p.n) - 1):
-            _assert_kernels_agree(p, seed, watch, (5000, 20_000))
+            _assert_kernels_agree(p, seed, watch, (5000, 20_000, 1))
 
 
 def test_kernel_matches_the_randrange_kernel_off_the_extensions():
@@ -250,4 +283,50 @@ def test_kernel_matches_the_randrange_kernel_off_the_extensions():
     # neighbors swap, whichever of them comes first
     p = random_poset(12, 0.3, seed=1)
     for seed in range(4):
-        _assert_kernels_agree(p, seed, (1 << p.n) - 1, (500, 500), reverse=True)
+        _assert_kernels_agree(p, seed, (1 << p.n) - 1, (500, 500, 4000), reverse=True)
+
+
+def _block_draws(n: int, seed: int) -> int:
+    """How many draws the first block of ``seed``'s stream gives at n elements."""
+    rng = random.Random(seed)
+    return len(_accepted(n, [rng.getrandbits(32) for _ in range(_BLOCK)]))
+
+
+@pytest.mark.parametrize("n", [5, 33, 400])
+def test_steps_split_anywhere_walk_the_same_chain(n):
+    # step t reads accepted draw t however the steps fall into calls
+    p = _four_chains(5) if n == 400 else random_poset(n, 0.1, seed=n)
+    watch = (1 << p.n) - 1
+    edge = _block_draws(n, 3)
+    for a in (edge - 1, edge, edge + 1, 2 * edge + 7):
+        b = 3 * edge - a + 11  # a + b runs into a third block at least
+        split, whole, single = (initial_state(p, 3) for _ in range(3))
+        first = _advance(split, a, watch)
+        second = _advance(split, b, watch)
+        assert first + [(t + a, i) for t, i in second] == _advance(whole, a + b, watch)
+        for _ in range(a + b):
+            mc_step(single)
+        for state in (whole, single):
+            assert (state.order, state.pos, state.steps) == (split.order, split.pos, split.steps)
+            assert state.draws.tolist() == split.draws.tolist()
+            assert state.rng.getstate() == split.rng.getstate()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 33])
+def test_each_draw_maps_to_one_move(n):
+    # on an antichain every tried slot swaps, so the swaps show the moves
+    p = antichain(n)
+    state = initial_state(p, seed=0)
+    before = state.rng.getstate()
+    planted = [0, n - 1, n - 2, 2 * n - 1, n]
+    state.draws = np.array(planted, np.uint32)
+    swaps = _advance(state, len(planted), (1 << n) - 1)
+    assert swaps == [(t, r) for t, r in enumerate(planted) if r < n - 1]
+    assert state.draws.size == 0 and state.rng.getstate() == before
+    # one step per value of [0, 2n): it stays n + 1 times, tries each slot once
+    state.draws = np.arange(2 * n, dtype=np.uint32)
+    tried = [i for _, i in _advance(state, 2 * n, (1 << n) - 1)]
+    assert tried == list(range(n - 1))
+    stay = Fraction(2 * n - len(tried), 2 * n)
+    assert stay == Fraction(n + 1, 2 * n) == Fraction(1, 2) + Fraction(1, 2) / n
+    assert all(Fraction(tried.count(i), 2 * n) == Fraction(1, 2 * n) for i in range(n - 1))
