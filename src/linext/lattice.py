@@ -32,12 +32,14 @@ there.  Path counts are kept modulo primes below 2^31: enough in the down
 pass to exceed a bound on e(P) (n! over the chain cover), so the Chinese
 remainder theorem (CRT) rebuilds e(P) exactly, and then only those that
 cover e(P), which bounds every other count.  The down, up and masked passes
-are int64 segment sums (:func:`_segment_sums`), below 2^6 2^31 = 2^37 since
-an ideal has at most 64 edges in or out (:func:`_arrays_fit`).  The sweeps
-sum over at most 2^31 ideals (the kernel's indices are int32), each adding
-less than 2^31 to an entry, so they reduce their int64 sums once, at the
-end.  Each answer is one CRT (De Loof, De Meyer and De Baets, "Exploiting
-the lattice of ideals representation of a poset", Fundam. Inform. 2006).
+are int64 segment sums (:func:`_segment_sums`), and an ideal has at most 64
+edges in or out (:func:`_arrays_fit`), so a level's sums stay below 2^6 2^31
+= 2^37: the down and up passes reduce every level, the masked pass every
+fifth (below 2^61).  The sweeps sum over at most 2^31 ideals (the kernel's
+indices are int32), each adding less than 2^31 to an entry, so they reduce
+their int64 sums once, at the end.  Each answer is one CRT (De Loof, De
+Meyer and De Baets, "Exploiting the lattice of ideals representation of a
+poset", Fundam. Inform. 2006).
 Neither kernel shows its ideals or path counts: a lattice answers with
 counts, laws, pair counts and draws.  Draws walk index tables over either
 kernel's stored out-edges (one total per step, then the children up to the
@@ -53,9 +55,11 @@ counted on the ideals that hold u whenever they hold v.  When the
 poset caches an array-kernel lattice within the budget, that is one
 masked up pass over its stored edges, the counts of every other ideal
 zeroed (each pair read from the words of the ideals), with a block of
-rows per pair set (a conditional's two counts share it).  Otherwise it is
-a constrained down pass, on either kernel, so the budget bounds only the
-ideals it walks.
+rows per pair set (a conditional's two counts share it).  It walks only
+the levels where an ideal can hold some v without its u, sizes |↓v| to
+n - |↑u|, and reads the rest off the stored down and up counts.
+Otherwise it is a constrained down pass, on either kernel, so the budget
+bounds only the ideals it walks.
 
 The lattice of a poset whose comparability graph falls into several
 connected parts is the product of the parts' lattices, so
@@ -357,14 +361,15 @@ def _crt(res: np.ndarray) -> list:
 
 
 def _segment_sums(counts: np.ndarray, runs: Sequence[tuple], m: int) -> np.ndarray:
-    """Sums of ``counts`` (k rows, one per prime, or r blocks of them) along edges, mod each prime.
+    """Raw int64 sums of ``counts`` (k rows, one per prime, or r blocks of them) along edges.
 
     A run, one chunk's edges, starts (pick, starts, into): group g sums
     ``counts[..., pick[starts[g]:starts[g + 1]]]`` into ``out[..., into[g]]``
     (``out[..., g]`` for a level of one run), and fancy indexing adds a run,
     whose groups (targets going down, sources going up) are distinct.  The
-    int64 sums are exact: an ideal has at most 64 edges in or out, each count
-    below 2^31, so a sum is below 2^37.
+    sums are not reduced: an ideal has at most 64 edges in or out, so a sum
+    is below 64 times the largest count, and each caller reduces modulo the
+    primes when it must.
     """
     out = None if len(runs) == 1 else np.zeros(counts.shape[:-1] + (m,), dtype=np.int64)
     for pick, starts, into, *_ in runs:
@@ -373,7 +378,7 @@ def _segment_sums(counts: np.ndarray, runs: Sequence[tuple], m: int) -> np.ndarr
             out = part
         else:
             out[..., into] += part
-    return np.remainder(out, _MODS[: counts.shape[-2]], out=out)  # in place: a level's largest temporary
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -475,6 +480,7 @@ def _array_levels(n: int, pred: Sequence[int], k: int, budget: int):
                 above[slice(None) if into is None else into] = rows
         yield level, counts, runs
         counts = _segment_sums(counts, blocks, len(nxt))
+        np.remainder(counts, _MODS[:k], out=counts)  # in place: a level's largest temporary
         keys, level = nxt, above
         words = [keys] if width == 1 else list(level.T)
     yield level, counts, None
@@ -636,33 +642,49 @@ class _Arrays:
         self.up = np.empty_like(self.down)
         self.up[:, -1] = 1
         for runs, lo, hi in zip(self.runs[::-1], at[-3::-1], at[-2::-1]):  # read from ``up`` whole
-            self.up[:, lo:hi] = _segment_sums(self.up, [(tgt + hi, *run) for tgt, *run in runs], hi - lo)
+            sums = _segment_sums(self.up, [(tgt + hi, *run) for tgt, *run in runs], hi - lo)
+            np.remainder(sums, _MODS[:k], out=self.up[:, lo:hi])
         self.n = n
         self.at = at
+        # per element x, the sizes of the smallest ideal holding x and of the largest lacking it
+        self.low = [m.bit_count() + 1 for m in pred]
+        self.high = (n - 1 - np.bincount([*itertools.chain(*map(_bits, pred))], minlength=n)).tolist()
 
     def masked(self, events: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
         """Per list of pairs (u, v), the extensions putting each u before its v.
 
-        The poset's ideals with each v also waiting for its u are the
-        ideals here that hold u whenever they hold v.  So each count is the
-        up pass again to the empty ideal, the counts of every other ideal
-        zeroed after each level; each list is one block of k rows (k primes
-        cover a count at most e(P)), and one pass serves them all.  Each
-        pair is tested on the words of ``ideals`` that hold u and v, straight
-        into its list's keep row, so a call holds only its keep rows and the
-        lattice keeps nothing a call made.
+        The poset's ideals with each v also waiting for its u are the ideals
+        here that hold u whenever they hold v.  One breaks (u, v) only if it
+        holds v and not u, so at sizes ``low[v]`` to ``high[u]``, and the
+        pass walks the union of these windows: from the stored ``up`` of its
+        top level, each level's counts zeroed where a list's keep row is
+        false, down to its bottom, read as the sum of down times masked up.
+        Each list is one block of k rows (k primes cover a count at most
+        e(P)), and sums go unreduced for five levels (< 2^31 64^5 = 2^61).
+        The keep rows, read off the words of the window's ideals, are all a
+        call holds, and the lattice keeps nothing a call made.
         """
         _, word, bit = _element_bits(self.n)
-        ideals = self.ideals
-        keep = np.ones((len(events), 1, self.at[-1]), dtype=bool)
+        at, mods = self.at, _MODS[: self.k]
+        bottom = min(self.low[v] for pairs in events for _, v in pairs)
+        top = max(bottom, *(self.high[u] for pairs in events for u, _ in pairs))
+        base = at[bottom]
+        ideals = self.ideals[base : at[top + 1]]
+        keep = np.ones((len(events), 1, len(ideals)), dtype=bool)
         for row, pairs in zip(keep[:, 0], events):
             for u, v in pairs:  # u held, or v not
-                row &= ((ideals[:, word[u]] & bit[u]) != 0) | ((ideals[:, word[v]] & bit[v]) == 0)
-        counts = np.ones((len(events), self.k, 1), dtype=np.int64)
-        for runs, lo, hi in zip(self.runs[::-1], self.at[-3::-1], self.at[-2::-1]):
-            counts = _segment_sums(counts, runs, hi - lo)
-            counts *= keep[:, :, lo:hi]
-        return _crt(counts[:, :, 0].T)
+                if word[u] == word[v]:
+                    row &= (ideals[:, word[v]] & (bit[u] | bit[v])) != bit[v]
+                else:
+                    row &= ((ideals[:, word[u]] & bit[u]) != 0) | ((ideals[:, word[v]] & bit[v]) == 0)
+        counts = self.up[:, at[top] : at[top + 1]] * keep[:, :, at[top] - base :]
+        for t in range(top - 1, bottom - 1, -1):
+            counts = _segment_sums(counts, self.runs[t], at[t + 1] - at[t])
+            if (top - t) % 5 == 0:
+                np.remainder(counts, mods, out=counts)
+            counts *= keep[:, :, at[t] - base : at[t + 1] - base]
+        counts = counts % mods * self.down[:, base : at[bottom + 1]] % mods
+        return _crt((counts.sum(axis=-1) % mods[:, 0]).T)
 
     def sweep(self, pairs: bool) -> tuple[list[list[int]], list[list[int]] | None]:
         """Position counts, and with ``pairs`` pair counts, from one pass.
@@ -1291,9 +1313,9 @@ def _event_counts(
     on the poset's own ideals with each v also waiting for its u.  When
     ``p`` already caches an array-kernel :class:`DownsetLattice` within
     ``budget``, those counts share one masked pass over its stored edges
-    (:meth:`_Arrays.masked`), which walks no ideal the augmented lattice
-    lacks.  Otherwise each is a
-    constrained down pass, whose budget bounds the augmented lattice.
+    (:meth:`_Arrays.masked`), which walks only the levels where some pair
+    can break, and no ideal the augmented lattice lacks.  Otherwise each is
+    a constrained down pass, whose budget bounds the augmented lattice.
     Each event holds the pairs of the one before it, so the counts after
     a 0 are 0 and are not made.
     """

@@ -254,13 +254,14 @@ def test_an_array_lattice_keeps_nothing_its_queries_make(monkeypatch):
 
 
 def _spy_segment_sums(monkeypatch) -> list[np.ndarray]:
-    """Every result of the segment-sum kernel, in call order."""
+    """Every result of the segment-sum kernel, in call order, modulo each prime."""
     found: list[np.ndarray] = []
     kernel = lattice._segment_sums
 
     def spy(counts, runs, m):
         out = kernel(counts, runs, m)
-        found.append(out.copy())  # the masked pass zeroes counts in place
+        # the sums come back raw, and each caller reduces them in place
+        found.append(out % lattice._MODS[: out.shape[-2]])
         return out
 
     monkeypatch.setattr(lattice, "_segment_sums", spy)
@@ -300,15 +301,20 @@ def _assert_passes_match_the_float64_gather(monkeypatch, p: Poset, events) -> No
     for (src, tgt), level in zip(edges[::-1], levels[-2::-1]):
         up.append(gather_float64(src, tgt, up[-1], mods, len(level)))
     expected = down[1:] + up[1:]
-    # the masked pass runs top-down, over the edges as the up pass reads them
+    # the masked pass runs top-down, over the edges as the up pass reads
+    # them, but sums only the levels below the top of its pairs' window
+    # (sizes |down v| to n - |up u|) down to its bottom
+    bottom = min(int(p.lt[:, v].sum()) + 1 for pairs in events for _, v in pairs)
+    top = max(bottom, *(p.n - 1 - int(p.lt[u].sum()) for pairs in events for u, _ in pairs))
     counts = np.ones((len(events), k, 1), dtype=np.int64)
-    for (src, tgt), level in zip(edges[::-1], levels[-2::-1]):
+    for t, (src, tgt), level in zip(range(p.n - 1, -1, -1), edges[::-1], levels[-2::-1]):
         counts = gather_float64(src, tgt, counts, mods, len(level))
-        expected.append(counts)
+        if bottom <= t < top:
+            expected.append(counts)
         # an ideal is kept unless it holds some v without its u
         keep = [[not any(m >> v & 1 and not m >> u & 1 for u, v in pairs) for m in level] for pairs in events]
         counts = counts * np.array(keep)[:, None, :]
-    assert len(calls) == len(expected) == 3 * p.n
+    assert len(calls) == len(expected) == 2 * p.n + top - bottom
     for t, (got, want) in enumerate(zip(calls, expected)):
         assert got.dtype == np.int64 and np.array_equal(got, want), t
     assert np.array_equal(arrays.down, np.concatenate(down, axis=1)[:k])
@@ -360,6 +366,17 @@ def test_segment_sums_match_the_float64_gather_up_to_a_refusal(monkeypatch):
         for got, (src, tgt), level in zip(calls, edges, levels[1:]):
             down = gather_float64(tgt, src, down, lattice._MODS, len(level))
             assert np.array_equal(got, down)
+
+
+def test_an_ideal_has_at_most_64_out_edges():
+    # the masked pass leaves five levels of sums unreduced, each below 64
+    # times the last, on this bound: an ideal has one edge out per chain of
+    # the cover at most, and the array kernel holds at most 64 chains
+    for p in (young_diagram((13,) * 5).poset, grid_ideal(3, [(4, 4, 4)]).poset):
+        arrays = build_lattice(p)._arrays
+        chains = len(lattice._chain_cover(p.n, p._pred_masks)[1])
+        out = [np.diff(starts, append=len(tgt)).max() for runs in arrays.runs for tgt, starts, _, _ in runs]
+        assert max(out) <= chains <= 64
 
 
 def test_young_diagrams_past_64_cells_match_the_hook_formula():

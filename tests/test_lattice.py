@@ -441,15 +441,26 @@ def test_one_open_pair_matches_the_down_pass_on_the_array_kernel(monkeypatch):
 
 
 def _masked_queries(p, rng, count):
-    """``count`` conjunctions and ``count`` (event, given) conditionals.
+    """``count`` conjunctions and ``count`` (event, given) conditionals,
+    then queries on the pairs of extreme windows.
 
     Two or three pairs p leaves open, each with a twist now and then: a
     repeat, a pair p orders, one against the order, its reverse (a cycle),
-    or u == v.  Every fifth condition is null.
+    or u == v.  Every fifth condition is null.  A pair (u, v) can break
+    only at ideal sizes |down v| to n - |up u|, its window.  The last
+    queries take the free pairs of the lowest window (v minimal, where p
+    has one), the highest (u maximal), the narrowest (one level, where p
+    has one) and two far apart (disjoint, where p has them).  A
+    conditional whose event repeats its one-pair condition walks that
+    pair's window alone.
     """
     labels = p.labels
     free = [(x, y) for x in labels for y in labels if x != y and not p.comparable(x, y)]
     ordered = [(x, y) for x in labels for y in labels if p.less(x, y)]
+    window = {
+        (x, y): (sum(p.less(z, y) for z in labels) + 1, p.n - 1 - sum(p.less(x, z) for z in labels))
+        for x, y in free
+    }
 
     def pairs():
         out = [rng.choice(free) for _ in range(rng.randint(2, 3))] if free else []
@@ -474,6 +485,14 @@ def _masked_queries(p, rng, count):
             x, y = rng.choice(free)
             given = [(x, y), (y, x)]
         conditionals.append((pairs()[: rng.randint(1, 3)], given))
+    if free:
+        low = min(free, key=lambda pair: window[pair][0])
+        high = max(free, key=lambda pair: window[pair][1])
+        narrow = min(free, key=lambda pair: window[pair][1] - window[pair][0])
+        first = min(free, key=lambda pair: window[pair][1])
+        last = max(free, key=lambda pair: window[pair][0])
+        events += [[low, high], [narrow, narrow[::-1]], [first, last]]
+        conditionals += [([low], [low]), ([narrow], [narrow]), ([high], [low]), ([last], [first])]
     return events, conditionals
 
 
@@ -491,12 +510,9 @@ def _assert_masked_route(monkeypatch, p, queries, brute):
         return down_pass(p.n, *_augmented_masks(p, pairs), None)
 
     events, conditionals = queries
-    for pairs in events:
-        got = event_probability(p, pairs)
-        assert got == Fraction(walked(pairs), total)
-        if brute:
-            assert got == brute_event_probability(p, pairs)
     nulls = 0
+    # the conditionals first: an event of one open pair makes the pair
+    # sweep, and a condition of one is read from it after that
     for event, given in conditionals:
         base = walked(given)
         if base == 0:
@@ -508,6 +524,11 @@ def _assert_masked_route(monkeypatch, p, queries, brute):
         assert got == Fraction(walked(given + event), base)
         if brute:
             assert got == brute_conditional_probability(p, event, given)
+    for pairs in events:
+        got = event_probability(p, pairs)
+        assert got == Fraction(walked(pairs), total)
+        if brute:
+            assert got == brute_event_probability(p, pairs)
     assert calls == []
     monkeypatch.undo()
     return nulls
@@ -546,6 +567,56 @@ def test_masked_pass_shares_one_pass_between_pair_lists(monkeypatch):
     ]
     got = arrays.masked([[(p.index(u), p.index(v)) for u, v in pairs] for pairs in sets])
     assert got == [brute_event_probability(p, pairs) * arrays.total for pairs in sets]
+
+
+@pytest.mark.parametrize("shape", ["young13x5", "random40"])
+def test_masked_route_matches_the_down_pass_on_wide_lattices(monkeypatch, shape):
+    # two words per ideal, and levels of several chunks (up to 13,139
+    # ideals on random40), each run of a level summed into its own sources
+    p = young_diagram((13,) * 5).poset if shape == "young13x5" else random_poset(40, 0.1, seed=5)
+    lat = build_lattice(p)
+    chunks = max(len(level) for level in lat._arrays.runs)
+    assert (p.n > 64, chunks > 1) == (shape == "young13x5", shape == "random40")
+    _assert_masked_route(monkeypatch, p, _masked_queries(p, random.Random(p.n), 2), False)
+
+
+def test_masked_pass_walks_only_the_levels_its_pairs_can_break(monkeypatch):
+    # an ideal breaks (u, v) only if it holds v and not u, so only at sizes
+    # |down v| to n - |up u|: the pass sums one level per step from the top
+    # of the union of its pairs' windows down to the bottom, and reads the
+    # levels outside it off the stored down and up counts
+    _kernel(monkeypatch, True)
+    p = random_poset(8, 0.2, seed=4)
+    arrays = build_lattice(p)._arrays
+    assert arrays is not None
+    steps = []
+    kernel = lattice._segment_sums
+    monkeypatch.setattr(lattice, "_segment_sums", lambda counts, runs, m: steps.append(m) or kernel(counts, runs, m))
+    lt, labels = p.lt, p.labels
+    window = {
+        (u, v): (int(lt[:, v].sum()) + 1, p.n - 1 - int(lt[u].sum()))
+        for u in range(p.n) for v in range(p.n) if u != v and not lt[u, v] and not lt[v, u]
+    }
+    low = min(window, key=lambda pair: window[pair][0])
+    high = max(window, key=lambda pair: window[pair][1])
+    narrow = min(window, key=lambda pair: window[pair][1] - window[pair][0])
+    first = min(window, key=lambda pair: window[pair][1])
+    last = max(window, key=lambda pair: window[pair][0])
+    # both ends, a window of one level inside, and two disjoint windows
+    assert (window[low][0], window[high][1]) == (1, p.n - 1)
+    assert window[narrow] == (3, 3) and window[first][1] < window[last][0]
+    cases = [
+        [[low]], [[high]], [[narrow]], [[low], [high]], [[first], [last]],
+        [[narrow, narrow[::-1]]], [[first, last], [narrow]],
+    ]
+    for sets in cases:
+        steps.clear()
+        got = arrays.masked(sets)
+        spans = [window[pair] for pairs in sets for pair in pairs]
+        assert len(steps) == max(top for _, top in spans) - min(bottom for bottom, _ in spans)
+        named = [[(labels[u], labels[v]) for u, v in pairs] for pairs in sets]
+        assert got == [brute_event_probability(p, pairs) * arrays.total for pairs in named]
+    assert arrays.masked([[narrow, narrow[::-1]]]) == [0]
 
 
 def _route_pairs(p):

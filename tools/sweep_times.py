@@ -9,9 +9,11 @@ The build itself (``build_ms``) is timed on every fresh lattice, so the
 set-up's share of it can be read off the same run.  ``masked_ms`` is one
 ``event_probability`` of three incomparable pairs on a poset whose lattice
 is already cached (a masked pass on an array lattice, a constrained down
-pass otherwise), and ``masked_again_ms`` the same event asked again of
-that lattice, so any state the first call leaves is warm.  The bytes an array lattice holds are read once per
-poset, on a fresh lattice: the ``nbytes`` of its ``ideals`` (``levels``),
+pass otherwise), and ``masked_levels`` the levels that event's window
+spans out of the lattice's n + 1, read off the poset: a masked pass walks
+only the ideal sizes at which some pair (u, v) can break, |↓v| to
+n − |↑u|.  The bytes an array lattice holds are read once per poset, on a
+fresh lattice: the ``nbytes`` of its ``ideals`` (``levels``),
 ``down`` and ``up`` arrays and of every other array it keeps (``edges``),
 and their sum (``held``), each in bytes per ideal (``_B``), over the
 parts the array kernel built (no such columns when it built none).
@@ -99,17 +101,23 @@ def _open_pairs(p: Poset, count: int) -> list[tuple[int, int]]:
     return [(u, rng.choice([v for v in free[u] if v != u])) for u in itertools.islice(itertools.cycle(elements), count)]
 
 
-def _masked_calls(data: dict) -> tuple[float, float]:
-    """Seconds of a three-pair ``event_probability`` on a cached lattice of ``data``, then of the same again."""
+def _masked_call(data: dict) -> float:
+    """Seconds of a three-pair ``event_probability`` on a cached lattice of ``data``."""
     p = Poset.from_dict(data)
     build_lattice(p)
     event = EventSpec.of(*((p.labels[u], p.labels[v]) for u, v in _open_pairs(p, 3)))
-    times = []
-    for _ in range(2):
-        start = time.perf_counter()
-        event_probability(p, event)
-        times.append(time.perf_counter() - start)
-    return times[0], times[1]
+    start = time.perf_counter()
+    event_probability(p, event)
+    return time.perf_counter() - start
+
+
+def _masked_levels(data: dict) -> str:
+    """Levels of the three-pair event's window, out of the lattice's, as "spanned/all"."""
+    p = Poset.from_dict(data)
+    pairs = _open_pairs(p, 3)
+    bottom = min(int(p.lt[:, v].sum()) + 1 for _, v in pairs)
+    top = max(p.n - 1 - int(p.lt[u].sum()) for u, _ in pairs)
+    return f"{top - bottom + 1}/{p.n + 1}"
 
 
 def _arrays_in(value) -> list[np.ndarray]:
@@ -153,17 +161,15 @@ def _held_bytes(data: dict) -> dict[str, float]:
     return {f"{name}_B": size / nodes for name, size in held.items()}
 
 
-def _medians(data: dict, reps: int) -> dict[str, float]:
-    """Median ms of the build, each method and a masked event, and median µs per draw."""
+def _medians(data: dict, reps: int) -> dict[str, float | str]:
+    """Median ms of the build, each method and a masked event, median µs per draw, and the event's window."""
     runs = [_one_call(data, method) for _ in range(reps) for method in METHODS]
     row = {"build_ms": statistics.median(r["build"] for r in runs) * 1e3}
     for method in METHODS:
         row[f"{method}_ms"] = statistics.median(r[method] for r in runs if method in r) * 1e3
     row["draw_us"] = statistics.median(r["draw"] for r in runs if "draw" in r) * 1e6
-    first, again = zip(*(_masked_calls(data) for _ in range(reps)))
-    row["masked_ms"] = statistics.median(first) * 1e3
-    row["masked_again_ms"] = statistics.median(again) * 1e3
-    return {key: round(value, 2) for key, value in row.items()}
+    row["masked_ms"] = statistics.median(_masked_call(data) for _ in range(reps)) * 1e3
+    return {key: round(value, 2) for key, value in row.items()} | {"masked_levels": _masked_levels(data)}
 
 
 def main() -> None:
@@ -189,7 +195,7 @@ def main() -> None:
     columns = list(max(report.values(), key=len))
     print("poset  " + "  ".join(columns))
     for name, row in report.items():
-        print(name + "  " + "  ".join(f"{row[c]:.2f}" if c in row else "-" for c in columns))
+        print(name + "  " + "  ".join(f"{row[c]:.2f}" if isinstance(row.get(c), float) else row.get(c, "-") for c in columns))
 
 
 if __name__ == "__main__":
