@@ -45,13 +45,14 @@ counts, laws, pair counts and draws.  Draws walk index tables over either
 kernel's stored out-edges (one total per step, then the children up to the
 chosen one), so samples are the same on both kernels.
 
-An event "u before v" drops the pairs the poset already orders, and
-counts 0 at once when a pair left has u == v or is ordered the other way.
-With one pair left, :func:`event_probability` reads it from the cached
-lattice's ``pair_counts``, one sweep that answers every pair at once,
-and :func:`conditional_probability` reads it there when the sweep is
-already made.  Two or more, and every other conditional count, are
-counted on the ideals that hold u whenever they hold v.  When the
+An event "u before v" drops the pairs the poset already orders.  One
+pair left is resolved in one step, :func:`_pair_count`: 0 at once when
+u == v or the poset orders v before u, and otherwise read off the cached
+lattice's ``pair_counts``, one sweep that answers every pair at once (a
+conditional reads it only once the sweep is made).  More pairs count 0
+at once when one is u == v or reversed, and are otherwise counted, with
+every other conditional count, on the ideals that hold u whenever they
+hold v.  When the
 poset caches an array-kernel lattice within the budget, that is one
 masked up pass over its stored edges, the counts of every other ideal
 zeroed (each pair read from the words of the ideals), with a block of
@@ -1297,27 +1298,29 @@ def augmented_poset(p: Poset, pairs: Iterable[tuple[str, str]]) -> Poset | None:
         return None
 
 
+def _pair_count(p: Poset, u: int, v: int, budget: int | None) -> int:
+    """Extensions with u before v, off the cached lattice; 0 for u == v or v < u, with none built."""
+    pred = p._pred_masks
+    if u == v or (pred[u] >> v) & 1:
+        return 0
+    lat = build_lattice(p, budget)
+    return lat.extension_count if (pred[v] >> u) & 1 else lat.pair_counts()[u][v]
+
+
 def _event_counts(
     p: Poset, events: Sequence[Sequence[tuple[str, str]]], budget: int | None, sweep: bool = False
 ) -> list[int]:
     """Extensions of ``p`` that put every ``u`` before its ``v``, per event.
 
-    Pairs the poset already orders are dropped, and an event with none
-    left is the cached count.  One pair (u, v) left is read from the
-    cached lattice's ``pair_counts``, a sweep that answers every pair of
-    the poset at once under the same budget as the count: with ``sweep``
-    (for :func:`event_probability`), or when a lattice within ``budget``
-    already holds them.  An event with an open pair u == v, or one the
-    poset orders the other way, counts 0 before any of these, so no lattice
-    is read or built for it under any budget.  Every other event is counted
-    on the poset's own ideals with each v also waiting for its u.  When
-    ``p`` already caches an array-kernel :class:`DownsetLattice` within
-    ``budget``, those counts share one masked pass over its stored edges
-    (:meth:`_Arrays.masked`), which walks only the levels where some pair
-    can break, and no ideal the augmented lattice lacks.  Otherwise each is
-    a constrained down pass, whose budget bounds the augmented lattice.
-    Each event holds the pairs of the one before it, so the counts after
-    a 0 are 0 and are not made.
+    Pairs the poset already orders, and repeats, are dropped: none left
+    is the count, and one is :func:`_pair_count`'s with ``sweep`` or once
+    a lattice within ``budget`` holds the pair counts.  More count 0 when
+    one is u == v or reversed, with no lattice read or built, and else on
+    the ideals with each v also waiting for its u: one masked pass shared
+    by the events (:meth:`_Arrays.masked`) when ``p`` caches an array
+    lattice within ``budget``, or else a constrained down pass each, whose
+    budget bounds the augmented lattice.  Each event holds the pairs of
+    the one before it, so the counts after a 0 are 0 and are not made.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
@@ -1325,27 +1328,27 @@ def _event_counts(
     held = lat is not None and lat.node_count <= budget
     arrays = lat._arrays if held and isinstance(lat, DownsetLattice) else None
     sweep = sweep or (held and lat._pair_counts is not None)
+    pred = p._pred_masks
     counts: list[int | None] = []
     masked = []
     for pairs in events:
-        pred = list(p._pred_masks)
-        cand = list(p._upper_cover_masks)
         open_pairs = []
         for u, v in pairs:
             u, v = p.index(u), p.index(v)
-            if not (pred[v] >> u) & 1:  # a pair already in the order adds nothing
-                pred[v] |= 1 << u
-                cand[u] |= 1 << v
+            if not (pred[v] >> u) & 1 and (u, v) not in open_pairs:
                 open_pairs.append((u, v))
         if not open_pairs:
             count = count_extensions(p, budget)
-        elif any(u == v or (p._pred_masks[u] >> v) & 1 for u, v in open_pairs):
-            count = 0  # no extension puts an element before itself or against the order
         elif sweep and len(open_pairs) == 1:
-            ((u, v),) = open_pairs
-            count = build_lattice(p, budget).pair_counts()[u][v]
+            count = _pair_count(p, *open_pairs[0], budget)
+        elif any(u == v or (pred[u] >> v) & 1 for u, v in open_pairs):
+            count = 0  # no extension puts an element before itself or against the order
         elif arrays is None:
-            count = _down_pass(p.n, pred, cand, budget)
+            aug, cand = list(pred), list(p._upper_cover_masks)
+            for u, v in open_pairs:
+                aug[v] |= 1 << u
+                cand[u] |= 1 << v
+            count = _down_pass(p.n, aug, cand, budget)
         else:
             masked.append(open_pairs)
             count = None
@@ -1361,12 +1364,10 @@ def _event_counts(
 def event_probability(p: Poset, event, budget: int | None = None) -> Fraction:
     """Probability that a uniform extension satisfies every required pair.
 
-    An event with one pair the poset leaves open reads the cached
-    lattice's pair counts (:func:`_event_counts`), so the budget bounds
-    that lattice, as it bounds the count.  An event of two or more open
-    pairs is a masked pass over the cached lattice when that is an
-    array-kernel lattice within the budget, and otherwise one constrained
-    down pass.
+    One pair the poset leaves open is resolved as by :func:`sorting_probability`
+    (:func:`_pair_count`), so the budget bounds the cached lattice.  Two or
+    more open pairs are a masked pass over an array-kernel lattice cached
+    within the budget, or else one constrained down pass.
     """
     (hits,) = _event_counts(p, [_required_pairs(event)], budget, sweep=True)
     return Fraction(hits, count_extensions(p, budget)) if hits else Fraction(0)
@@ -1377,14 +1378,12 @@ def conditional_probability(
 ) -> Fraction:
     """P(event | given); raises ConditionNullEvent when P(given) = 0.
 
-    Both counts, the condition's and the condition's with the event's,
-    come from one masked pass when ``p`` caches an array-kernel lattice
-    within the budget (:func:`_event_counts`), and a count of one open
-    pair from pair counts it already holds.  Otherwise a count with an
-    open pair is a constrained down pass, even with just one, so the
-    budget bounds only the augmented lattices walked: reading the
-    poset's whole lattice for a lone ``given`` pair would hold the budget
-    to that lattice too and lower the reach of a conditional.
+    Both counts come from one masked pass when ``p`` caches an array-kernel
+    lattice within the budget (:func:`_event_counts`), and a count of one
+    open pair from :func:`_pair_count` once that lattice holds its pair
+    counts.  Otherwise a count with an open pair is a constrained down
+    pass, even with one, so the budget bounds only the augmented lattices
+    walked, and a lone ``given`` pair does not hold it to the whole one.
     """
     given_pairs = _required_pairs(given)
     base, hits = _event_counts(p, [given_pairs, given_pairs + _required_pairs(event)], budget)
@@ -1396,12 +1395,13 @@ def conditional_probability(
 def sorting_probability(p: Poset, x: str, y: str, budget: int | None = None) -> Fraction:
     """P(x before y) in a uniform extension.
 
-    Read from the cached lattice's pair counts, so asking for many pairs
-    of one poset costs one sweep.
+    One step, :func:`_pair_count`, reads the cached lattice's pair counts (a count past
+    0 leaves it cached), so many pairs of one poset cost one sweep; y < x is 0, unbuilt.
     """
     if x == y:
         raise ComparablePair("need two distinct elements")
-    return event_probability(p, EventSpec.of((x, y)), budget)
+    hits = _pair_count(p, p.index(x), p.index(y), budget)
+    return Fraction(hits, p._cache["lattice"].extension_count) if hits else Fraction(0)
 
 
 def sample_extension(

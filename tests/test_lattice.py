@@ -120,6 +120,42 @@ def test_sorting_probability_rejects_equal():
         sorting_probability(antichain(3), "a1", "a1")
 
 
+def _outcome(query, *args):
+    """What a query returns, or the type and arguments of what it raises."""
+    try:
+        return query(*args)
+    except BudgetExceeded as e:
+        return type(e), e.args
+
+
+def test_sorting_probability_is_the_one_pair_event(corpus):
+    # both resolve one pair through the same step: every ordered pair on
+    # fresh posets and on one that caches its lattice, split posets too;
+    # under a budget below the lattice both raise the same (nodes, budget)
+    # unless the poset orders the pair the other way
+    posets = [p for _, p in corpus]
+    posets += [
+        disjoint_sum(young_diagram((3, 3, 2)).poset, young_diagram((4, 3)).poset),
+        disjoint_sum(chain(3), antichain(2)),
+    ]
+    assert isinstance(build_lattice(posets[-2]), SplitLattice)
+    for p in posets:
+        pairs = [(x, y) for x in p.labels for y in p.labels if x != y]
+        cached = Poset.from_dict(p.to_dict())
+        nodes = build_lattice(cached).node_count
+        for budget in (None, nodes - 1):
+            for x, y in pairs:
+                event = EventSpec.of((x, y))
+                fresh = [Poset.from_dict(p.to_dict()) for _ in range(2)]
+                got = _outcome(sorting_probability, fresh[0], x, y, budget)
+                assert got == _outcome(event_probability, fresh[1], event, budget)
+                assert _outcome(sorting_probability, cached, x, y, budget) == _outcome(
+                    event_probability, cached, event, budget
+                )
+                if budget is not None:
+                    assert (got == 0) == p.less(y, x)
+
+
 def test_event_probability_matches_brute_force(rng):
     for poset in random_posets(30, nmax=7, seed=16):
         incomp = [
@@ -708,6 +744,9 @@ def test_impossible_events_count_zero_under_any_budget():
             assert event_probability(p, pairs, budget=1) == 0
             with pytest.raises(ConditionNullEvent):
                 conditional_probability(p, [free], pairs, budget=1)
+    assert sorting_probability(p, high, low, budget=1) == 0
+    with pytest.raises(ComparablePair):
+        sorting_probability(p, low, low, budget=1)
     assert "lattice" not in p._cache
 
 

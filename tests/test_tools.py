@@ -42,7 +42,7 @@ def _tool(argv: list[str]) -> dict:
 RUNS = {
     "sweep_times.py": (["young33", "--reps", "1", "--json"], "young33"),
     "kernel_regime.py": (["--trials", "10", "--reps", "1", "--nmax", "20"], "rule"),
-    "query_mix_split.py": (["--rounds", "1", "--json"], "sample_first"),
+    "query_mix_split.py": (["--rounds", "1", "--json"], "sort_later"),
     "verify_split.py": (["--repeats", "1", "--json"], "onethird"),
 }
 

@@ -2,11 +2,14 @@
 
 The ops are those of ``benchmarks/workloads.py``'s ``QueryMix``, built from
 its seed and run in order, round after round, with ``perf_counter`` around
-each op's ``run`` and its untimed ``check`` after it.  A sample op is
-counted as ``sample_first`` when it is the first sample of its poset in the
-round (its lattice is fresh, so the draw also pays the sampler's set-up),
-and ``sample_later`` otherwise.  Per kind the table gives the ops timed,
-the mean and median ms per op, and the kind's share of the summed op time.
+each op's ``run`` and its untimed ``check`` after it.  Sorting-probability
+and sample ops are split by whether they are the first of their kind on
+their poset in the round.  ``sort_first`` builds the fresh poset's
+lattice, unless an earlier op did, and sweeps its pair counts, unless an
+earlier one-pair event did; ``sort_later`` reads one count from them.
+``sample_first`` also pays the sampler's set-up, and ``sample_later``
+draws from its tables.  Per kind the table gives the ops timed, the mean
+and median ms per op, and the kind's share of the summed op time.
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/query_mix_split.py --seed 11 --rounds 4
@@ -29,7 +32,8 @@ import linext
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from workloads import QueryMix  # noqa: E402
 
-KINDS = ("sort", "event", "cond", "position", "sample_first", "sample_later")
+KINDS = ("sort_first", "sort_later", "event", "cond", "position", "sample_first", "sample_later")
+SPLIT = ("sort", "sample")
 
 
 def split(seed: int, rounds: int) -> dict[str, dict[str, float]]:
@@ -38,12 +42,13 @@ def split(seed: int, rounds: int) -> dict[str, dict[str, float]]:
     wl.prepare(wl.make_inputs())
     spent: dict[str, list[float]] = {kind: [] for kind in KINDS}
     for r in range(rounds):
-        sampled = set()
+        seen = set()
         for op in wl.ops(r):
             name, kind = op.tag.split(".")
-            if kind == "sample":
-                kind = "sample_later" if name in sampled else "sample_first"
-                sampled.add(name)
+            if kind in SPLIT:
+                key = (name, kind)
+                kind += "_later" if key in seen else "_first"
+                seen.add(key)
             start = time.perf_counter()
             res = op.run()
             spent[kind].append(time.perf_counter() - start)
